@@ -1,5 +1,18 @@
 """Unitary optical elements acting on Fock-space states.
 
+Every element is a passive linear map of the creation operators,
+a_j^dag -> sum_i U_ij a_i^dag, on the modes of the space:
+
+* beam splitter: a 2x2 block on its two modes;
+* phase shift: one diagonal entry e^{i phi};
+* Dove prism and mirror: the charge flip l -> -l within one arm, a
+  permutation with phase e^{i 2 l theta} per photon (1 for a mirror);
+* swap: a permutation of two modes.
+
+An ``Interferometer`` composes the maps of its elements into one M x M
+unitary per call and applies it with ``fock.apply_mode_map``; each
+single-element function is that call with one element.
+
 Beam splitter convention (symmetric, i on reflection):
 
     a_A -> cos(kappa) a_A + i sin(kappa) a_B
@@ -21,13 +34,19 @@ from enum import Enum
 from typing import Iterable, Sequence
 
 from .fock import (
-    BasisState,
+    PRUNE_EPS,
     FockError,
     FockSpace,
     ModeKind,
     ModeLabel,
     StateVector,
+    apply_mode_map,
+    number_expectation,
 )
+
+# column j -> {row i: U_ij}, on positions in FockSpace.modes; absent
+# columns are the identity
+ModeMap = dict[int, dict[int, complex]]
 
 
 class MissingMirrorModeError(FockError):
@@ -88,7 +107,87 @@ def swap(mode_a: ModeLabel, mode_b: ModeLabel) -> ElementSpec:
 
 
 # ---------------------------------------------------------------------------
+# linear mode maps
+
+
+def _charge_flip_map(
+    space: FockSpace,
+    arm_modes: Sequence[ModeLabel],
+    theta: float,
+) -> tuple[ModeMap, dict[int, ModeLabel]]:
+    """l -> -l on the arm with phase e^{i 2 l theta} per photon.
+
+    Returns the map and, for arm modes whose mirror charge is absent
+    from the space, the missing mirror label by position; those columns
+    stay the identity, and a photon reaching one is an error.
+    """
+    arm = set(arm_modes)
+    columns: ModeMap = {}
+    missing: dict[int, ModeLabel] = {}
+    for mode in sorted(arm):
+        j = space.index(mode)
+        if mode.kind is not ModeKind.OAM:
+            raise ValueError(f"charge flip acts on OAM modes, got {mode}")
+        target = ModeLabel(ModeKind.OAM, -mode.index, mode.channel)
+        if target not in space:
+            missing[j] = target
+        elif target not in arm:
+            raise ValueError(f"arm holds {mode} but not its mirror {target}")
+        elif mode.index != 0:
+            phase = cmath.exp(2j * mode.index * theta) if theta != 0.0 else 1.0
+            columns[j] = {space.index(target): phase}
+    return columns, missing
+
+
+def _element_map(space: FockSpace, spec: ElementSpec) -> tuple[ModeMap, dict[int, ModeLabel]]:
+    """The linear mode map of one element on ``space``.
+
+    The second value names, by position, arm modes of a Dove prism or
+    mirror whose mirror charge is absent from the space.
+    """
+    k = spec.kind
+    if k is ElementKind.BEAM_SPLITTER:
+        mode_a, mode_b = spec.targets
+        a, b = space.index(mode_a), space.index(mode_b)
+        if a == b:
+            raise ValueError("beam splitter needs two distinct modes")
+        c, is_ = math.cos(spec.parameter), 1j * math.sin(spec.parameter)
+        return {a: {a: c, b: is_}, b: {a: is_, b: c}}, {}
+    if k is ElementKind.PHASE_SHIFT:
+        a = space.index(spec.targets[0])
+        return {a: {a: cmath.exp(1j * spec.parameter)}}, {}
+    if k is ElementKind.DOVE_PRISM:
+        return _charge_flip_map(space, spec.targets, spec.parameter)
+    if k is ElementKind.MIRROR:
+        return _charge_flip_map(space, spec.targets, 0.0)
+    if k is ElementKind.SWAP:
+        a, b = (space.index(m) for m in spec.targets)
+        return {a: {b: 1.0}, b: {a: 1.0}}, {}
+    raise ValueError(f"unknown element kind {k}")
+
+
+def _column(u: ModeMap, j: int) -> dict[int, complex]:
+    return u.get(j, {j: 1.0})
+
+
+def _compose(step: ModeMap, u: ModeMap) -> ModeMap:
+    """The map of ``u`` followed by ``step``: the matrix product step @ u."""
+    out: ModeMap = {}
+    for j in u.keys() | step.keys():
+        col: dict[int, complex] = {}
+        for k, x in _column(u, j).items():
+            for i, y in _column(step, k).items():
+                col[i] = col.get(i, 0) + y * x
+        out[j] = col
+    return out
+
+
+# ---------------------------------------------------------------------------
 # element actions
+
+
+def apply_element(state: StateVector, spec: ElementSpec) -> StateVector:
+    return Interferometer((spec,)).apply(state)
 
 
 def apply_beam_splitter(
@@ -99,77 +198,14 @@ def apply_beam_splitter(
 ) -> StateVector:
     """Two-mode mixer; kappa = pi/4 gives the 50:50 splitter.
 
-    Each occupation pair (m, n) on the targets is re-expanded through
-    the binomial theorem on the transformed creation operators.  Total
-    photon number is conserved, so truncation cannot overflow.
+    Total photon number is conserved, so truncation cannot overflow.
     """
-    space = state.space
-    space.require(mode_a)
-    space.require(mode_b)
-    if mode_a == mode_b:
-        raise ValueError("beam splitter needs two distinct modes")
-    c, s = math.cos(kappa), math.sin(kappa)
-    is_ = 1j * s
-    out: dict[BasisState, complex] = {}
-    for bs, amp in state.items():
-        m, n = bs.n(mode_a), bs.n(mode_b)
-        if m == 0 and n == 0:
-            out[bs] = out.get(bs, 0) + amp
-            continue
-        base = bs.replace(mode_a, 0).replace(mode_b, 0)
-        norm_in = math.sqrt(math.factorial(m) * math.factorial(n))
-        # (c aA^ + i s aB^)^m (i s aA^ + c aB^)^n on |base>
-        for j in range(m + 1):
-            cj = math.comb(m, j) * (c ** j) * (is_ ** (m - j))
-            for k in range(n + 1):
-                ck = math.comb(n, k) * (is_ ** k) * (c ** (n - k))
-                na, nb = j + k, (m - j) + (n - k)
-                w = math.sqrt(math.factorial(na) * math.factorial(nb)) / norm_in
-                tgt = base.replace(mode_a, na).replace(mode_b, nb)
-                out[tgt] = out.get(tgt, 0) + amp * cj * ck * w
-    return StateVector(space, out)
+    return apply_element(state, beam_splitter(mode_a, mode_b, kappa))
 
 
 def apply_phase_shift(state: StateVector, mode: ModeLabel, phi: float) -> StateVector:
     """Each basis state gains e^{i n phi}, n the occupation of ``mode``."""
-    state.space.require(mode)
-    if phi == 0.0:
-        return state
-    ph = cmath.exp(1j * phi)
-    return state.map_amplitudes(lambda bs, a: a * ph ** bs.n(mode))
-
-
-def _flip_charges(
-    state: StateVector,
-    arm_modes: Iterable[ModeLabel],
-    theta: float,
-) -> StateVector:
-    space = state.space
-    arm = set()
-    for m in arm_modes:
-        space.require(m)
-        if m.kind is not ModeKind.OAM:
-            raise ValueError(f"charge flip acts on OAM modes, got {m}")
-        arm.add(m)
-    out: dict[BasisState, complex] = {}
-    for bs, amp in state.items():
-        occ = {}
-        phase = 1.0 + 0j
-        for mode, n in bs.occ:
-            if mode in arm:
-                target = ModeLabel(ModeKind.OAM, -mode.index, mode.channel)
-                if target not in space:
-                    raise MissingMirrorModeError(
-                        f"flip of {mode} needs {target}, absent from the space"
-                    )
-                occ[target] = occ.get(target, 0) + n
-                if theta != 0.0 and mode.index != 0:
-                    phase *= cmath.exp(2j * mode.index * theta * n)
-            else:
-                occ[mode] = occ.get(mode, 0) + n
-        tgt = BasisState(occ)
-        out[tgt] = out.get(tgt, 0) + amp * phase
-    return StateVector(space, out)
+    return apply_element(state, phase_shift(mode, phi))
 
 
 def apply_dove_prism(
@@ -180,60 +216,54 @@ def apply_dove_prism(
     """Dove prism rotated by theta on the OAM modes of one arm.
 
     Amplitude on charge l moves to charge -l with phase e^{i 2 l theta}
-    per photon; the mirror mode -l must exist in the space for every
+    per photon.  The arm must hold both charges of every pair present in
+    the space, and the mirror mode -l must exist in the space for every
     populated charge.  Applying the prism twice at the same angle is the
     identity.
     """
-    return _flip_charges(state, arm_modes, theta)
+    return apply_element(state, dove_prism(arm_modes, theta))
 
 
 def apply_mirror(state: StateVector, arm_modes: Iterable[ModeLabel]) -> StateVector:
     """Plane-mirror reflection: the phase-free charge flip l -> -l."""
-    return _flip_charges(state, arm_modes, 0.0)
+    return apply_element(state, mirror(arm_modes))
 
 
 def apply_swap(state: StateVector, mode_a: ModeLabel, mode_b: ModeLabel) -> StateVector:
     """Exchange the occupations of two modes."""
-    state.space.require(mode_a)
-    state.space.require(mode_b)
-    out: dict[BasisState, complex] = {}
-    for bs, amp in state.items():
-        na, nb = bs.n(mode_a), bs.n(mode_b)
-        tgt = bs.replace(mode_a, nb).replace(mode_b, na)
-        out[tgt] = out.get(tgt, 0) + amp
-    return StateVector(state.space, out)
-
-
-def apply_element(state: StateVector, spec: ElementSpec) -> StateVector:
-    k = spec.kind
-    if k is ElementKind.BEAM_SPLITTER:
-        return apply_beam_splitter(state, spec.targets[0], spec.targets[1], spec.parameter)
-    if k is ElementKind.PHASE_SHIFT:
-        return apply_phase_shift(state, spec.targets[0], spec.parameter)
-    if k is ElementKind.DOVE_PRISM:
-        return apply_dove_prism(state, spec.targets, spec.parameter)
-    if k is ElementKind.MIRROR:
-        return apply_mirror(state, spec.targets)
-    if k is ElementKind.SWAP:
-        return apply_swap(state, spec.targets[0], spec.targets[1])
-    raise ValueError(f"unknown element kind {k}")
+    return apply_element(state, swap(mode_a, mode_b))
 
 
 @dataclass(frozen=True)
 class Interferometer:
     """Reusable composite transform: sequential element application.
 
-    Immutable and shareable across concurrent sweep workers.  The
-    composition of unitaries is unitary; ``apply`` preserves the norm of
-    any input state to 1e-12.
+    Immutable and shareable across concurrent sweep workers.  ``apply``
+    composes the element maps into one unitary on the state's modes and
+    applies it once; it preserves the norm of any input state to 1e-12.
     """
 
     elements: tuple[ElementSpec, ...] = field(default_factory=tuple)
 
     def apply(self, state: StateVector) -> StateVector:
+        if not self.elements:
+            return state
+        space = state.space
+        u: ModeMap = {}
+        populated = None
         for spec in self.elements:
-            state = apply_element(state, spec)
-        return state
+            step, missing = _element_map(space, spec)
+            # a photon entering populated mode j reaches arm mode f with
+            # amplitude U_fj of the map composed so far
+            for f, target in missing.items():
+                if populated is None:
+                    populated = [j for j, m in enumerate(space.modes) if number_expectation(state, m) > 0]
+                if any(abs(_column(u, j).get(f, 0)) > PRUNE_EPS for j in populated):
+                    raise MissingMirrorModeError(
+                        f"flip of {space.modes[f]} needs {target}, absent from the space"
+                    )
+            u = _compose(step, u) if u else step
+        return apply_mode_map(state, u)
 
     def __call__(self, state: StateVector) -> StateVector:
         return self.apply(state)

@@ -6,19 +6,28 @@ amplitudes.  A ``FockSpace`` fixes the mode set and a hard truncation
 function returning a new state, so values can be shared freely across
 parameter sweeps.
 
+Inside, a basis state is a tuple of integer occupations, one per mode in
+``FockSpace.modes`` order; the space owns the map from mode label to
+position.  ``ModeLabel`` and ``BasisState`` appear only at the API edge:
+building states and observables, and reading amplitudes back.  Passive
+linear optics acts through one routine, ``apply_mode_map``, which takes
+the map a_j^dag -> sum_i U_ij a_i^dag of the creation operators.
+
 Conventions:
 
 * ladder action:  a|n> = sqrt(n) |n-1>,  a^dag|n> = sqrt(n+1) |n+1>
 * amplitudes with magnitude below ``PRUNE_EPS`` are dropped after each
   operation to keep the maps sparse
 * basis states order lexicographically over their canonical occupation
-  lists, so serialized states are bit-stable across runs
+  lists; every state keeps its terms in that order, so serialized
+  states, and the sums taken over them, are bit-stable across runs
 """
 
 from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -94,11 +103,28 @@ def level(index: int) -> ModeLabel:
     return ModeLabel(ModeKind.LEVEL, index)
 
 
+def _occupation(mode: ModeLabel, n) -> int:
+    """An occupation number as an int: ints and integral floats only."""
+    if isinstance(n, float):
+        if not n.is_integer():
+            raise ValueError(f"occupation {n!r} for {mode} is not an integer")
+        n = int(n)
+    else:
+        try:
+            n = operator.index(n)
+        except TypeError:
+            raise ValueError(f"occupation {n!r} for {mode} is not an integer") from None
+    if n < 0:
+        raise ValueError(f"negative occupation {n} for {mode}")
+    return n
+
+
 class BasisState:
     """Occupation-number basis state |n_1, n_2, ...>.
 
     Canonical form: pairs ``(mode, n)`` sorted by mode, zero counts
-    omitted.  Instances are immutable and hashable.
+    omitted.  Instances are immutable and hashable.  Occupations must be
+    nonnegative ints or integral floats.
     """
 
     __slots__ = ("occ", "_hash")
@@ -107,12 +133,19 @@ class BasisState:
         items = occupations.items() if isinstance(occupations, Mapping) else occupations
         canon = []
         for mode, n in sorted(items):
-            if n < 0:
-                raise ValueError(f"negative occupation {n} for {mode}")
+            n = _occupation(mode, n)
             if n > 0:
-                canon.append((mode, int(n)))
+                canon.append((mode, n))
         object.__setattr__(self, "occ", tuple(canon))
         object.__setattr__(self, "_hash", hash(self.occ))
+
+    @classmethod
+    def _canonical(cls, occ: tuple[tuple[ModeLabel, int], ...]) -> "BasisState":
+        """From pairs already in canonical form; skips sorting and checks."""
+        bs = object.__new__(cls)
+        object.__setattr__(bs, "occ", occ)
+        object.__setattr__(bs, "_hash", hash(occ))
+        return bs
 
     def __setattr__(self, *_):
         raise AttributeError("BasisState is immutable")
@@ -139,17 +172,6 @@ class BasisState:
     def as_dict(self) -> dict[ModeLabel, int]:
         return dict(self.occ)
 
-    def replace(self, mode: ModeLabel, n: int) -> "BasisState":
-        d = self.as_dict()
-        if n:
-            d[mode] = n
-        else:
-            d.pop(mode, None)
-        return BasisState(d)
-
-    def restrict(self, modes: frozenset[ModeLabel]) -> tuple[tuple[ModeLabel, int], ...]:
-        return tuple((m, n) for m, n in self.occ if m in modes)
-
     def __repr__(self) -> str:
         if not self.occ:
             return "|vac>"
@@ -159,6 +181,14 @@ class BasisState:
 
 VACUUM = BasisState({})
 
+Occupations = tuple[int, ...]
+
+
+def _order(occ: Occupations) -> tuple[tuple[int, int], ...]:
+    """Sort key of an occupation tuple: the canonical (position, n) list,
+    which orders exactly as the matching ``BasisState`` objects."""
+    return tuple((i, n) for i, n in enumerate(occ) if n)
+
 
 class FockSpace:
     """Mode set plus a hard truncation on the total photon number.
@@ -166,20 +196,24 @@ class FockSpace:
     ``n_max`` bounds the *total* N of any populated basis state.  For
     states prepared with ladder operators, choosing n_max at twice the
     largest prepared photon number keeps every ladder action exact.
+
+    The space owns the map from mode label to position in ``modes``
+    (sorted labels); states store occupation tuples in that order.
     """
 
-    def __init__(self, modes: Sequence[ModeLabel], n_max: int):
+    def __init__(self, modes: Iterable[ModeLabel], n_max: int):
+        modes = tuple(modes)
         if n_max < 0:
             raise ValueError("n_max must be nonnegative")
         mode_tuple = tuple(sorted(set(modes)))
-        if len(mode_tuple) != len(tuple(modes)):
+        if len(mode_tuple) != len(modes):
             raise ValueError("duplicate mode labels")
         self.modes = mode_tuple
         self.n_max = int(n_max)
-        self._mode_set = frozenset(mode_tuple)
+        self._index = {m: i for i, m in enumerate(mode_tuple)}
 
     def __contains__(self, mode: ModeLabel) -> bool:
-        return mode in self._mode_set
+        return mode in self._index
 
     def __eq__(self, other) -> bool:
         return (
@@ -197,18 +231,40 @@ class FockSpace:
         m = len(self.modes)
         return math.comb(self.n_max + m, m)
 
+    def index(self, mode: ModeLabel) -> int:
+        """Position of ``mode`` in ``modes``."""
+        try:
+            return self._index[mode]
+        except KeyError:
+            raise ModeNotInSpaceError(f"{mode} not in space") from None
+
     def require(self, mode: ModeLabel) -> None:
-        if mode not in self._mode_set:
-            raise ModeNotInSpaceError(f"{mode} not in space")
+        self.index(mode)
 
     def contains_state(self, bs: BasisState) -> bool:
-        return bs.total <= self.n_max and all(m in self._mode_set for m, _ in bs.occ)
+        return bs.total <= self.n_max and all(m in self._index for m, _ in bs.occ)
 
     def basis_state(self, occupations: Mapping[ModeLabel, int]) -> BasisState:
         bs = BasisState(occupations)
         if not self.contains_state(bs):
             raise TruncationOverflowError(f"{bs} not in space (n_max={self.n_max})")
         return bs
+
+    def occupations(self, bs: BasisState) -> Occupations:
+        """Occupation tuple of ``bs``, one count per mode in ``modes`` order."""
+        occ = [0] * len(self.modes)
+        total = 0
+        for mode, n in bs.occ:
+            i = self._index.get(mode)
+            total += n
+            if i is None or total > self.n_max:
+                raise TruncationOverflowError(f"{bs} not in space (n_max={self.n_max})")
+            occ[i] = n
+        return tuple(occ)
+
+    def label(self, occ: Occupations) -> BasisState:
+        """The ``BasisState`` of an occupation tuple in ``modes`` order."""
+        return BasisState._canonical(tuple((m, n) for m, n in zip(self.modes, occ) if n))
 
     def enumerate_basis(self) -> Iterator[BasisState]:
         """All basis states, lexicographic over canonical occupation lists."""
@@ -226,11 +282,17 @@ class FockSpace:
         return f"FockSpace({list(self.modes)}, n_max={self.n_max})"
 
 
+def _same_modes(a: FockSpace, b: FockSpace) -> bool:
+    return a is b or a.modes == b.modes
+
+
 class StateVector:
     """Complex amplitudes over the occupation basis of one FockSpace.
 
     Instances are immutable.  Construction does not normalize unless
     asked; norm-preserving elements keep <psi|psi> = 1 to 1e-12.
+    Amplitudes are keyed on occupation tuples and kept in canonical
+    order, so every sum over a state runs in the same order.
     """
 
     __slots__ = ("space", "_amp")
@@ -242,33 +304,36 @@ class StateVector:
         normalize: bool = False,
         prune: bool = True,
     ):
-        amp: dict[BasisState, complex] = {}
+        amp: dict[Occupations, complex] = {}
         for bs, a in amplitudes.items():
-            if not space.contains_state(bs):
-                raise TruncationOverflowError(f"{bs} outside {space}")
+            occ = space.occupations(bs)
             a = complex(a)
             if not prune or abs(a) > PRUNE_EPS:
-                amp[bs] = amp.get(bs, 0) + a
+                amp[occ] = amp.get(occ, 0) + a
         if normalize:
             nrm = math.sqrt(sum(abs(a) ** 2 for a in amp.values()))
             if nrm == 0:
                 raise ValueError("cannot normalize the zero vector")
-            amp = {bs: a / nrm for bs, a in amp.items()}
+            amp = {occ: a / nrm for occ, a in amp.items()}
         object.__setattr__(self, "space", space)
-        object.__setattr__(self, "_amp", amp)
+        object.__setattr__(self, "_amp", dict(sorted(amp.items(), key=lambda kv: _order(kv[0]))))
 
     def __setattr__(self, *_):
         raise AttributeError("StateVector is immutable")
 
     def amplitude(self, bs: BasisState) -> complex:
-        return self._amp.get(bs, 0j)
+        if not self.space.contains_state(bs):
+            return 0j
+        return self._amp.get(self.space.occupations(bs), 0j)
 
     def items(self) -> list[tuple[BasisState, complex]]:
         """Amplitudes in fixed lexicographic order (bit-stable)."""
-        return sorted(self._amp.items(), key=lambda kv: kv[0])
+        label = self.space.label
+        return [(label(occ), a) for occ, a in self._amp.items()]
 
     def support(self) -> list[BasisState]:
-        return sorted(self._amp)
+        label = self.space.label
+        return [label(occ) for occ in self._amp]
 
     @property
     def num_terms(self) -> int:
@@ -278,37 +343,50 @@ class StateVector:
         return math.sqrt(sum(abs(a) ** 2 for a in self._amp.values()))
 
     def normalized(self) -> "StateVector":
-        return StateVector(self.space, self._amp, normalize=True)
+        nrm = self.norm()
+        if nrm == 0:
+            raise ValueError("cannot normalize the zero vector")
+        return _state(self.space, {occ: a / nrm for occ, a in self._amp.items()}, ordered=True)
 
     def inner(self, other: "StateVector") -> complex:
         """<self|other> over the smaller support."""
+        if not _same_modes(self.space, other.space):
+            raise ValueError("states live in different spaces")
         a, b = self._amp, other._amp
         if len(b) < len(a):
-            return sum(a[bs].conjugate() * amp for bs, amp in b.items() if bs in a)
-        return sum(amp.conjugate() * b[bs] for bs, amp in a.items() if bs in b)
+            return sum(a[occ].conjugate() * amp for occ, amp in b.items() if occ in a)
+        return sum(amp.conjugate() * b[occ] for occ, amp in a.items() if occ in b)
 
     def fidelity(self, other: "StateVector") -> float:
         return abs(self.inner(other))
-
-    def map_amplitudes(self, fn) -> "StateVector":
-        """New state with ``fn(bs, amp) -> amp``; for phase-type maps."""
-        return StateVector(self.space, {bs: fn(bs, a) for bs, a in self._amp.items()})
 
     def __add__(self, other: "StateVector") -> "StateVector":
         if other.space != self.space:
             raise ValueError("states live in different spaces")
         amp = dict(self._amp)
-        for bs, a in other._amp.items():
-            amp[bs] = amp.get(bs, 0) + a
-        return StateVector(self.space, amp)
+        for occ, a in other._amp.items():
+            amp[occ] = amp.get(occ, 0) + a
+        return _state(self.space, amp)
 
     def scaled(self, factor: complex) -> "StateVector":
-        return StateVector(self.space, {bs: factor * a for bs, a in self._amp.items()})
+        return _state(self.space, {occ: factor * a for occ, a in self._amp.items()}, ordered=True)
 
     def __repr__(self) -> str:
         terms = ", ".join(f"{a:.4g}*{bs}" for bs, a in self.items()[:6])
         more = "" if self.num_terms <= 6 else f", ... ({self.num_terms} terms)"
         return f"StateVector({terms}{more})"
+
+
+def _state(space: FockSpace, amp: Mapping[Occupations, complex], ordered: bool = False) -> StateVector:
+    """State from occupation tuples: prunes tiny amplitudes, then sorts
+    into canonical order unless ``amp`` is already in it."""
+    items = [(occ, a) for occ, a in amp.items() if abs(a) > PRUNE_EPS]
+    if not ordered:
+        items.sort(key=lambda kv: _order(kv[0]))
+    st = object.__new__(StateVector)
+    object.__setattr__(st, "space", space)
+    object.__setattr__(st, "_amp", dict(items))
+    return st
 
 
 def basis_vector(space: FockSpace, occupations: Mapping[ModeLabel, int]) -> StateVector:
@@ -330,16 +408,17 @@ def create(state: StateVector, mode: ModeLabel) -> StateVector:
     unitary.  Raises TruncationOverflowError if any populated component
     would exceed the space truncation.
     """
-    state.space.require(mode)
-    amp: dict[BasisState, complex] = {}
-    for bs, a in state._amp.items():
-        if bs.total + 1 > state.space.n_max:
+    space = state.space
+    i = space.index(mode)
+    amp: dict[Occupations, complex] = {}
+    for occ, a in state._amp.items():
+        if sum(occ) + 1 > space.n_max:
             raise TruncationOverflowError(
-                f"a^dag on {bs} exceeds n_max={state.space.n_max}"
+                f"a^dag on {space.label(occ)} exceeds n_max={space.n_max}"
             )
-        n = bs.n(mode)
-        amp[bs.replace(mode, n + 1)] = a * math.sqrt(n + 1)
-    return StateVector(state.space, amp)
+        n = occ[i]
+        amp[occ[:i] + (n + 1,) + occ[i + 1:]] = a * math.sqrt(n + 1)
+    return _state(space, amp)
 
 
 def annihilate(state: StateVector, mode: ModeLabel) -> StateVector:
@@ -347,25 +426,107 @@ def annihilate(state: StateVector, mode: ModeLabel) -> StateVector:
 
     The n = 0 component maps to the zero vector; this is not an error.
     """
-    state.space.require(mode)
-    amp: dict[BasisState, complex] = {}
-    for bs, a in state._amp.items():
-        n = bs.n(mode)
+    i = state.space.index(mode)
+    amp: dict[Occupations, complex] = {}
+    for occ, a in state._amp.items():
+        n = occ[i]
         if n == 0:
             continue
-        tgt = bs.replace(mode, n - 1)
+        tgt = occ[:i] + (n - 1,) + occ[i + 1:]
         amp[tgt] = amp.get(tgt, 0) + a * math.sqrt(n)
-    return StateVector(state.space, amp)
+    return _state(state.space, amp)
 
 
 def number_expectation(state: StateVector, mode: ModeLabel) -> float:
     """<N_mode> for a normalized state."""
-    state.space.require(mode)
-    return sum(bs.n(mode) * abs(a) ** 2 for bs, a in state._amp.items())
+    i = state.space.index(mode)
+    return sum(occ[i] * abs(a) ** 2 for occ, a in state._amp.items())
 
 
 def total_number_expectation(state: StateVector) -> float:
-    return sum(bs.total * abs(a) ** 2 for bs, a in state._amp.items())
+    return sum(sum(occ) * abs(a) ** 2 for occ, a in state._amp.items())
+
+
+# ---------------------------------------------------------------------------
+# passive linear optics
+
+
+def apply_mode_map(
+    state: StateVector,
+    columns: Mapping[int, Mapping[int, complex]],
+) -> StateVector:
+    """Passive linear map a_j^dag -> sum_i U_ij a_i^dag on every basis state.
+
+    ``columns[j]`` holds the entries {i: U_ij} of column j, with i and j
+    positions in ``state.space.modes``; absent columns are the identity.
+    Each basis state is rebuilt one creation operator at a time, as in
+    SLOS (Heurtel et al., arXiv:2206.10549):
+
+    * photons in modes the map leaves fixed are copied;
+    * the n photons of a column with a single entry c move in one step
+      with factor c**n, so a phase shift multiplies by ph**n exactly;
+    * every other photon is spread over the rows of its column, gaining
+      sqrt(k + 1) on a row already holding k photons.
+
+    The 1/sqrt(s!) of the input occupations is paid one photon at a
+    time, so an output amplitude is Perm(U_T,S) / sqrt(prod s! prod t!)
+    (Scheel, quant-ph/0406127) with no factorial formed.  Input terms
+    are expanded in canonical order and the output is put back into it.
+    Photon number is conserved, so the truncation cannot overflow.
+    """
+    moves: list[tuple[int, int, complex]] = []
+    spreads = []
+    for j in sorted(columns):
+        entries = [(i, c) for i, c in sorted(columns[j].items()) if c != 0]
+        if len(entries) == 1:
+            i, c = entries[0]
+            if i != j or c != 1:
+                moves.append((j, i, c))
+        else:
+            spreads.append((j, entries))
+    if not moves and not spreads:
+        return state
+    if spreads:
+        # c * sqrt(k + 1) for a row already holding k photons
+        photons = max(map(sum, state._amp), default=0)
+        spreads = [
+            (j, [(i, [c * math.sqrt(k + 1) for k in range(photons)]) for i, c in entries])
+            for j, entries in spreads
+        ]
+    cleared = [j for j, _, _ in moves] + [j for j, _ in spreads]
+    out: dict[Occupations, complex] = {}
+    for occ, amp in state._amp.items():
+        base = list(occ)
+        for j in cleared:
+            base[j] = 0
+        factor = 1
+        for j, i, c in moves:
+            n = occ[j]
+            if n:
+                k = base[i]
+                base[i] = k + n
+                if c != 1:
+                    factor *= c ** n
+                if k:
+                    factor *= math.sqrt(math.comb(k + n, n))
+        if factor != 1:
+            amp = amp * factor
+        terms = {tuple(base): amp}
+        for j, rows in spreads:
+            for p in range(1, occ[j] + 1):
+                scale = 1 / math.sqrt(p)
+                nxt: dict[Occupations, complex] = {}
+                for t, x in terms.items():
+                    if p > 1:
+                        x = x * scale
+                    for i, cs in rows:
+                        k = t[i]
+                        key = t[:i] + (k + 1,) + t[i + 1:]
+                        nxt[key] = nxt.get(key, 0) + x * cs[k]
+                terms = nxt
+        for t, x in terms.items():
+            out[t] = out.get(t, 0) + x
+    return _state(state.space, out, ordered=not spreads and all(i == j for j, i, _ in moves))
 
 
 # ---------------------------------------------------------------------------
@@ -376,10 +537,11 @@ class Observable:
     """Sparse linear operator: map (bra basis state, ket basis state) -> entry.
 
     If built with ``hermitian=True`` the entries are checked to satisfy
-    M[a,b] = conj(M[b,a]) to within 1e-12.
+    M[a,b] = conj(M[b,a]) to within 1e-12.  Entries are stored on
+    occupation-tuple pairs of ``space``.
     """
 
-    __slots__ = ("space", "entries", "hermitian")
+    __slots__ = ("space", "_entries", "hermitian")
 
     def __init__(
         self,
@@ -387,52 +549,63 @@ class Observable:
         entries: Mapping[tuple[BasisState, BasisState], complex],
         hermitian: bool = True,
     ):
-        ent = {k: complex(v) for k, v in entries.items() if v != 0}
-        for (bra, ket) in ent:
-            if not (space.contains_state(bra) and space.contains_state(ket)):
-                raise TruncationOverflowError("observable entry outside space")
+        ent = {
+            (space.occupations(bra), space.occupations(ket)): complex(v)
+            for (bra, ket), v in entries.items()
+            if v != 0
+        }
         if hermitian:
             for (bra, ket), v in ent.items():
                 if abs(v - ent.get((ket, bra), 0j).conjugate()) > HERMITICITY_TOL:
                     raise NonHermitianError(
-                        f"entry ({bra},{ket}) breaks Hermiticity by more than {HERMITICITY_TOL}"
+                        f"entry ({space.label(bra)},{space.label(ket)}) breaks "
+                        f"Hermiticity by more than {HERMITICITY_TOL}"
                     )
         self.space = space
-        self.entries = ent
+        self._entries = ent
         self.hermitian = hermitian
 
     def apply(self, state: StateVector) -> StateVector:
         """O|psi> (unnormalized)."""
-        amp: dict[BasisState, complex] = {}
-        for (bra, ket), v in self.entries.items():
+        if not _same_modes(self.space, state.space):
+            raise ValueError("state and observable live in different spaces")
+        amp: dict[Occupations, complex] = {}
+        for (bra, ket), v in self._entries.items():
             a = state._amp.get(ket)
             if a is not None:
                 amp[bra] = amp.get(bra, 0) + v * a
-        return StateVector(self.space, amp)
+        return _state(self.space, amp)
 
     def dagger(self) -> "Observable":
-        ent = {(k, b): v.conjugate() for (b, k), v in self.entries.items()}
+        label = self.space.label
+        ent = {(label(k), label(b)): v.conjugate() for (b, k), v in self._entries.items()}
         return Observable(self.space, ent, hermitian=self.hermitian)
 
-    def support(self) -> list[BasisState]:
+    def _support(self) -> set[Occupations]:
         s = set()
-        for bra, ket in self.entries:
+        for bra, ket in self._entries:
             s.add(bra)
             s.add(ket)
-        return sorted(s)
+        return s
 
-    def matrix(self, basis: Sequence[BasisState]) -> np.ndarray:
-        idx = {bs: i for i, bs in enumerate(basis)}
+    def support(self) -> list[BasisState]:
+        return [self.space.label(occ) for occ in sorted(self._support(), key=_order)]
+
+    def _matrix(self, basis: Sequence[Occupations]) -> np.ndarray:
+        idx = {occ: i for i, occ in enumerate(basis)}
         m = np.zeros((len(basis), len(basis)), dtype=complex)
-        for (bra, ket), v in self.entries.items():
+        for (bra, ket), v in self._entries.items():
             if bra in idx and ket in idx:
                 m[idx[bra], idx[ket]] = v
         return m
 
+    def matrix(self, basis: Sequence[BasisState]) -> np.ndarray:
+        return self._matrix([self.space.occupations(bs) for bs in basis])
+
     def max_hermiticity_defect(self) -> float:
         defect = 0.0
-        for (bra, ket), v in self.entries.items():
-            defect = max(defect, abs(v - self.entries.get((ket, bra), 0j).conjugate()))
+        for (bra, ket), v in self._entries.items():
+            defect = max(defect, abs(v - self._entries.get((ket, bra), 0j).conjugate()))
         return defect
 
     def eigensystem(self, state: StateVector) -> tuple[np.ndarray, np.ndarray]:
@@ -444,10 +617,12 @@ class Observable:
         """
         if not self.hermitian:
             raise NonHermitianError("projective measurement needs a Hermitian observable")
-        basis = sorted(set(self.support()) | set(state.support()))
-        m = self.matrix(basis)
+        if not _same_modes(self.space, state.space):
+            raise ValueError("state and observable live in different spaces")
+        basis = sorted(self._support() | set(state._amp), key=_order)
+        m = self._matrix(basis)
         evals, evecs = np.linalg.eigh(m)
-        psi = np.array([state.amplitude(bs) for bs in basis])
+        psi = np.array([state._amp.get(occ, 0j) for occ in basis])
         probs = np.abs(evecs.conj().T @ psi) ** 2
         total = probs.sum()
         if total > 0:
@@ -578,16 +753,18 @@ def schmidt_values(
         raise ValueError("partition sides must be nonempty")
     if side_a & side_b:
         raise ValueError("partition sides overlap")
-    if (side_a | side_b) != frozenset(state.space.modes):
+    space = state.space
+    if (side_a | side_b) != frozenset(space.modes):
         raise ValueError("partition must cover all modes of the space")
-    rows: dict[tuple, int] = {}
-    cols: dict[tuple, int] = {}
+    # the occupations on each side, as a tuple (or a bare int for one mode)
+    key_a = operator.itemgetter(*sorted(space.index(m) for m in side_a))
+    key_b = operator.itemgetter(*sorted(space.index(m) for m in side_b))
+    rows: dict = {}
+    cols: dict = {}
     coords = []
-    for bs, a in state.items():
-        ka = bs.restrict(side_a)
-        kb = bs.restrict(side_b)
-        i = rows.setdefault(ka, len(rows))
-        j = cols.setdefault(kb, len(cols))
+    for occ, a in state._amp.items():
+        i = rows.setdefault(key_a(occ), len(rows))
+        j = cols.setdefault(key_b(occ), len(cols))
         coords.append((i, j, a))
     m = np.zeros((len(rows), len(cols)), dtype=complex)
     for i, j, a in coords:

@@ -10,22 +10,28 @@ from photonlab.elements import (
     MissingMirrorModeError,
     apply_beam_splitter,
     apply_dove_prism,
+    apply_element,
     apply_mirror,
     apply_phase_shift,
     apply_swap,
     beam_splitter,
     build_interferometer,
+    dove_prism,
     mach_zehnder,
+    mirror,
     phase_shift,
+    swap,
 )
 from photonlab.fock import (
     FockSpace,
+    ModeKind,
     StateVector,
     basis_vector,
     oam,
     path,
     total_number_expectation,
 )
+from photonlab.sources import noon_state
 
 A, B = path(0), path(1)
 
@@ -269,3 +275,110 @@ def test_spec_validation():
         ElementSpec(ElementKind.PHASE_SHIFT, (A,), math.inf)
     with pytest.raises(ValueError):
         ElementSpec(ElementKind.DOVE_PRISM, (), 0.1)
+
+
+def test_noon_forty_mach_zehnder_keeps_the_norm():
+    # the Interferometer docstring promises a norm drift below 1e-12
+    n = 40
+    sp = two_path_space(n_max=n)
+    probe = noon_state(sp, A, B, n)
+    worst = max(
+        abs(mach_zehnder(A, B, float(phi)).apply(probe).norm() - 1.0)
+        for phi in np.linspace(0.0, 2 * math.pi, 64, endpoint=False)
+    )
+    assert worst <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# one composed map against element-by-element application
+
+
+def random_state(sp, rng, terms):
+    basis = list(sp.enumerate_basis())
+    picks = rng.choice(len(basis), size=min(terms, len(basis)), replace=False)
+    amps = rng.normal(size=len(picks)) + 1j * rng.normal(size=len(picks))
+    return StateVector(sp, {basis[i]: a for i, a in zip(picks, amps)}, normalize=True)
+
+
+def random_chain(sp, rng, length):
+    """Splitters, phases, swaps and, on OAM spaces, whole-arm prisms and mirrors."""
+    modes = list(sp.modes)
+    arms = {}
+    for m in modes:
+        arms.setdefault(m.channel, []).append(m)
+    kinds = ["bs", "phase", "swap"] + (["prism", "mirror"] if modes[0].kind is ModeKind.OAM else [])
+    chain = []
+    for _ in range(length):
+        kind = kinds[rng.integers(len(kinds))]
+        a, b = (modes[i] for i in rng.choice(len(modes), size=2, replace=False))
+        if kind == "bs":
+            chain.append(beam_splitter(a, b, float(rng.uniform(0.1, 1.4))))
+        elif kind == "phase":
+            chain.append(phase_shift(a, float(rng.uniform(0.0, 2 * math.pi))))
+        elif kind == "swap":
+            chain.append(swap(a, b))
+        elif kind == "prism":
+            chain.append(dove_prism(arms[a.channel], float(rng.uniform(0.0, math.pi))))
+        else:
+            chain.append(mirror(arms[a.channel]))
+    return chain
+
+
+@pytest.mark.parametrize(
+    "modes, n_max",
+    [
+        ([A, B, path(2)], 3),
+        ([oam(l, ch) for l in (-2, -1, 0, 1, 2) for ch in (0, 1)], 2),
+        ([oam(l, ch) for l in (-1, 1) for ch in (0, 1)], 3),
+    ],
+)
+def test_composed_map_matches_element_by_element(modes, n_max):
+    rng = np.random.default_rng(len(modes) * 10 + n_max)
+    sp = FockSpace(modes, n_max=n_max)
+    for _ in range(8):
+        st = random_state(sp, rng, terms=6)
+        chain = random_chain(sp, rng, length=int(rng.integers(2, 9)))
+        stepwise = st
+        for spec in chain:
+            stepwise = apply_element(stepwise, spec)
+        composed = build_interferometer(chain).apply(st)
+        assert (composed + stepwise.scaled(-1)).norm() <= 1e-12
+        assert abs(composed.norm() - 1.0) <= 1e-12
+
+
+def test_missing_mirror_raises_when_a_photon_can_reach_the_arm_mode():
+    # oam(1) in channel 1 has no mirror charge; a splitter feeds it from channel 0
+    sp = FockSpace([oam(-1, 0), oam(1, 0), oam(1, 1)], n_max=1)
+    circuit = build_interferometer([beam_splitter(oam(1, 0), oam(1, 1)), mirror([oam(1, 1)])])
+    with pytest.raises(MissingMirrorModeError):
+        circuit.apply(basis_vector(sp, {oam(1, 0): 1}))
+
+
+def test_missing_mirror_ignored_when_no_photon_can_reach_the_arm_mode():
+    sp = FockSpace([oam(-1, 0), oam(1, 0), oam(1, 1)], n_max=1)
+    st = basis_vector(sp, {oam(1, 0): 1})
+    # nothing couples channel 0 to oam(1) in channel 1
+    out = build_interferometer([mirror([oam(-1, 0), oam(1, 0)]), mirror([oam(1, 1)])]).apply(st)
+    assert abs(out.amplitude(sp.basis_state({oam(-1, 0): 1})) - 1.0) < 1e-15
+    # a populated arm mode raises, an empty one does not
+    with pytest.raises(MissingMirrorModeError):
+        apply_mirror(basis_vector(sp, {oam(1, 1): 1}), [oam(1, 1)])
+    assert apply_mirror(st, [oam(1, 1)]).fidelity(st) > 1 - 1e-15
+
+
+def test_arm_without_its_mirror_charge_rejected():
+    # oam(-1) exists in the same channel, so an arm holding only oam(1) is not a flip
+    sp = oam_space(1)
+    with pytest.raises(ValueError):
+        apply_dove_prism(basis_vector(sp, {oam(1): 1}), [oam(1)], 0.3)
+
+
+def test_swap_and_prism_on_multiphoton_terms():
+    sp = FockSpace([oam(-1), oam(0), oam(1)], n_max=3)
+    st = basis_vector(sp, {oam(1): 2, oam(0): 1})
+    out = apply_dove_prism(st, [oam(-1), oam(0), oam(1)], 0.2)
+    # two photons at charge 1 each gain e^{i 0.4}; the charge-0 photon stays
+    expected = cmath.exp(2j * 0.4)
+    assert abs(out.amplitude(sp.basis_state({oam(-1): 2, oam(0): 1})) - expected) < 1e-15
+    swapped = apply_swap(st, oam(0), oam(1))
+    assert abs(swapped.amplitude(sp.basis_state({oam(0): 2, oam(1): 1})) - 1.0) < 1e-15

@@ -406,3 +406,29 @@ def test_tiny_amplitudes_pruned():
     sp = single_mode_space()
     st = StateVector(sp, {fock_level(sp, 0): 1.0, fock_level(sp, 1): 1e-16})
     assert st.num_terms == 1
+
+
+def test_non_integral_occupation_rejected():
+    sp = single_mode_space()
+    with pytest.raises(ValueError):
+        sp.basis_state({path(0): 1.7})
+    with pytest.raises(ValueError):
+        sp.basis_state({path(0): math.nan})
+    with pytest.raises(ValueError):
+        sp.basis_state({path(0): "2"})
+    assert sp.basis_state({path(0): 2.0}) == sp.basis_state({path(0): 2})
+    assert sp.basis_state({path(0): np.int64(3)}).occ == ((path(0), 3),)
+
+
+def test_space_from_a_one_shot_iterable():
+    sp = FockSpace((path(i) for i in (2, 0, 1)), n_max=2)
+    assert sp.modes == (path(0), path(1), path(2))
+    with pytest.raises(ValueError):
+        FockSpace((path(i) for i in (0, 1, 0)), n_max=2)
+
+
+def test_states_of_spaces_with_other_modes_do_not_mix():
+    a = basis_vector(FockSpace([path(0), path(1)], n_max=1), {path(0): 1})
+    b = basis_vector(FockSpace([oam(0), oam(1)], n_max=1), {oam(0): 1})
+    with pytest.raises(ValueError):
+        a.inner(b)
