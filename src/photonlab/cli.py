@@ -46,6 +46,10 @@ class ConfigError(Exception):
     pass
 
 
+class NonFiniteResultError(ValueError):
+    """A result table or summary holds a NaN or an infinity."""
+
+
 @dataclass(frozen=True)
 class Table:
     name: str
@@ -81,6 +85,15 @@ class Experiment:
     stochastic: bool
 
 
+def _integral(value) -> int:
+    """An int, or a float with an integral value; anything else raises."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError
+    return int(value)
+
+
 def _coerce(param: Param, value):
     try:
         if param.kind == "int":
@@ -98,7 +111,7 @@ def _coerce(param: Param, value):
         if param.kind == "int-list":
             if not isinstance(value, list) or not value:
                 raise TypeError
-            return [int(v) for v in value]
+            return [_integral(v) for v in value]
         if param.kind == "float-list":
             if not isinstance(value, list) or not value:
                 raise TypeError
@@ -485,8 +498,30 @@ def _render_summary(bundle: ResultBundle, seed: int | None) -> bytes:
     return (json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n").encode()
 
 
+def _nonfinite(value) -> bool:
+    return isinstance(value, (float, np.floating)) and not math.isfinite(value)
+
+
+def _require_finite(bundle: ResultBundle) -> None:
+    for table in bundle.tables:
+        for row in table.rows:
+            for column, value in zip(table.columns, row):
+                if _nonfinite(value):
+                    raise NonFiniteResultError(
+                        f"table {table.name!r}, column {column!r} holds {value!r}"
+                    )
+    for key, value in bundle.summary.items():
+        if _nonfinite(value):
+            raise NonFiniteResultError(f"summary key {key!r} holds {value!r}")
+
+
 def write_bundle(bundle: ResultBundle, out_dir: Path, seed: int | None) -> list[Path]:
-    """Two-phase write: stage everything, then rename into place."""
+    """Two-phase write: stage everything, then rename into place.
+
+    Refuses, before anything is written, a bundle holding a non-finite
+    number in any table cell or summary value.
+    """
+    _require_finite(bundle)
     out_dir.mkdir(parents=True, exist_ok=True)
     staged: list[tuple[Path, Path]] = []
     payload: dict[str, bytes] = {f"{t.name}.csv": _render_csv(t) for t in bundle.tables}
@@ -553,14 +588,14 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         bundle, out_dir = run_experiment(config, args.seed, args.out)
+        seed = args.seed if args.seed is not None else config["seed"]
+        paths = write_bundle(bundle, out_dir, seed)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (FockError, ValueError) as exc:
         print(f"numerical failure in {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    seed = args.seed if args.seed is not None else config["seed"]
-    paths = write_bundle(bundle, out_dir, seed)
     if not args.quiet:
         for key, value in sorted(bundle.summary.items()):
             print(f"{key}: {value}")

@@ -22,12 +22,10 @@ time unit.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import OptimizeWarning, curve_fit
 
 from .fock import FockError
 from .oam_imaging import ResolutionError
@@ -436,6 +434,73 @@ class DelayFit:
     visibility: float
 
 
+_FIT_TOL = 1e-12
+_FIT_MAX_EVALS = 2000
+
+
+def _dip_terms(tau: np.ndarray, y: np.ndarray, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals and Jacobian of b - v exp(-(tau - c)^2 / (2 w^2)) - y."""
+    center, width, depth, base = params
+    with np.errstate(all="ignore"):
+        u = (tau - center) / width
+        g = np.exp(-0.5 * u * u)
+        residual = base - depth * g - y
+        jac = np.empty((tau.size, 4))
+        jac[:, 0] = -depth * g * u / width
+        jac[:, 1] = jac[:, 0] * u
+        jac[:, 2] = -g
+        jac[:, 3] = 1.0
+    return residual, jac
+
+
+def _fit_dip(tau: np.ndarray, y: np.ndarray, p0: tuple[float, float, float, float]) -> tuple[np.ndarray, float]:
+    """Levenberg-Marquardt least squares of the Gaussian dip model.
+
+    Each step solves (J^T J + lam D) step = -J^T r, with D the running
+    maximum of diag(J^T J) (Marquardt's scaling).  The fit stops when a
+    step moves the scaled parameters, or lowers the residual sum of
+    squares, by less than _FIT_TOL relative.  Returns the parameters and
+    the variance of the center: the pseudo-inverse of J^T J from the
+    SVD of J, discarding singular values below eps max(m, 4) s_max,
+    times SSR / (m - 4).
+    """
+    params = np.array(p0, dtype=float)
+    residual, jac = _dip_terms(tau, y, params)
+    cost = float(residual @ residual)
+    if not math.isfinite(cost):
+        raise FitError("delay fit failed: non-finite model at the starting point")
+    normal = jac.T @ jac
+    scale = np.where(np.diag(normal) > 0, np.diag(normal), 1.0)
+    lam = 1e-3
+    for _ in range(_FIT_MAX_EVALS):
+        step = np.linalg.solve(normal + lam * np.diag(scale), -(jac.T @ residual))
+        trial = params + step
+        tiny = np.linalg.norm(np.sqrt(scale) * step) <= _FIT_TOL * (np.linalg.norm(np.sqrt(scale) * params) + _FIT_TOL)
+        trial_residual, trial_jac = _dip_terms(tau, y, trial)
+        trial_cost = float(trial_residual @ trial_residual)
+        if trial_cost <= cost:
+            converged = tiny or cost - trial_cost <= _FIT_TOL * cost
+            params, residual, jac, cost = trial, trial_residual, trial_jac, trial_cost
+            normal = jac.T @ jac
+            scale = np.maximum(scale, np.diag(normal))
+            lam *= 0.1
+        else:
+            converged = tiny
+            lam *= 10.0
+        if converged:
+            break
+    else:
+        raise FitError(f"delay fit failed: no convergence in {_FIT_MAX_EVALS} evaluations")
+    m = tau.size
+    if m <= 4:
+        return params, math.inf
+    _, s, vt = np.linalg.svd(jac, full_matrices=False)
+    keep = s > np.finfo(float).eps * max(jac.shape) * s[0]
+    vt = vt[keep]
+    cov_center = float(np.sum(vt[:, 0] ** 2 / s[keep] ** 2))
+    return params, cov_center * cost / (m - 4)
+
+
 def extract_delay(gram: Interferogram) -> DelayFit:
     """Locate the envelope feature by least squares on a Gaussian model.
 
@@ -447,6 +512,8 @@ def extract_delay(gram: Interferogram) -> DelayFit:
     """
     tau = gram.scan
     rates = gram.rates
+    if tau.size < 4:
+        raise FitError("need at least four scan points for the four-parameter fit")
     span = float(rates.max() - rates.min())
     if span < 1e-12:
         raise FitError("featureless interferogram: nothing to fit")
@@ -454,22 +521,13 @@ def extract_delay(gram: Interferogram) -> DelayFit:
     sign = 1.0 if dip else -1.0
     y = sign * rates
 
-    def model(x, center, width, depth, base):
-        return base - depth * np.exp(-((x - center) ** 2) / (2 * width ** 2))
-
     idx = int(np.argmin(y))
     guess_w = max(envelope_rms_width(gram) / math.sqrt(2), float(tau[1] - tau[0]))
     p0 = (float(tau[idx]), guess_w, float(y.max() - y.min()), float(y.max()))
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", OptimizeWarning)
-            popt, pcov = curve_fit(model, tau, y, p0=p0, maxfev=20000)
-    except RuntimeError as exc:
-        raise FitError(f"delay fit failed: {exc}") from exc
+    popt, var = _fit_dip(tau, y, p0)
     floor = 1e-6 * float(tau[1] - tau[0])
-    var = float(pcov[0, 0])
-    # a noiseless perfect fit leaves the covariance singular; conditioning
-    # floor stands in for the vanishing residual variance
+    # a noiseless perfect fit leaves the residual variance at zero;
+    # conditioning floor stands in for it
     stderr = math.sqrt(var) if math.isfinite(var) and var > 0 else floor
     vis = fringe_visibility(rates)
     return DelayFit(delay=float(popt[0]), stderr=max(stderr, floor), visibility=vis)

@@ -348,6 +348,8 @@ class AngularDisplacementProtocol(Protocol):
         self.photons_per_trial = n_photons
         self._space = sources.spdc_space(self.l, n_max=2)
         self._obs = observable_R(self._space, self.l)
+        spectrum = sources.SpdcOamSpectrum.filtered_pair(self.l, relative_phase=math.pi)
+        self._input = sources.spdc_oam_pair(self._space, spectrum)
 
     @property
     def space(self) -> FockSpace:
@@ -358,8 +360,7 @@ class AngularDisplacementProtocol(Protocol):
         return self._obs
 
     def input_state(self) -> StateVector:
-        spectrum = sources.SpdcOamSpectrum.filtered_pair(self.l, relative_phase=math.pi)
-        return sources.spdc_oam_pair(self._space, spectrum)
+        return self._input
 
     def state(self, theta: float) -> StateVector:
         if self.n_photons != 2:
@@ -369,7 +370,7 @@ class AngularDisplacementProtocol(Protocol):
             )
         upper = [oam(self.l, 0), oam(-self.l, 0)]
         lower = [oam(self.l, 1), oam(-self.l, 1)]
-        st = self.input_state()
+        st = self._input
         for m in (self.l, -self.l):
             st = elements.apply_beam_splitter(st, oam(m, 0), oam(m, 1))
         st = elements.apply_dove_prism(st, upper, theta)
@@ -536,6 +537,16 @@ def scaling_experiment(
 # ---------------------------------------------------------------------------
 # Ramsey frequency readout
 
+_RAMSEY_SPACE = FockSpace([level(0)], n_max=1)
+_RAMSEY_GROUND = StateVector(
+    _RAMSEY_SPACE,
+    {
+        _RAMSEY_SPACE.basis_state({}): 1 / math.sqrt(2),
+        _RAMSEY_SPACE.basis_state({level(0): 1}): 1 / math.sqrt(2),
+    },
+)
+_RAMSEY_OBSERVABLE = observable_A(_RAMSEY_SPACE)
+
 
 def ramsey_fringe(omega: float, t: float) -> float:
     """<A> for a two-level atom after free evolution: cos(omega t).
@@ -546,16 +557,8 @@ def ramsey_fringe(omega: float, t: float) -> float:
     """
     if t <= 0:
         raise ValueError("free-evolution time must be positive")
-    space = FockSpace([level(0)], n_max=1)
-    st = StateVector(
-        space,
-        {
-            space.basis_state({}): 1 / math.sqrt(2),
-            space.basis_state({level(0): 1}): 1 / math.sqrt(2),
-        },
-    )
-    st = elements.apply_phase_shift(st, level(0), omega * t)
-    return expectation(st, observable_A(space))
+    st = elements.apply_phase_shift(_RAMSEY_GROUND, level(0), omega * t)
+    return expectation(st, _RAMSEY_OBSERVABLE)
 
 
 def ramsey_frequency_estimate(

@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Mapping, TextIO
 
 import numpy as np
-from scipy.special import eval_genlaguerre
 
 from .fock import FockError
 
@@ -76,6 +75,48 @@ class LGModeSpec:
         )
 
 
+def _binom(n: int, k: int) -> float:
+    """binom(n, k) as a float product, reduced by symmetry to k <= n / 2.
+
+    The running numerator is folded into the result whenever it passes
+    1e50, so large arguments do not overflow.
+    """
+    if k > n / 2 and n > 0:
+        k = n - k
+    num = den = 1.0
+    for i in range(1, k + 1):
+        num *= i + n - k
+        den *= i
+        if abs(num) > 1e50:
+            num /= den
+            den = 1.0
+    return num / den
+
+
+def _genlaguerre(n: int, alpha: int, x: np.ndarray) -> np.ndarray:
+    """Generalized Laguerre polynomial L_n^alpha(x) for integers n, alpha >= 0.
+
+    Runs the three-term recurrence on the increments d_k = P_k - P_{k-1}
+    of P_k = L_k^alpha / binom(k + alpha, k), starting from P_0 = 1:
+
+        d_1 = -x / (alpha + 1)
+        d_{k+1} = -x / (k + alpha + 1) P_k + k / (k + alpha + 1) d_k
+
+    and scales P_n by binom(n + alpha, n) at the end.
+    """
+    x = np.asarray(x, dtype=float)
+    if n == 0:
+        return np.ones_like(x)
+    if n == 1:
+        return -x + alpha + 1
+    d = -x / (alpha + 1)
+    p = d + 1
+    for k in range(1, n):
+        d = -x / (k + alpha + 1) * p + (k / (k + alpha + 1)) * d
+        p = p + d
+    return _binom(n + alpha, n) * p
+
+
 def lg_amplitude(spec: LGModeSpec, r, theta) -> np.ndarray:
     """Evaluate u_{lp}(r, theta) at the spec's propagation distance.
 
@@ -93,7 +134,7 @@ def lg_amplitude(spec: LGModeSpec, r, theta) -> np.ndarray:
         (spec.normalization / w)
         * (np.sqrt(2.0) * r / w) ** la
         * np.exp(-(r ** 2) / w ** 2)
-        * eval_genlaguerre(spec.p, la, x)
+        * _genlaguerre(spec.p, la, x)
     )
     gouy = (2 * spec.p + la + 1) * math.atan2(spec.z, zr)
     if spec.z == 0.0:

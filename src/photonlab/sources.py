@@ -250,6 +250,8 @@ class BiphotonSpectrum:
         Bin centers avoid the exact zero detuning (even ``n_bins``), so
         signal and idler frequencies never coincide on the grid.
         """
+        if n_bins < 1:
+            raise ValueError(f"n_bins must be >= 1, got {n_bins}")
         if n_bins % 2:
             raise ValueError("n_bins must be even to keep the grid symmetric")
         edge = span * sigma

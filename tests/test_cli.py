@@ -2,20 +2,27 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 import yaml
 
+import photonlab
 from photonlab.cli import (
     EXIT_CONFIG,
     EXIT_NUMERICAL,
     EXIT_OK,
     EXPERIMENTS,
     ConfigError,
+    NonFiniteResultError,
+    ResultBundle,
+    Table,
     list_experiments,
     load_config,
     main,
+    write_bundle,
 )
 
 
@@ -81,6 +88,26 @@ def test_wrong_param_type_rejected(tmp_path):
         tmp_path, base_config("angular", tmp_path / "out", l="two")
     )
     assert main(["run", str(cfg)]) == EXIT_CONFIG
+
+
+def test_non_integral_list_entry_rejected(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(
+        tmp_path,
+        {**base_config("heisenberg-scaling", out, photon_grid=[1.7, 2, 3, 4]), "seed": 1},
+    )
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert "photon_grid" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integral_float_list_entry_accepted(tmp_path):
+    out = tmp_path / "out"
+    params = dict(photon_grid=[1.0, 2, 3, 4], repetitions=20, shots_per_estimate=16)
+    cfg = write_config(tmp_path, {**base_config("heisenberg-scaling", out, **params), "seed": 1})
+    assert main(["run", str(cfg), "--quiet"]) == EXIT_OK
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["params"]["photon_grid"] == [1, 2, 3, 4]
 
 
 def test_missing_schema_version_rejected(tmp_path):
@@ -186,6 +213,49 @@ def test_numerical_failure_exit_code_and_atomicity(tmp_path):
     )
     assert main(["run", str(cfg)]) == EXIT_NUMERICAL
     assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_non_finite_result_fails_before_writing(tmp_path, capsys):
+    # one repetition leaves the sample spread undefined (NaN)
+    out = tmp_path / "sql"
+    cfg = write_config(
+        tmp_path,
+        {**base_config("sql-scaling", out, trial_grid=[16, 32, 64, 128], repetitions=1), "seed": 1},
+    )
+    assert main(["run", str(cfg)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "'scaling'" in err and "'delta_phi_mc[rad]'" in err
+    assert not out.exists()
+
+
+def test_non_finite_summary_value_names_the_key(tmp_path):
+    bundle = ResultBundle("demo", {}, (Table("t", ("x[1]",), ((1.0,),)),), {"slope": float("inf")})
+    with pytest.raises(NonFiniteResultError, match="'slope'"):
+        write_bundle(bundle, tmp_path / "out", None)
+    assert not (tmp_path / "out").exists()
+
+
+def test_zero_detuning_bins_exit_numerical(tmp_path, capsys):
+    out = tmp_path / "disp"
+    cfg = write_config(tmp_path, base_config("dispersion", out, n_bins=0))
+    assert main(["run", str(cfg)]) == EXIT_NUMERICAL
+    assert "n_bins" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_import_loads_no_scipy():
+    src = str(Path(photonlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys, photonlab.cli\n"
+        "print(photonlab.cli.__file__)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    location, loaded = done.stdout.splitlines()
+    assert Path(location).resolve().is_relative_to(Path(src))
+    assert loaded == "[]"
 
 
 def test_env_var_default_output(tmp_path, monkeypatch):

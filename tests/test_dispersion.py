@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import OptimizeWarning, curve_fit
 
 from photonlab.dispersion import (
     DelayFit,
@@ -326,6 +328,50 @@ def test_noiseless_dip_fit_is_conditioning_limited():
     fit = extract_delay(hom_interferogram(spec, TAUS))
     assert abs(fit.delay) < 1e-6
     assert fit.stderr < 1e-3
+
+
+def curve_fit_delay(gram):
+    # the same dip model and start point, fitted by scipy: (delay, stderr)
+    tau, y = gram.scan, gram.rates
+    p0 = (
+        float(tau[int(np.argmin(y))]),
+        max(envelope_rms_width(gram) / math.sqrt(2), float(tau[1] - tau[0])),
+        float(y.max() - y.min()),
+        float(y.max()),
+    )
+
+    def model(x, center, width, depth, base):
+        return base - depth * np.exp(-((x - center) ** 2) / (2 * width ** 2))
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", OptimizeWarning)
+        popt, pcov = curve_fit(model, tau, y, p0=p0, maxfev=20000)
+    return float(popt[0]), math.sqrt(pcov[0, 0])
+
+
+@pytest.mark.parametrize("n_bins", [512, 4096])
+@pytest.mark.parametrize("b", [(0.0, 3.0, 22.0, 4.0), (0.0, 3.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0), (0.0, -2.0, 22.0, 0.0)])
+def test_delay_fit_agrees_with_curve_fit(n_bins, b):
+    gram = hom_interferogram(gaussian_pair(n_bins), TAUS, signal=DispersionProfile(b, 1.0))
+    fit = extract_delay(gram)
+    delay, stderr = curve_fit_delay(gram)
+    assert abs(fit.delay - delay) <= fit.stderr
+    # with the dip centred at 0 the forward-difference step of curve_fit,
+    # 1.5e-8 |center|, is too small for a derivative and its covariance
+    # there is no reference
+    if b[1] != 0.0:
+        assert abs(fit.stderr - stderr) <= 1e-3 * stderr
+
+
+def test_too_few_scan_points_raise_fit_error():
+    gram = Interferogram(
+        scan=np.array([-1.0, 0.0, 1.0]),
+        rates=np.array([0.5, 0.1, 0.5]),
+        kernel=np.ones(3, dtype=complex),
+        configuration="hom",
+    )
+    with pytest.raises(FitError):
+        extract_delay(gram)
 
 
 def test_flat_data_raises_fit_error():

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from photonlab.fock import FockSpace, expectation, path, variance_and_uncertainty
+from photonlab.elements import apply_beam_splitter, apply_dove_prism, apply_mirror, apply_phase_shift
+from photonlab.fock import FockSpace, StateVector, expectation, level, oam, path, variance_and_uncertainty
 from photonlab.metrology import (
     AngularDisplacementProtocol,
     DegenerateGridError,
@@ -22,6 +23,7 @@ from photonlab.metrology import (
     run_monte_carlo,
     scaling_experiment,
 )
+from photonlab.sources import SpdcOamSpectrum, spdc_oam_pair
 
 A, B = path(0), path(1)
 
@@ -63,6 +65,23 @@ def test_angular_fringe_through_apparatus():
     for theta in np.linspace(0.0, 2 * math.pi, 17):
         got = expectation(proto.state(float(theta)), proto.observable)
         assert abs(got - math.cos(4 * theta) ** 2) < 1e-12
+
+
+def test_angular_fringe_equals_per_call_construction():
+    # the input pair is built once per protocol; building it afresh for
+    # every angle gives the same fringe bit for bit
+    for l in (1, 2, 3):
+        proto = AngularDisplacementProtocol(l)
+        obs = observable_R(proto.space, l)
+        for theta in np.linspace(0.0, 2.0 * math.pi, 160, endpoint=False):
+            st = spdc_oam_pair(proto.space, SpdcOamSpectrum.filtered_pair(l, relative_phase=math.pi))
+            for m in (l, -l):
+                st = apply_beam_splitter(st, oam(m, 0), oam(m, 1))
+            st = apply_dove_prism(st, [oam(l, 0), oam(-l, 0)], float(theta))
+            st = apply_mirror(st, [oam(l, 1), oam(-l, 1)])
+            for m in (l, -l):
+                st = apply_beam_splitter(st, oam(m, 0), oam(m, 1))
+            assert expectation(proto.state(float(theta)), proto.observable) == expectation(st, obs)
 
 
 def test_angular_fringe_at_zero_is_unity():
@@ -262,6 +281,22 @@ def test_unknown_family_rejected():
 
 def test_ramsey_fringe_value():
     assert abs(ramsey_fringe(1.0, math.pi / 3) - 0.5) < 1e-12
+
+
+def test_ramsey_fringe_equals_per_point_construction():
+    # the space, ground state and observable are built once; rebuilding
+    # them for every point gives the same values bit for bit
+    for t in np.linspace(0.1, 6.0, 600):
+        space = FockSpace([level(0)], n_max=1)
+        ground = StateVector(
+            space,
+            {
+                space.basis_state({}): 1 / math.sqrt(2),
+                space.basis_state({level(0): 1}): 1 / math.sqrt(2),
+            },
+        )
+        st = apply_phase_shift(ground, level(0), 1.3 * float(t))
+        assert ramsey_fringe(1.3, float(t)) == expectation(st, observable_A(space))
 
 
 def test_ramsey_entangled_uncertainty():

@@ -3,8 +3,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import eval_genlaguerre
 
 from photonlab.oam_imaging import (
+    _genlaguerre,
     BeatMeasurement,
     LGModeSpec,
     ObjectProfile,
@@ -82,6 +84,16 @@ def test_gram_matrix_orthonormal():
         for j in range(n):
             gram[i, j] = np.sum(np.conj(fields[i]) * fields[j] * weight)
     assert np.max(np.abs(gram - np.eye(n))) < 1e-6
+
+
+def test_laguerre_recurrence_matches_scipy_bit_for_bit():
+    # the arguments lg_amplitude uses (2 r^2 / w^2 on the quadrature radii)
+    # and a dense grid well past the last zero of every polynomial below
+    r, _, _ = PolarGrid(128, 256, 6.0 * W0).nodes()
+    for x in (2.0 * r ** 2 / W0 ** 2, np.linspace(0.0, 200.0, 4001)):
+        for p in range(11):
+            for l in range(51):
+                assert np.array_equal(_genlaguerre(p, l, x), eval_genlaguerre(p, l, x)), (p, l)
 
 
 def test_mode_spec_validation():

@@ -214,6 +214,12 @@ def test_gaussian_marginal_width():
     assert abs(std - sigma) < 0.01 * sigma
 
 
+@pytest.mark.parametrize("n_bins", [0, -2])
+def test_gaussian_needs_a_positive_bin_count(n_bins):
+    with pytest.raises(ValueError, match="n_bins"):
+        BiphotonSpectrum.gaussian(omega0=3.0, sigma=0.4, n_bins=n_bins)
+
+
 def test_asymmetric_amplitude_rejected():
     spec = BiphotonSpectrum.gaussian(omega0=3.0, sigma=0.4, n_bins=16)
     skew = spec.with_amplitude(spec.amplitude * np.exp(1j * spec.detunings))
