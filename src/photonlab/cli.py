@@ -502,8 +502,10 @@ def _nonfinite(value) -> bool:
     return isinstance(value, (float, np.floating)) and not math.isfinite(value)
 
 
-def _require_finite(bundle: ResultBundle) -> None:
+def _require_complete(bundle: ResultBundle) -> None:
     for table in bundle.tables:
+        if not table.rows:
+            raise ValueError(f"table {table.name!r} has no rows")
         for row in table.rows:
             for column, value in zip(table.columns, row):
                 if _nonfinite(value):
@@ -518,10 +520,10 @@ def _require_finite(bundle: ResultBundle) -> None:
 def write_bundle(bundle: ResultBundle, out_dir: Path, seed: int | None) -> list[Path]:
     """Two-phase write: stage everything, then rename into place.
 
-    Refuses, before anything is written, a bundle holding a non-finite
-    number in any table cell or summary value.
+    Refuses, before anything is written, a bundle with an empty table or
+    with a non-finite number in any table cell or summary value.
     """
-    _require_finite(bundle)
+    _require_complete(bundle)
     out_dir.mkdir(parents=True, exist_ok=True)
     staged: list[tuple[Path, Path]] = []
     payload: dict[str, bytes] = {f"{t.name}.csv": _render_csv(t) for t in bundle.tables}

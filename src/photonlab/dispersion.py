@@ -517,7 +517,9 @@ def extract_delay(gram: Interferogram) -> DelayFit:
     span = float(rates.max() - rates.min())
     if span < 1e-12:
         raise FitError("featureless interferogram: nothing to fit")
-    dip = (rates.max() - rates[rates.argmin()]) >= (rates[rates.argmax()] - rates.min())
+    # the feature sits on the side farther from the median baseline
+    median = float(np.median(rates))
+    dip = median - float(rates.min()) >= float(rates.max()) - median
     sign = 1.0 if dip else -1.0
     y = sign * rates
 

@@ -1,11 +1,15 @@
 """Estimation protocols: interferometric phase, entangled-pair angular
 displacement, and Ramsey frequency readout.
 
-Analytic fringe/uncertainty laws live beside Monte Carlo sampling of the
-same protocols, so the shot-noise 1/sqrt(N) and entangled 1/N scalings
-can be checked both ways.  Estimator inversion uses the principal branch
-of arccos with the working point assumed inside the first fringe; the
-branch ambiguity is documented, not resolved adaptively.
+Each protocol declares its analytic fringe once, as offset + amplitude
+cos(rate x); the uncertainty laws and the estimator follow from it.
+Monte Carlo samples take one path: outcomes are drawn from the Born
+probabilities of the readout observable on the simulated probe state,
+so the shot-noise 1/sqrt(N) and entangled 1/N scalings are checked
+against the simulator as well as the law.  Estimator inversion uses the
+principal branch of arccos with the working point assumed inside the
+first fringe; the branch ambiguity is documented, not resolved
+adaptively, and the scaling sweeps reject working points outside it.
 """
 
 from __future__ import annotations
@@ -181,14 +185,19 @@ def propagate_uncertainty(
 class Protocol:
     """Common estimation-protocol surface.
 
-    A protocol prepares a parameter-dependent probe state, names the
-    observable read out on it, and knows its analytic fringe: mean(x),
-    single-shot spread(x), the derivative dmean(x), and the inverse of
-    the mean curve on the principal branch.
+    A protocol prepares a parameter-dependent probe state and names the
+    observable read out on it.  Its analytic fringe is declared once, by
+    three numbers: mean(x) = offset + amplitude cos(rate x), with
+    single-shot spread amplitude |sin(rate x)|.  The derivative dmean(x)
+    and the inverse of the mean curve on the principal branch
+    0 <= rate x <= pi follow from the same law.
     """
 
     name: str = ""
     photons_per_trial: int = 1
+    offset: float
+    amplitude: float
+    rate: float
 
     def state(self, x: float) -> StateVector:
         raise NotImplementedError
@@ -198,16 +207,24 @@ class Protocol:
         raise NotImplementedError
 
     def mean(self, x: float) -> float:
-        raise NotImplementedError
+        return self.offset + self.amplitude * math.cos(self.rate * x)
 
     def dmean(self, x: float) -> float:
-        raise NotImplementedError
+        return -self.amplitude * self.rate * math.sin(self.rate * x)
 
     def spread(self, x: float) -> float:
-        raise NotImplementedError
+        return self.amplitude * abs(math.sin(self.rate * x))
 
-    def invert_mean(self, m: float) -> tuple[float, bool]:
-        raise NotImplementedError
+    def invert_mean(self, m: float | np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Principal-branch x for mean value(s) ``m``, elementwise.
+
+        Means outside [offset - amplitude, offset + amplitude] are
+        clipped to the nearest end and flagged in the returned mask.
+        A scalar ``m`` gives numpy scalars.
+        """
+        arg = (np.asarray(m, dtype=float) - self.offset) / self.amplitude
+        clamped = (arg < -1.0) | (arg > 1.0)
+        return np.arccos(np.clip(arg, -1.0, 1.0)) / self.rate, clamped
 
     def analytic_uncertainty(self, x: float, trials: int = 1) -> float:
         """Error-propagated Delta x after ``trials`` ensemble repetitions."""
@@ -215,12 +232,6 @@ class Protocol:
         return propagate_uncertainty(
             self.mean, lambda t: self.spread(t) / root, x, dmean=self.dmean
         )
-
-
-def _clamped_arccos(m: float) -> tuple[float, bool]:
-    if -1.0 <= m <= 1.0:
-        return math.acos(m), False
-    return math.acos(max(-1.0, min(1.0, m))), True
 
 
 class SinglePhotonPhaseProtocol(Protocol):
@@ -234,6 +245,7 @@ class SinglePhotonPhaseProtocol(Protocol):
 
     name = "single-photon-mz"
     photons_per_trial = 1
+    offset, amplitude, rate = 0.0, 1.0, 1.0
 
     def __init__(self, mode: ModeLabel | None = None):
         self._mode = mode if mode is not None else path(0)
@@ -258,18 +270,6 @@ class SinglePhotonPhaseProtocol(Protocol):
         )
         return elements.apply_phase_shift(ground, self._mode, phi)
 
-    def mean(self, phi: float) -> float:
-        return math.cos(phi)
-
-    def dmean(self, phi: float) -> float:
-        return -math.sin(phi)
-
-    def spread(self, phi: float) -> float:
-        return abs(math.sin(phi))
-
-    def invert_mean(self, m: float) -> tuple[float, bool]:
-        return _clamped_arccos(m)
-
 
 class NoonPhaseProtocol(Protocol):
     """N entangled photons per trial: (|N,0> + |0,N>)/sqrt(2) probe.
@@ -281,12 +281,14 @@ class NoonPhaseProtocol(Protocol):
     """
 
     name = "noon"
+    offset, amplitude = 0.0, 1.0
 
     def __init__(self, n: int, mode_a: ModeLabel | None = None, mode_b: ModeLabel | None = None):
         if n < 1:
             raise ValueError("need N >= 1")
         self.n = n
         self.photons_per_trial = n
+        self.rate = n
         self._mode_a = mode_a if mode_a is not None else path(0)
         self._mode_b = mode_b if mode_b is not None else path(1)
         self._space = FockSpace([self._mode_a, self._mode_b], n_max=n)
@@ -303,19 +305,6 @@ class NoonPhaseProtocol(Protocol):
     def state(self, phi: float) -> StateVector:
         probe = sources.noon_state(self._space, self._mode_a, self._mode_b, self.n)
         return elements.apply_phase_shift(probe, self._mode_a, phi)
-
-    def mean(self, phi: float) -> float:
-        return math.cos(self.n * phi)
-
-    def dmean(self, phi: float) -> float:
-        return -self.n * math.sin(self.n * phi)
-
-    def spread(self, phi: float) -> float:
-        return abs(math.sin(self.n * phi))
-
-    def invert_mean(self, m: float) -> tuple[float, bool]:
-        phi, clamped = _clamped_arccos(m)
-        return phi / self.n, clamped
 
 
 class AngularDisplacementProtocol(Protocol):
@@ -337,6 +326,7 @@ class AngularDisplacementProtocol(Protocol):
     """
 
     name = "angular"
+    offset, amplitude = 0.5, 0.5
 
     def __init__(self, l: int, n_photons: int = 2):
         if l == 0:
@@ -346,6 +336,7 @@ class AngularDisplacementProtocol(Protocol):
         self.l = abs(l)
         self.n_photons = n_photons
         self.photons_per_trial = n_photons
+        self.rate = 2 * n_photons * self.l
         self._space = sources.spdc_space(self.l, n_max=2)
         self._obs = observable_R(self._space, self.l)
         spectrum = sources.SpdcOamSpectrum.filtered_pair(self.l, relative_phase=math.pi)
@@ -379,22 +370,6 @@ class AngularDisplacementProtocol(Protocol):
             st = elements.apply_beam_splitter(st, oam(m, 0), oam(m, 1))
         return st
 
-    def mean(self, theta: float) -> float:
-        return math.cos(self.n_photons * self.l * theta) ** 2
-
-    def dmean(self, theta: float) -> float:
-        nl = self.n_photons * self.l
-        return -nl * math.sin(2 * nl * theta)
-
-    def spread(self, theta: float) -> float:
-        return 0.5 * abs(math.sin(2 * self.n_photons * self.l * theta))
-
-    def invert_mean(self, m: float) -> tuple[float, bool]:
-        arg = 2.0 * m - 1.0
-        clamped = not (-1.0 <= arg <= 1.0)
-        arg = max(-1.0, min(1.0, arg))
-        return math.acos(arg) / (2 * self.n_photons * self.l), clamped
-
 
 def angular_sql_uncertainty(l: int, n_photons: int) -> float:
     """Shot-noise angular bound 1/(2 sqrt(N) l) for N independent photons."""
@@ -407,18 +382,27 @@ def angular_sql_uncertainty(l: int, n_photons: int) -> float:
 # Monte Carlo sampling
 
 
-def _sample_run(
+def _sample_estimates(
     protocol: Protocol,
-    evals: np.ndarray,
-    probs: np.ndarray,
+    x: float,
     trials: int,
+    repetitions: int,
     rng: np.random.Generator,
-) -> tuple[float, float, bool]:
-    outcomes = rng.choice(evals, size=trials, p=probs)
-    m = float(outcomes.mean())
-    estimate, clamped = protocol.invert_mean(m)
-    sample_std = float(outcomes.std(ddof=1)) if trials > 1 else 0.0
-    return estimate, sample_std, clamped
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Estimates, sample stds and clamp flags of ``repetitions`` runs.
+
+    The protocol observable is measured on the simulated state at ``x``:
+    each run draws ``trials`` outcomes from the Born probabilities as one
+    row of multinomial counts, and its sample mean is inverted through
+    the fringe.
+    """
+    evals, probs = protocol.observable.eigensystem(protocol.state(x))
+    counts = rng.multinomial(trials, probs, size=repetitions)
+    means = counts @ evals / trials
+    squares = (counts * (evals - means[:, None]) ** 2).sum(axis=1)
+    estimates, clamped = protocol.invert_mean(means)
+    # a single trial equals its own mean, so its squares are 0 and so is its std
+    return estimates, np.sqrt(squares / max(trials - 1, 1)), clamped
 
 
 def run_monte_carlo(
@@ -439,23 +423,16 @@ def run_monte_carlo(
       several (ensemble spread), otherwise the within-run spread of the
       mean propagated through the fringe slope.
 
-    Out-of-domain sample means are clamped and flagged.  Repetition
-    seeds are spawned from the root seed, so results do not depend on
-    evaluation order.
+    Out-of-domain sample means are clamped and flagged.  All repetitions
+    draw from one generator seeded with ``seed``.
     """
     if trials < 1:
         raise ValueError("need trials >= 1")
     if repetitions < 1:
         raise ValueError("need repetitions >= 1")
-    evals, probs = protocol.observable.eigensystem(protocol.state(true_value))
-    children = np.random.SeedSequence(seed).spawn(repetitions)
-    estimates = np.empty(repetitions)
-    stds = np.empty(repetitions)
-    clamped_any = False
-    for r in range(repetitions):
-        rng = np.random.default_rng(children[r])
-        estimates[r], stds[r], c = _sample_run(protocol, evals, probs, trials, rng)
-        clamped_any = clamped_any or c
+    estimates, stds, clamped = _sample_estimates(
+        protocol, true_value, trials, repetitions, np.random.default_rng(seed)
+    )
     estimate = float(estimates.mean())
     if repetitions > 1:
         uncertainty = float(estimates.std(ddof=1))
@@ -466,15 +443,23 @@ def run_monte_carlo(
         slope = abs(protocol.dmean(estimate))
         if slope < DERIVATIVE_FLOOR:
             raise StationaryPointError(f"estimate {estimate} sits on a stationary point")
-        uncertainty = (stds[0] / math.sqrt(trials)) / slope
+        uncertainty = float(stds[0] / math.sqrt(trials)) / slope
     return EstimationResult(
         estimate=estimate,
         uncertainty=uncertainty,
         resources=trials * protocol.photons_per_trial,
         method="monte-carlo",
         seed=seed,
-        clamped=clamped_any,
+        clamped=bool(clamped.any()),
     )
+
+
+# family -> (protocol for grid entry n, trials per estimate from
+# (n, shots_per_estimate), default working point)
+_FAMILIES: dict[str, tuple[Callable[[int], Protocol], Callable[[int, int], int], float]] = {
+    "independent-photons": (lambda n: SinglePhotonPhaseProtocol(), lambda n, shots: n, math.pi / 2),
+    "noon": (NoonPhaseProtocol, lambda n, shots: shots, 0.4),
+}
 
 
 def scaling_experiment(
@@ -496,41 +481,34 @@ def scaling_experiment(
     probe, read out with a fixed number of shots per estimate; the
     per-estimate uncertainty is 1/(N sqrt(shots)), so the slope against
     N approaches -1 (the entangled bound).  The default working point
-    0.4 keeps N * phi inside the principal branch for N <= 5.
+    0.4 keeps N * phi inside the principal branch for N <= 7.
 
-    Outcome sampling reduces to binomial draws on the two-valued
-    observables, so the sweep is vectorized; per-N seeds are spawned
-    from the root seed.
+    Every estimate is sampled from the simulated probe state, through
+    the same sampler as ``run_monte_carlo``; per-N seeds are spawned
+    from the root seed.  A working point whose fringe phase rate * phi
+    leaves the principal branch (0, pi) for any grid entry raises
+    ValueError, since the estimator cannot tell the branches apart.
     """
     grid = [int(n) for n in n_grid]
     if any(n < 1 for n in grid):
         raise DegenerateGridError("resource counts must be >= 1")
+    if family not in _FAMILIES:
+        raise ValueError(f"unknown protocol family {family!r}")
+    make, trials_for, default_point = _FAMILIES[family]
+    x = default_point if working_point is None else working_point
+    protocols = [make(n) for n in grid]
+    for n, proto in zip(grid, protocols):
+        if not 0.0 < proto.rate * x < math.pi:
+            raise ValueError(
+                f"N = {n}, phi = {x}: fringe phase {proto.rate * x:.6g} "
+                "leaves the principal branch (0, pi)"
+            )
     children = np.random.SeedSequence(seed).spawn(len(grid))
     points = []
-    if family == "independent-photons":
-        if working_point is None:
-            working_point = math.pi / 2
-        proto = SinglePhotonPhaseProtocol()
-        p = 0.5 * (1.0 + proto.mean(working_point))
-        for n, child in zip(grid, children):
-            rng = np.random.default_rng(child)
-            ks = rng.binomial(n, p, size=repetitions)
-            means = 2.0 * ks / n - 1.0
-            phis = np.arccos(np.clip(means, -1.0, 1.0))
-            points.append((n, float(phis.std(ddof=1))))
-    elif family == "noon":
-        if working_point is None:
-            working_point = 0.4
-        for n, child in zip(grid, children):
-            proto = NoonPhaseProtocol(n)
-            p = 0.5 * (1.0 + proto.mean(working_point))
-            rng = np.random.default_rng(child)
-            ks = rng.binomial(shots_per_estimate, p, size=repetitions)
-            means = 2.0 * ks / shots_per_estimate - 1.0
-            phis = np.arccos(np.clip(means, -1.0, 1.0)) / n
-            points.append((n, float(phis.std(ddof=1))))
-    else:
-        raise ValueError(f"unknown protocol family {family!r}")
+    for n, proto, child in zip(grid, protocols, children):
+        trials = trials_for(n, shots_per_estimate)
+        estimates, _, _ = _sample_estimates(proto, x, trials, repetitions, np.random.default_rng(child))
+        points.append((n, float(estimates.std(ddof=1))))
     return fit_loglog(points)
 
 

@@ -244,6 +244,40 @@ def test_zero_detuning_bins_exit_numerical(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "experiment, params, n, phi",
+    [
+        ("heisenberg-scaling", dict(photon_grid=[1, 2, 3, 4, 5], repetitions=50, working_point=1.0), 4, 1.0),
+        ("sql-scaling", dict(trial_grid=[16, 32, 64, 128], repetitions=50, working_point=4.0), 16, 4.0),
+    ],
+)
+def test_working_point_off_the_principal_branch_fails(tmp_path, capsys, experiment, params, n, phi):
+    # rate * phi must lie in (0, pi) for every grid entry; N = 4 is the
+    # first NOON probe past pi at phi = 1
+    out = tmp_path / "scaling"
+    cfg = write_config(tmp_path, {**base_config(experiment, out, **params), "seed": 3})
+    assert main(["run", str(cfg)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert f"N = {n}, phi = {phi}" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, params, table",
+    [
+        ("spiral", dict(l_max=-1, n_radial=32, n_angular=64), "spectrum"),
+        ("spiral", dict(p_max=-1, n_radial=32, n_angular=64), "spectrum"),
+        ("ramsey", dict(t_points=0), "fringe"),
+    ],
+)
+def test_empty_table_fails_before_writing(tmp_path, capsys, experiment, params, table):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, base_config(experiment, out, **params))
+    assert main(["run", str(cfg)]) == EXIT_NUMERICAL
+    assert f"table {table!r} has no rows" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_import_loads_no_scipy():
     src = str(Path(photonlab.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}

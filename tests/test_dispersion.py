@@ -363,6 +363,17 @@ def test_delay_fit_agrees_with_curve_fit(n_bins, b):
         assert abs(fit.stderr - stderr) <= 1e-3 * stderr
 
 
+@pytest.mark.parametrize("b1", [0.0, 3.0])
+def test_delay_fit_finds_a_peak(b1):
+    # the Franson correlation envelope is a peak, not a dip; the opposite
+    # media add their group delays, so it sits at 2 beta_1 L
+    taus = np.linspace(-12.0, 12.0, 2001)
+    gram = franson_interferogram(gaussian_pair(512), beta(b1=b1), taus)
+    fit = extract_delay(gram)
+    assert abs(fit.delay - envelope_center(gram)) <= taus[1] - taus[0]
+    assert abs(fit.delay - 2.0 * b1) <= taus[1] - taus[0]
+
+
 def test_too_few_scan_points_raise_fit_error():
     gram = Interferogram(
         scan=np.array([-1.0, 0.0, 1.0]),

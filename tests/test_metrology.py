@@ -231,6 +231,33 @@ def test_estimator_clamp_flag():
     assert clamped and abs(est - math.pi) < 1e-12
 
 
+@pytest.mark.parametrize(
+    "proto, lo, hi",
+    [
+        (SinglePhotonPhaseProtocol(), -1.0, 1.0),
+        (NoonPhaseProtocol(3), -1.0, 1.0),
+        (AngularDisplacementProtocol(2), 0.0, 1.0),
+    ],
+)
+def test_invert_mean_is_elementwise(proto, lo, hi):
+    means = np.array([lo - 0.2, lo, lo + 0.3 * (hi - lo), 0.5 * (lo + hi), hi - 1e-9, hi, hi + 1e-6])
+    estimates, clamped = proto.invert_mean(means)
+    assert estimates.shape == clamped.shape == means.shape
+    for m, est, flag in zip(means, estimates, clamped):
+        one, one_flag = proto.invert_mean(float(m))
+        assert est == one and flag == one_flag
+    assert clamped.tolist() == [True, False, False, False, False, False, True]
+
+
+def test_scaling_samples_the_simulated_state(monkeypatch):
+    # a probe stuck at phi = 0 is an eigenstate of the readout: every
+    # estimate comes out the same, so no grid point has a spread to fit
+    state = NoonPhaseProtocol.state
+    monkeypatch.setattr(NoonPhaseProtocol, "state", lambda self, phi: state(self, 0.0))
+    with pytest.raises(DegenerateGridError):
+        scaling_experiment("noon", [1, 2, 3, 4, 5], repetitions=50, seed=7)
+
+
 def test_angular_monte_carlo():
     proto = AngularDisplacementProtocol(2)
     theta = 0.1
@@ -268,6 +295,12 @@ def test_sql_family_slope():
 def test_noon_family_slope():
     fit = scaling_experiment("noon", [1, 2, 3, 4, 5], repetitions=300, seed=7)
     assert abs(fit.slope + 1.0) < 0.05
+
+
+@pytest.mark.parametrize("family, grid, phi", [("noon", [1, 2, 3, 4, 5], 0.7), ("independent-photons", [16, 64, 256, 1024], -0.1)])
+def test_scaling_rejects_working_point_off_the_principal_branch(family, grid, phi):
+    with pytest.raises(ValueError, match="principal branch"):
+        scaling_experiment(family, grid, repetitions=10, seed=1, working_point=phi)
 
 
 def test_unknown_family_rejected():
