@@ -21,6 +21,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -94,6 +95,42 @@ def _integral(value) -> int:
     return int(value)
 
 
+def _real(value) -> float:
+    """An int or a float; anything else, a bool or a string included, raises."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError
+    return float(value)
+
+
+_EXPONENT_FORM = re.compile(r"([+-]?)(\d*)(?:\.(\d*))?[eE]([+-]?)(\d+)")
+
+
+def _string_number_hint(value) -> str:
+    """Why a YAML number arrived as a string, if one of the entries did.
+
+    PyYAML follows YAML 1.1, where a float needs a decimal point and,
+    with an exponent, a signed one: ``1e3`` and ``1.0e3`` load as
+    strings, ``1.0e+3`` as a float.
+    """
+    for entry in value if isinstance(value, list) else [value]:
+        if not isinstance(entry, str):
+            continue
+        try:
+            float(entry)
+        except ValueError:
+            continue
+        match = _EXPONENT_FORM.fullmatch(entry.strip())
+        if match is None:
+            return f"; YAML read {entry!r} as a string, not a number"
+        sign, whole, frac, exp_sign, exp = match.groups()
+        fixed = f"{sign}{whole or '0'}.{frac or '0'}e{exp_sign or '+'}{exp}"
+        return (
+            f"; YAML 1.1 reads {entry!r} as a string: write {fixed}, "
+            "with a decimal point and a signed exponent"
+        )
+    return ""
+
+
 def _coerce(param: Param, value):
     try:
         if param.kind == "int":
@@ -101,9 +138,7 @@ def _coerce(param: Param, value):
                 raise TypeError
             return int(value)
         if param.kind == "float":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise TypeError
-            return float(value)
+            return _real(value)
         if param.kind == "str":
             if not isinstance(value, str):
                 raise TypeError
@@ -115,9 +150,10 @@ def _coerce(param: Param, value):
         if param.kind == "float-list":
             if not isinstance(value, list) or not value:
                 raise TypeError
-            return [float(v) for v in value]
+            return [_real(v) for v in value]
     except (TypeError, ValueError):
-        raise ConfigError(f"parameter {param.name!r} expects {param.kind}, got {value!r}")
+        hint = _string_number_hint(value) if param.kind in ("float", "float-list") else ""
+        raise ConfigError(f"parameter {param.name!r} expects {param.kind}, got {value!r}{hint}")
     raise ConfigError(f"unknown parameter kind {param.kind}")
 
 

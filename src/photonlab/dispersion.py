@@ -130,6 +130,32 @@ class Interferogram:
         object.__setattr__(self, "kernel", np.asarray(self.kernel, dtype=complex))
 
 
+def _fourier_sum(delays: np.ndarray, detunings: np.ndarray, weights: np.ndarray, scale: float) -> np.ndarray:
+    """sum_k w_k e^{i scale d_k tau_j} for every delay tau_j.
+
+    The detuning grid is uniform (at least two points), d_k = d_0 + k h,
+    so with block length B = isqrt(n) and k = a B + b the phase factors
+    into a coarse and a fine part,
+
+        e^{i s d_k tau} = e^{i s d_{aB} tau} e^{i s b h tau},
+
+    and the sum becomes one (n_delays x B) @ (B x n_blocks) product,
+    dotted row by row with the (n_delays x n_blocks) coarse factors.
+    The weights are zero-padded to whole blocks.  h is taken from the
+    grid ends, (d_{n-1} - d_0) / (n - 1), which keeps the fine phases
+    within round-off of the grid values.
+    """
+    n = detunings.size
+    block = math.isqrt(n)
+    n_blocks = -(-n // block)
+    step = (detunings[-1] - detunings[0]) / (n - 1)
+    padded = np.zeros(n_blocks * block, dtype=complex)
+    padded[:n] = weights
+    fine = np.exp(1j * scale * np.outer(delays, step * np.arange(block)))
+    coarse = np.exp(1j * scale * np.outer(delays, detunings[::block]))
+    return np.einsum("ja,ja->j", coarse, fine @ padded.reshape(n_blocks, block).T)
+
+
 def _require_delay_resolution(spectrum: BiphotonSpectrum, delays: np.ndarray, rate_max: float):
     delays = np.asarray(delays, dtype=float)
     if delays.ndim != 1 or delays.size < 2:
@@ -167,14 +193,14 @@ def hom_rates(
     so only the part of the joint phase that is odd in d survives: a
     medium in one arm contributes its odd orders doubled, and equal
     media in both arms drop out entirely.  Coincidence plus bunching is
-    exactly 1.
+    exactly 1.  The sum runs on the uniform grid d = d_0 + k h through
+    the factored ``_fourier_sum``, never as a delay x detuning matrix.
     """
     prop = propagate(spectrum, signal=signal, idler=idler)
     a = prop.amplitude
     weights = a * np.conj(a[::-1]) * prop.step
     delays = _require_delay_resolution(prop, np.asarray(delays, dtype=float), 2 * float(prop.detunings[-1]))
-    phases = np.exp(-2j * np.outer(delays, prop.detunings))
-    kernel = phases @ weights
+    kernel = _fourier_sum(delays, prop.detunings, weights, -2.0)
     coincidence = 0.5 * (1.0 - kernel.real)
     bunched = 0.5 * (1.0 + kernel.real)
     return coincidence, bunched, kernel
@@ -224,7 +250,9 @@ def skc_rates(
     twice the center frequency; the coincidence envelope K sees only the
     odd-order part of the medium phase, which is the even-order
     cancellation.  With ``include_fringes=False`` the fringe term is
-    averaged away (rates then sit on the envelope alone).
+    averaged away (rates then sit on the envelope alone).  K is summed
+    on the uniform grid d = d_0 + k h through the factored
+    ``_fourier_sum``.
     """
     d = spectrum.detunings
     intensity = np.abs(spectrum.amplitude) ** 2 * spectrum.step
@@ -234,7 +262,7 @@ def skc_rates(
     rate_max = 2.0 * (abs(spectrum.omega0) + float(d[-1])) if include_fringes else 2.0 * float(d[-1])
     delays = _require_delay_resolution(spectrum, delays, rate_max)
     envelope_weights = intensity * np.exp(1j * (phi_plus - phi_minus))
-    kernel = np.exp(2j * np.outer(delays, d)) @ envelope_weights
+    kernel = _fourier_sum(delays, d, envelope_weights, 2.0)
     if include_fringes:
         fringe_weights = intensity * np.exp(1j * (phi_plus + phi_minus))
         fringe = np.exp(2j * spectrum.omega0 * delays) * np.sum(fringe_weights)
@@ -273,11 +301,11 @@ def correlation_envelope(spectrum: BiphotonSpectrum, delays: np.ndarray) -> Inte
 
     psi is the Fourier transform of the joint amplitude along the
     detuning axis; its squared magnitude is the coincidence envelope a
-    start-stop correlator records.
+    start-stop correlator records.  The transform is summed on the
+    uniform grid d = d_0 + k h through the factored ``_fourier_sum``.
     """
     delays = _require_delay_resolution(spectrum, np.asarray(delays, dtype=float), float(spectrum.detunings[-1]))
-    phases = np.exp(-1j * np.outer(delays, spectrum.detunings))
-    psi = phases @ (spectrum.amplitude * spectrum.step)
+    psi = _fourier_sum(delays, spectrum.detunings, spectrum.amplitude * spectrum.step, -1.0)
     intensity = np.abs(psi) ** 2
     peak = intensity.max()
     if peak == 0:

@@ -421,7 +421,8 @@ def run_monte_carlo(
     * estimate: mean of the per-repetition estimates;
     * uncertainty: standard deviation across repetitions when there are
       several (ensemble spread), otherwise the within-run spread of the
-      mean propagated through the fringe slope.
+      mean propagated through the fringe slope.  One trial in one
+      repetition has neither spread and raises ``ValueError``.
 
     Out-of-domain sample means are clamped and flagged.  All repetitions
     draw from one generator seeded with ``seed``.
@@ -430,6 +431,9 @@ def run_monte_carlo(
         raise ValueError("need trials >= 1")
     if repetitions < 1:
         raise ValueError("need repetitions >= 1")
+    if trials == 1 and repetitions == 1:
+        # a single outcome's zero spread would read as an eigenstate
+        raise ValueError("one trial in one repetition has no spread: need trials >= 2 or repetitions >= 2")
     estimates, stds, clamped = _sample_estimates(
         protocol, true_value, trials, repetitions, np.random.default_rng(seed)
     )

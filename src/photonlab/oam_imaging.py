@@ -17,8 +17,10 @@ made in that sign convention.  Modes with l != 0 vanish on the axis;
 |u| never depends on theta.
 
 Objects are sampled on a polar quadrature grid (Gauss-Legendre radial
-nodes on [0, R_max], uniform angular nodes), so overlap integrals are
-weighted sums on the native grid.
+nodes on [0, R_max], uniform angular nodes).  Because every mode is a
+radial profile times e^{-i l theta}, an overlap integral is one angular
+DFT of the samples followed by a weighted radial sum, and a projection
+never tabulates a mode on the full grid.
 """
 
 from __future__ import annotations
@@ -117,15 +119,12 @@ def _genlaguerre(n: int, alpha: int, x: np.ndarray) -> np.ndarray:
     return _binom(n + alpha, n) * p
 
 
-def lg_amplitude(spec: LGModeSpec, r, theta) -> np.ndarray:
-    """Evaluate u_{lp}(r, theta) at the spec's propagation distance.
+def _lg_radial(spec: LGModeSpec, r: np.ndarray) -> np.ndarray:
+    """R_{lp}(r), the mode without its azimuthal factor: u = R e^{-i l theta}.
 
-    Broadcasts over array arguments.  r must be nonnegative.
+    Holds the radial envelope, the wavefront curvature and the Gouy
+    phase, none of which depends on theta.
     """
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    if np.any(r < 0):
-        raise ValueError("radius must be nonnegative")
     la = abs(spec.l)
     zr = spec.rayleigh_range
     w = spec.w0 * math.sqrt(1.0 + (spec.z / zr) ** 2)
@@ -142,7 +141,19 @@ def lg_amplitude(spec: LGModeSpec, r, theta) -> np.ndarray:
     else:
         k = 2.0 * math.pi / spec.wavelength
         curvature = -k * r ** 2 * spec.z / (2.0 * (spec.z ** 2 + zr ** 2))
-    return radial * np.exp(1j * (curvature - spec.l * theta + gouy))
+    return radial * np.exp(1j * (curvature + gouy))
+
+
+def lg_amplitude(spec: LGModeSpec, r, theta) -> np.ndarray:
+    """Evaluate u_{lp}(r, theta) at the spec's propagation distance.
+
+    Broadcasts over array arguments.  r must be nonnegative.
+    """
+    r = np.asarray(r, dtype=float)
+    theta = np.asarray(theta, dtype=float)
+    if np.any(r < 0):
+        raise ValueError("radius must be nonnegative")
+    return _lg_radial(spec, r) * np.exp(-1j * spec.l * theta)
 
 
 # ---------------------------------------------------------------------------
@@ -324,16 +335,14 @@ class SpiralSpectrum:
         return sorted({l for l, _ in self.coefficients})
 
 
-def _mode_stack(
-    grid: PolarGrid, w0: float, wavelength: float, z: float, l_max: int, p_max: int
-) -> dict[tuple[int, int], np.ndarray]:
-    r, _, theta = grid.nodes()
-    rr, tt = np.meshgrid(r, theta, indexing="ij")
-    modes = {}
-    for l in range(-l_max, l_max + 1):
-        for p in range(p_max + 1):
-            modes[(l, p)] = lg_amplitude(LGModeSpec(l, p, w0, wavelength, z), rr, tt)
-    return modes
+def _angular_harmonics(profile: ObjectProfile) -> tuple[np.ndarray, np.ndarray]:
+    """Angular DFT of the samples at every radius, and each column's frequency.
+
+    Column j holds sum_theta f(r, theta) e^{-i m_j theta}.  Charge l of
+    the e^{-i l theta} convention sits at m = -l, column (-l) % n_theta.
+    """
+    n = profile.grid.n_theta
+    return np.fft.fft(profile.samples, axis=1), np.fft.fftfreq(n, d=1.0 / n)
 
 
 def project_object(
@@ -346,20 +355,27 @@ def project_object(
 ) -> SpiralSpectrum:
     """Digital spiral decomposition: a_{lp} = <u_{lp}, f> by quadrature.
 
+    The mode factors as R_{lp}(r) e^{-i l theta}, so the angular sum is
+    one DFT of the samples per radius, F_l(r) = sum_theta f e^{i l theta},
+    and each coefficient is a radial sum,
+
+        a_{lp} = sum_r w_r r dtheta conj(R_{lp}(r)) F_l(r).
+
     Requires n_theta >= 4 l_max so the angular harmonics up to l_max are
     unaliased on the grid.
     """
-    if profile.grid.n_theta < 4 * l_max:
-        raise ResolutionError(
-            f"n_theta = {profile.grid.n_theta} < 4 l_max = {4 * l_max}"
-        )
+    n_theta = profile.grid.n_theta
+    if n_theta < 4 * l_max:
+        raise ResolutionError(f"n_theta = {n_theta} < 4 l_max = {4 * l_max}")
     r, wr, _ = profile.grid.nodes()
-    weight = (wr * r)[:, None] * profile.grid.dtheta
-    weighted = profile.samples * weight
-    modes = _mode_stack(profile.grid, w0, wavelength, z, l_max, p_max)
-    coeffs = {
-        key: complex(np.sum(np.conj(mode) * weighted)) for key, mode in modes.items()
-    }
+    weight = wr * r * profile.grid.dtheta
+    harmonics, _ = _angular_harmonics(profile)
+    coeffs = {}
+    for l in range(-l_max, l_max + 1):
+        weighted = harmonics[:, (-l) % n_theta] * weight
+        for p in range(p_max + 1):
+            radial = _lg_radial(LGModeSpec(l, p, w0, wavelength, z), r)
+            coeffs[(l, p)] = complex(np.vdot(radial, weighted))
     captured = sum(abs(a) ** 2 for a in coeffs.values())
     return SpiralSpectrum(
         coefficients=coeffs,
@@ -379,9 +395,7 @@ def rotate_object(profile: ObjectProfile, theta0: float) -> ObjectProfile:
     """
     if theta0 == 0.0:
         return profile
-    n = profile.grid.n_theta
-    harmonics = np.fft.fft(profile.samples, axis=1)
-    m = np.fft.fftfreq(n, d=1.0 / n)
+    harmonics, m = _angular_harmonics(profile)
     rotated = np.fft.ifft(harmonics * np.exp(1j * m * theta0)[None, :], axis=1)
     if np.max(np.abs(rotated.imag)) < 1e-12 and np.max(np.abs(profile.samples.imag)) == 0.0:
         rotated = rotated.real.astype(complex)

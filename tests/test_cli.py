@@ -90,6 +90,33 @@ def test_wrong_param_type_rejected(tmp_path):
     assert main(["run", str(cfg)]) == EXIT_CONFIG
 
 
+@pytest.mark.parametrize("written,fixed", [("1e3", "1.0e+3"), ("1.0e3", "1.0e+3"), ("25E-2", "25.0e-2")])
+def test_yaml_string_number_explained(tmp_path, capsys, written, fixed):
+    # PyYAML follows YAML 1.1: a float needs a decimal point and, with an
+    # exponent, a signed one
+    out = tmp_path / "out"
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(f"schema_version: 1\nexperiment: ramsey\nout: {out}\nparams:\n  omega: {written}\n")
+    assert main(["run", str(cfg), "--quiet"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'omega'" in err and "as a string" in err and f"write {fixed}" in err
+    assert not out.exists()
+    cfg.write_text(cfg.read_text().replace(written, fixed))
+    assert main(["run", str(cfg), "--quiet"]) == EXIT_OK
+
+
+def test_string_in_float_list_rejected(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(
+        f"schema_version: 1\nexperiment: dispersion\nout: {out}\nparams:\n  beta: [0.0, 0.0, 2.2e1, 0.0]\n"
+    )
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'beta'" in err and "write 2.2e+1" in err
+    assert not out.exists()
+
+
 def test_non_integral_list_entry_rejected(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_config(
@@ -212,6 +239,17 @@ def test_numerical_failure_exit_code_and_atomicity(tmp_path):
         base_config("ramsey", out, omega=1.0, t_probe=math.pi, t_points=10),
     )
     assert main(["run", str(cfg)]) == EXIT_NUMERICAL
+    assert not out.exists()
+
+
+def test_single_monte_carlo_trial_fails_before_writing(tmp_path, capsys):
+    out = tmp_path / "ramsey"
+    cfg = write_config(
+        tmp_path,
+        {**base_config("ramsey", out, method="monte-carlo", trials=1), "seed": 4},
+    )
+    assert main(["run", str(cfg)]) == EXIT_NUMERICAL
+    assert "one trial in one repetition" in capsys.readouterr().err
     assert not out.exists()
 
 

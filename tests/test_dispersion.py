@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scipy.optimize import OptimizeWarning, curve_fit
 
 from photonlab.dispersion import (
+    _fourier_sum,
     DelayFit,
     DispersionProfile,
     FitError,
@@ -400,6 +402,53 @@ def test_delay_fit_reports_visibility():
     fit = extract_delay(hom_interferogram(gaussian_pair(), TAUS))
     assert isinstance(fit, DelayFit)
     assert fit.visibility >= 0.99
+
+
+# ---------------------------------------------------------------------------
+# factored Fourier sum
+
+
+@pytest.mark.parametrize(
+    "spectrum",
+    [gaussian_pair(512), gaussian_pair(4096), gaussian_pair(510), BiphotonSpectrum.two_bin(OMEGA0, 0.2)],
+    ids=["512", "4096", "510-padded", "two-bin"],
+)
+@pytest.mark.parametrize("scale", [-2.0, 2.0, -1.0])
+def test_fourier_sum_matches_direct_product(spectrum, scale):
+    rng = np.random.default_rng(7)
+    d = spectrum.detunings
+    weights = spectrum.amplitude * spectrum.step * np.exp(1j * rng.uniform(0.0, 2 * math.pi, d.size))
+    for delays in (np.linspace(-12.0, 12.0, 601), np.sort(rng.uniform(-12.0, 12.0, 300))):
+        direct = np.exp(1j * scale * np.outer(delays, d)) @ weights
+        got = _fourier_sum(delays, d, weights, scale)
+        assert got.shape == delays.shape
+        assert np.max(np.abs(got - direct)) <= 1e-13 * np.sum(np.abs(weights))
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        lambda spec, taus: hom_rates(spec, taus, signal=beta(3.0, 22.0, 4.0)),
+        lambda spec, taus: skc_rates(spec, beta(3.0, 22.0, 4.0), taus),
+        lambda spec, taus: franson_interferogram(spec, beta(3.0, 22.0, 4.0), taus),
+    ],
+    ids=["hom", "skc", "franson"],
+)
+def test_interferogram_kernels_hold_no_phase_matrix(kernel):
+    # a 2001 x 4096 complex phase matrix alone is 125 MiB; the factored
+    # sum holds a few 2001 x 64 blocks
+    spec = gaussian_pair(4096)
+    taus = np.linspace(-12.0, 12.0, 2001)
+    assert _peak_bytes(lambda: kernel(spec, taus)) < 32 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,18 @@ def test_zero_variance_case():
     assert res.estimate == 0.0
 
 
+def test_single_outcome_has_no_uncertainty():
+    # one outcome's zero sample spread must not pass for an eigenstate
+    proto = SinglePhotonPhaseProtocol()
+    with pytest.raises(ValueError, match="one trial in one repetition"):
+        run_monte_carlo(proto, 1.0, trials=1, seed=1)
+    with pytest.raises(ValueError):
+        ramsey_frequency_estimate(1.0, 1.0, trials=1, seed=4, method="monte-carlo")
+    # a true eigenstate keeps its exact zero from two trials on
+    assert run_monte_carlo(proto, 0.0, trials=2, seed=1).uncertainty == 0.0
+    assert run_monte_carlo(proto, 1.0, trials=1, seed=1, repetitions=5).uncertainty > 0.0
+
+
 def test_estimator_clamp_flag():
     proto = SinglePhotonPhaseProtocol()
     est, clamped = proto.invert_mean(1.2)

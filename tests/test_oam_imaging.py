@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -153,6 +154,54 @@ def test_nyquist_guard():
     obj = disk_object(grid, 2.0)
     with pytest.raises(ResolutionError):
         project_object(obj, W0, l_max=5, p_max=0)
+
+
+def _full_grid_projection(profile, w0, l_max, p_max, z):
+    """The direct quadrature: every mode tabulated on the whole polar grid."""
+    r, wr, theta = profile.grid.nodes()
+    rr, tt = np.meshgrid(r, theta, indexing="ij")
+    weighted = profile.samples * (wr * r)[:, None] * profile.grid.dtheta
+    return {
+        (l, p): complex(np.sum(np.conj(lg_amplitude(LGModeSpec(l, p, w0, 1.0, z), rr, tt)) * weighted))
+        for l in range(-l_max, l_max + 1)
+        for p in range(p_max + 1)
+    }
+
+
+def _oracle_objects(grid):
+    return {
+        "disk": disk_object(grid, 2.0 * W0),
+        "letter": letter_mask_object(grid, W0),
+        "harmonic": angular_harmonic_object(grid, 3, W0),
+        "superposition": lg_superposition_object(
+            grid, {(2, 1): 0.5, (-3, 0): 0.4j, (0, 2): 0.3}, W0, z=0.7
+        ),
+    }
+
+
+@pytest.mark.parametrize("grid", [PolarGrid(64, 128, 6.0 * W0), PolarGrid(48, 80, 6.0 * W0)])  # 80 = 4 l_max
+@pytest.mark.parametrize("z", [0.0, 0.7])
+def test_projection_matches_full_grid_quadrature(grid, z):
+    for name, obj in _oracle_objects(grid).items():
+        want = _full_grid_projection(obj, W0, 20, 5, z)
+        for l_max, p_max in [(3, 2), (6, 2), (20, 5)]:
+            got = project_object(obj, W0, l_max, p_max, z=z).coefficients
+            assert len(got) == (2 * l_max + 1) * (p_max + 1)
+            worst = max(abs(a - want[k]) for k, a in got.items())
+            assert worst <= 1e-13 * math.sqrt(obj.power()), (name, l_max, p_max, worst)
+
+
+def test_projection_memory_stays_per_radius():
+    # the full-grid quadrature held one 128 x 256 complex array per mode,
+    # 246 of them (125 MiB); the angular-DFT projection needs about 1 MiB
+    obj = letter_mask_object(PolarGrid(128, 256, 6.0 * W0), W0)
+    tracemalloc.start()
+    try:
+        project_object(obj, W0, l_max=20, p_max=5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
