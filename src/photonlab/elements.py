@@ -11,7 +11,10 @@ a_j^dag -> sum_i U_ij a_i^dag, on the modes of the space:
 
 An ``Interferometer`` composes the maps of its elements into one M x M
 unitary per call and applies it with ``fock.apply_mode_map``; each
-single-element function is that call with one element.
+single-element function is that call with one element.  Each map is
+written once, in ``parametric_map``, as a function of the element's
+parameter: callers that sweep one parameter resolve the element on the
+space once and form only the parameter-dependent entries per point.
 
 Beam splitter convention (symmetric, i on reflection):
 
@@ -31,7 +34,7 @@ import cmath
 import math
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .fock import (
     PRUNE_EPS,
@@ -110,19 +113,19 @@ def swap(mode_a: ModeLabel, mode_b: ModeLabel) -> ElementSpec:
 # linear mode maps
 
 
-def _charge_flip_map(
+def _flip_pairs(
     space: FockSpace,
     arm_modes: Sequence[ModeLabel],
-    theta: float,
-) -> tuple[ModeMap, dict[int, ModeLabel]]:
-    """l -> -l on the arm with phase e^{i 2 l theta} per photon.
+) -> tuple[tuple[tuple[int, int, int], ...], dict[int, ModeLabel]]:
+    """The x-independent half of the charge flip l -> -l on an arm.
 
-    Returns the map and, for arm modes whose mirror charge is absent
-    from the space, the missing mirror label by position; those columns
-    stay the identity, and a photon reaching one is an error.
+    Returns (column, row, charge) for every flipped arm mode and, for arm
+    modes whose mirror charge is absent from the space, the missing
+    mirror label by position; those columns stay the identity, and a
+    photon reaching one is an error.
     """
     arm = set(arm_modes)
-    columns: ModeMap = {}
+    pairs = []
     missing: dict[int, ModeLabel] = {}
     for mode in sorted(arm):
         j = space.index(mode)
@@ -134,16 +137,27 @@ def _charge_flip_map(
         elif target not in arm:
             raise ValueError(f"arm holds {mode} but not its mirror {target}")
         elif mode.index != 0:
-            phase = cmath.exp(2j * mode.index * theta) if theta != 0.0 else 1.0
-            columns[j] = {space.index(target): phase}
-    return columns, missing
+            pairs.append((j, space.index(target), mode.index))
+    return tuple(pairs), missing
 
 
-def _element_map(space: FockSpace, spec: ElementSpec) -> tuple[ModeMap, dict[int, ModeLabel]]:
-    """The linear mode map of one element on ``space``.
+def _flip_columns(pairs: Sequence[tuple[int, int, int]], theta: float) -> ModeMap:
+    """The per-angle half: charge l moves with phase e^{i 2 l theta} per photon."""
+    return {j: {i: cmath.exp(2j * l * theta) if theta != 0.0 else 1.0} for j, i, l in pairs}
 
-    The second value names, by position, arm modes of a Dove prism or
-    mirror whose mirror charge is absent from the space.
+
+def parametric_map(
+    space: FockSpace,
+    spec: ElementSpec,
+) -> tuple[Callable[[float], ModeMap], dict[int, ModeLabel]]:
+    """The linear mode map of one element kind, as a function of its parameter.
+
+    Positions, and for a charge flip the pairs it exchanges, are resolved
+    here once; the returned function forms only the entries that depend
+    on the parameter (a mirror's map ignores it); the spec's own
+    parameter is not read.  The second value names, by position, arm
+    modes of a Dove prism or mirror whose mirror charge is absent from
+    the space.
     """
     k = spec.kind
     if k is ElementKind.BEAM_SPLITTER:
@@ -151,19 +165,34 @@ def _element_map(space: FockSpace, spec: ElementSpec) -> tuple[ModeMap, dict[int
         a, b = space.index(mode_a), space.index(mode_b)
         if a == b:
             raise ValueError("beam splitter needs two distinct modes")
-        c, is_ = math.cos(spec.parameter), 1j * math.sin(spec.parameter)
-        return {a: {a: c, b: is_}, b: {a: is_, b: c}}, {}
+
+        def split(kappa: float) -> ModeMap:
+            c, is_ = math.cos(kappa), 1j * math.sin(kappa)
+            return {a: {a: c, b: is_}, b: {a: is_, b: c}}
+
+        return split, {}
     if k is ElementKind.PHASE_SHIFT:
         a = space.index(spec.targets[0])
-        return {a: {a: cmath.exp(1j * spec.parameter)}}, {}
+        return (lambda phi: {a: {a: cmath.exp(1j * phi)}}), {}
     if k is ElementKind.DOVE_PRISM:
-        return _charge_flip_map(space, spec.targets, spec.parameter)
+        pairs, missing = _flip_pairs(space, spec.targets)
+        return (lambda theta: _flip_columns(pairs, theta)), missing
     if k is ElementKind.MIRROR:
-        return _charge_flip_map(space, spec.targets, 0.0)
+        pairs, missing = _flip_pairs(space, spec.targets)
+        return (lambda _: _flip_columns(pairs, 0.0)), missing
     if k is ElementKind.SWAP:
         a, b = (space.index(m) for m in spec.targets)
-        return {a: {b: 1.0}, b: {a: 1.0}}, {}
+        return (lambda _: {a: {b: 1.0}, b: {a: 1.0}}), {}
     raise ValueError(f"unknown element kind {k}")
+
+
+def element_map(space: FockSpace, spec: ElementSpec) -> tuple[ModeMap, dict[int, ModeLabel]]:
+    """The linear mode map of one element on ``space``, at its parameter.
+
+    The second value is as for ``parametric_map``.
+    """
+    at, missing = parametric_map(space, spec)
+    return at(spec.parameter), missing
 
 
 def _column(u: ModeMap, j: int) -> dict[int, complex]:
@@ -180,6 +209,26 @@ def _compose(step: ModeMap, u: ModeMap) -> ModeMap:
                 col[i] = col.get(i, 0) + y * x
         out[j] = col
     return out
+
+
+def require_mirrors(state: StateVector, missing: Mapping[int, ModeLabel], u: ModeMap | None = None) -> None:
+    """Refuse a charge flip when a photon can reach an arm mode without a mirror.
+
+    ``missing`` is the second value of ``element_map``; ``u`` is the map
+    applied to ``state`` before the flip, the identity when absent.  A
+    photon entering populated mode j reaches arm mode f with amplitude
+    U_fj.
+    """
+    if not missing:
+        return
+    space = state.space
+    populated = [j for j, m in enumerate(space.modes) if number_expectation(state, m) > 0]
+    u = u or {}
+    for f, target in missing.items():
+        if any(abs(_column(u, j).get(f, 0)) > PRUNE_EPS for j in populated):
+            raise MissingMirrorModeError(
+                f"flip of {space.modes[f]} needs {target}, absent from the space"
+            )
 
 
 # ---------------------------------------------------------------------------
@@ -250,18 +299,9 @@ class Interferometer:
             return state
         space = state.space
         u: ModeMap = {}
-        populated = None
         for spec in self.elements:
-            step, missing = _element_map(space, spec)
-            # a photon entering populated mode j reaches arm mode f with
-            # amplitude U_fj of the map composed so far
-            for f, target in missing.items():
-                if populated is None:
-                    populated = [j for j, m in enumerate(space.modes) if number_expectation(state, m) > 0]
-                if any(abs(_column(u, j).get(f, 0)) > PRUNE_EPS for j in populated):
-                    raise MissingMirrorModeError(
-                        f"flip of {space.modes[f]} needs {target}, absent from the space"
-                    )
+            step, missing = element_map(space, spec)
+            require_mirrors(state, missing, u)
             u = _compose(step, u) if u else step
         return apply_mode_map(state, u)
 

@@ -30,6 +30,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
+from itertools import compress
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -187,7 +188,7 @@ Occupations = tuple[int, ...]
 def _order(occ: Occupations) -> tuple[tuple[int, int], ...]:
     """Sort key of an occupation tuple: the canonical (position, n) list,
     which orders exactly as the matching ``BasisState`` objects."""
-    return tuple((i, n) for i, n in enumerate(occ) if n)
+    return tuple(compress(enumerate(occ), occ))
 
 
 class FockSpace:
@@ -451,6 +452,95 @@ def total_number_expectation(state: StateVector) -> float:
 # passive linear optics
 
 
+class ModeMapPlan:
+    """A passive linear map resolved once for repeated application.
+
+    ``columns[j]`` holds the entries {i: U_ij} of column j, with i and j
+    positions in the space's modes; absent columns are the identity.
+    The columns are sorted into moves, whose photons all go to one row,
+    and spreads, whose photons are distributed over several rows;
+    ``apply`` replays them on a state.  Building the plan is the
+    state-independent part of ``apply_mode_map``, so a caller applying
+    one map to many states builds it once.
+    """
+
+    __slots__ = ("_moves", "_spreads", "_cleared", "_ordered", "_rows")
+
+    def __init__(self, columns: Mapping[int, Mapping[int, complex]]):
+        moves: list[tuple[int, int, complex]] = []
+        spreads = []
+        for j in sorted(columns):
+            entries = [(i, c) for i, c in sorted(columns[j].items()) if c != 0]
+            if len(entries) == 1:
+                i, c = entries[0]
+                if i != j or c != 1:
+                    moves.append((j, i, c))
+            else:
+                spreads.append((j, entries))
+        self._moves = moves
+        self._spreads = spreads
+        self._cleared = [j for j, _, _ in moves] + [j for j, _ in spreads]
+        # a map of phases only keeps the canonical order of the terms
+        self._ordered = not spreads and all(i == j for j, i, _ in moves)
+        # (table size, spread rows), replaced whole and never mutated, so
+        # a plan shared between threads stays consistent
+        self._rows: tuple[int, list] = (-1, [])
+
+    def _spread_rows(self, photons: int) -> list:
+        """The spread columns as (j, [(i, [c * sqrt(k + 1) for k < size])]),
+        c * sqrt(k + 1) being the factor for a row already holding k
+        photons; the table grows to ``photons`` entries on demand."""
+        size, rows = self._rows
+        if size < photons:
+            rows = [
+                (j, [(i, [c * math.sqrt(k + 1) for k in range(photons)]) for i, c in entries])
+                for j, entries in self._spreads
+            ]
+            self._rows = (photons, rows)
+        return rows
+
+    def apply(self, state: StateVector) -> StateVector:
+        """The map on every basis state of ``state``; see ``apply_mode_map``."""
+        moves = self._moves
+        if not moves and not self._spreads:
+            return state
+        spreads = self._spread_rows(max(map(sum, state._amp), default=0)) if self._spreads else []
+        cleared = self._cleared
+        out: dict[Occupations, complex] = {}
+        for occ, amp in state._amp.items():
+            base = list(occ)
+            for j in cleared:
+                base[j] = 0
+            factor = 1
+            for j, i, c in moves:
+                n = occ[j]
+                if n:
+                    k = base[i]
+                    base[i] = k + n
+                    if c != 1:
+                        factor *= c ** n
+                    if k:
+                        factor *= math.sqrt(math.comb(k + n, n))
+            if factor != 1:
+                amp = amp * factor
+            terms = {tuple(base): amp}
+            for j, rows in spreads:
+                for p in range(1, occ[j] + 1):
+                    scale = 1 / math.sqrt(p)
+                    nxt: dict[Occupations, complex] = {}
+                    for t, x in terms.items():
+                        if p > 1:
+                            x = x * scale
+                        for i, cs in rows:
+                            k = t[i]
+                            key = t[:i] + (k + 1,) + t[i + 1:]
+                            nxt[key] = nxt.get(key, 0) + x * cs[k]
+                    terms = nxt
+            for t, x in terms.items():
+                out[t] = out.get(t, 0) + x
+        return _state(state.space, out, ordered=self._ordered)
+
+
 def apply_mode_map(
     state: StateVector,
     columns: Mapping[int, Mapping[int, complex]],
@@ -474,59 +564,7 @@ def apply_mode_map(
     are expanded in canonical order and the output is put back into it.
     Photon number is conserved, so the truncation cannot overflow.
     """
-    moves: list[tuple[int, int, complex]] = []
-    spreads = []
-    for j in sorted(columns):
-        entries = [(i, c) for i, c in sorted(columns[j].items()) if c != 0]
-        if len(entries) == 1:
-            i, c = entries[0]
-            if i != j or c != 1:
-                moves.append((j, i, c))
-        else:
-            spreads.append((j, entries))
-    if not moves and not spreads:
-        return state
-    if spreads:
-        # c * sqrt(k + 1) for a row already holding k photons
-        photons = max(map(sum, state._amp), default=0)
-        spreads = [
-            (j, [(i, [c * math.sqrt(k + 1) for k in range(photons)]) for i, c in entries])
-            for j, entries in spreads
-        ]
-    cleared = [j for j, _, _ in moves] + [j for j, _ in spreads]
-    out: dict[Occupations, complex] = {}
-    for occ, amp in state._amp.items():
-        base = list(occ)
-        for j in cleared:
-            base[j] = 0
-        factor = 1
-        for j, i, c in moves:
-            n = occ[j]
-            if n:
-                k = base[i]
-                base[i] = k + n
-                if c != 1:
-                    factor *= c ** n
-                if k:
-                    factor *= math.sqrt(math.comb(k + n, n))
-        if factor != 1:
-            amp = amp * factor
-        terms = {tuple(base): amp}
-        for j, rows in spreads:
-            for p in range(1, occ[j] + 1):
-                scale = 1 / math.sqrt(p)
-                nxt: dict[Occupations, complex] = {}
-                for t, x in terms.items():
-                    if p > 1:
-                        x = x * scale
-                    for i, cs in rows:
-                        k = t[i]
-                        key = t[:i] + (k + 1,) + t[i + 1:]
-                        nxt[key] = nxt.get(key, 0) + x * cs[k]
-                terms = nxt
-        for t, x in terms.items():
-            out[t] = out.get(t, 0) + x
-    return _state(state.space, out, ordered=not spreads and all(i == j for j, i, _ in moves))
+    return ModeMapPlan(columns).apply(state)
 
 
 # ---------------------------------------------------------------------------
@@ -567,6 +605,10 @@ class Observable:
 
     def apply(self, state: StateVector) -> StateVector:
         """O|psi> (unnormalized)."""
+        return _state(self.space, self._apply(state))
+
+    def _apply(self, state: StateVector) -> dict[Occupations, complex]:
+        """The amplitudes of O|psi>, unpruned and in entry order."""
         if not _same_modes(self.space, state.space):
             raise ValueError("state and observable live in different spaces")
         amp: dict[Occupations, complex] = {}
@@ -574,7 +616,7 @@ class Observable:
             a = state._amp.get(ket)
             if a is not None:
                 amp[bra] = amp.get(bra, 0) + v * a
-        return _state(self.space, amp)
+        return amp
 
     def dagger(self) -> "Observable":
         label = self.space.label
@@ -650,11 +692,19 @@ def dyad_sum(
 def expectation(state: StateVector, obs: Observable) -> float:
     """<psi|O|psi> for a Hermitian O on a normalized state.
 
-    The imaginary residue must be below 1e-10 and is discarded.
+    The imaginary residue must be below 1e-10 and is discarded.  The
+    value equals ``state.inner(obs.apply(state))`` bit for bit: O|psi>
+    keeps the terms above ``PRUNE_EPS``, and the sum runs over the
+    shared terms in canonical order, without building a state.
     """
     if not obs.hermitian:
         raise NonHermitianError("expectation requires a Hermitian observable")
-    val = state.inner(obs.apply(state))
+    ophi = obs._apply(state)
+    val = sum(
+        a.conjugate() * ophi[occ]
+        for occ, a in state._amp.items()
+        if abs(ophi.get(occ, 0)) > PRUNE_EPS
+    )
     if abs(val.imag) > IMAG_RESIDUE_TOL:
         raise FockError(f"imaginary residue {val.imag:.2e} exceeds {IMAG_RESIDUE_TOL}")
     return val.real

@@ -3,6 +3,11 @@ displacement, and Ramsey frequency readout.
 
 Each protocol declares its analytic fringe once, as offset + amplitude
 cos(rate x); the uncertainty laws and the estimator follow from it.
+Each also declares its circuit, compiled when the protocol is built: a
+fixed probe, the map of the one element the parameter x drives, and the
+fixed maps after it.  ``state(x)`` forms only the x-dependent map and
+replays the same ``apply_mode_map`` steps as element-by-element
+construction, so its states equal that construction bit for bit.
 Monte Carlo samples take one path: outcomes are drawn from the Born
 probabilities of the readout observable on the simulated probe state,
 so the shot-noise 1/sqrt(N) and entangled 1/N scalings are checked
@@ -25,8 +30,10 @@ from .fock import (
     FockError,
     FockSpace,
     ModeLabel,
+    ModeMapPlan,
     Observable,
     StateVector,
+    apply_mode_map,
     dyad_sum,
     expectation,
     level,
@@ -198,9 +205,27 @@ class Protocol:
     offset: float
     amplitude: float
     rate: float
+    # the compiled circuit: the x-independent probe, the map of the one
+    # element x drives, and the fixed maps applied after it, one
+    # apply_mode_map call each; no probe means the fringe is analytic only
+    _probe: StateVector | None = None
+    _varying: Callable[[float], elements.ModeMap]
+    _tail: tuple[ModeMapPlan, ...] = ()
 
     def state(self, x: float) -> StateVector:
-        raise NotImplementedError
+        """The probe state at parameter x, through the compiled circuit.
+
+        Only the map of the element x drives is formed per call; the
+        state equals the element-by-element construction bit for bit.
+        """
+        if self._probe is None:
+            raise NotImplementedError(f"{self.name}: no element-level circuit; the fringe is analytic")
+        if not math.isfinite(x):
+            raise ValueError(f"protocol parameter must be finite, got {x}")
+        st = apply_mode_map(self._probe, self._varying(x))
+        for plan in self._tail:
+            st = plan.apply(st)
+        return st
 
     @property
     def observable(self) -> Observable:
@@ -228,6 +253,8 @@ class Protocol:
 
     def analytic_uncertainty(self, x: float, trials: int = 1) -> float:
         """Error-propagated Delta x after ``trials`` ensemble repetitions."""
+        if trials < 1:
+            raise ValueError("need trials >= 1")
         root = math.sqrt(trials)
         return propagate_uncertainty(
             self.mean, lambda t: self.spread(t) / root, x, dmean=self.dmean
@@ -251,6 +278,14 @@ class SinglePhotonPhaseProtocol(Protocol):
         self._mode = mode if mode is not None else path(0)
         self._space = FockSpace([self._mode], n_max=1)
         self._obs = observable_A(self._space)
+        self._probe = StateVector(
+            self._space,
+            {
+                self._space.basis_state({}): 1 / math.sqrt(2),
+                self._space.basis_state({self._mode: 1}): 1 / math.sqrt(2),
+            },
+        )
+        self._varying, _ = elements.parametric_map(self._space, elements.phase_shift(self._mode, 0.0))
 
     @property
     def space(self) -> FockSpace:
@@ -259,16 +294,6 @@ class SinglePhotonPhaseProtocol(Protocol):
     @property
     def observable(self) -> Observable:
         return self._obs
-
-    def state(self, phi: float) -> StateVector:
-        ground = StateVector(
-            self._space,
-            {
-                self._space.basis_state({}): 1 / math.sqrt(2),
-                self._space.basis_state({self._mode: 1}): 1 / math.sqrt(2),
-            },
-        )
-        return elements.apply_phase_shift(ground, self._mode, phi)
 
 
 class NoonPhaseProtocol(Protocol):
@@ -293,6 +318,8 @@ class NoonPhaseProtocol(Protocol):
         self._mode_b = mode_b if mode_b is not None else path(1)
         self._space = FockSpace([self._mode_a, self._mode_b], n_max=n)
         self._obs = observable_B(self._space, self._mode_a, self._mode_b, n)
+        self._probe = sources.noon_state(self._space, self._mode_a, self._mode_b, n)
+        self._varying, _ = elements.parametric_map(self._space, elements.phase_shift(self._mode_a, 0.0))
 
     @property
     def space(self) -> FockSpace:
@@ -301,10 +328,6 @@ class NoonPhaseProtocol(Protocol):
     @property
     def observable(self) -> Observable:
         return self._obs
-
-    def state(self, phi: float) -> StateVector:
-        probe = sources.noon_state(self._space, self._mode_a, self._mode_b, self.n)
-        return elements.apply_phase_shift(probe, self._mode_a, phi)
 
 
 class AngularDisplacementProtocol(Protocol):
@@ -341,6 +364,8 @@ class AngularDisplacementProtocol(Protocol):
         self._obs = observable_R(self._space, self.l)
         spectrum = sources.SpdcOamSpectrum.filtered_pair(self.l, relative_phase=math.pi)
         self._input = sources.spdc_oam_pair(self._space, spectrum)
+        if n_photons == 2:
+            self._compile_pair()
 
     @property
     def space(self) -> FockSpace:
@@ -353,22 +378,30 @@ class AngularDisplacementProtocol(Protocol):
     def input_state(self) -> StateVector:
         return self._input
 
-    def state(self, theta: float) -> StateVector:
-        if self.n_photons != 2:
-            raise NotImplementedError(
-                "element-level simulation covers the two-photon pair; "
-                "higher photon numbers are analytic"
-            )
-        upper = [oam(self.l, 0), oam(-self.l, 0)]
-        lower = [oam(self.l, 1), oam(-self.l, 1)]
-        st = self._input
-        for m in (self.l, -self.l):
-            st = elements.apply_beam_splitter(st, oam(m, 0), oam(m, 1))
-        st = elements.apply_dove_prism(st, upper, theta)
-        st = elements.apply_mirror(st, lower)
-        for m in (self.l, -self.l):
-            st = elements.apply_beam_splitter(st, oam(m, 0), oam(m, 1))
-        return st
+    def _compile_pair(self) -> None:
+        """The pair through splitters, prism and mirror, then splitters.
+
+        The first two splitters act before theta does, so they are
+        applied once, to the probe.  The prism and mirror sit in
+        different arms and are both permutations, so their maps merge
+        into one call that equals the two calls in sequence.
+        """
+        space, l = self._space, self.l
+        upper = [oam(l, 0), oam(-l, 0)]
+        lower = [oam(l, 1), oam(-l, 1)]
+        splitters = tuple(
+            ModeMapPlan(elements.element_map(space, elements.beam_splitter(oam(m, 0), oam(m, 1)))[0])
+            for m in (l, -l)
+        )
+        probe = self._input
+        for plan in splitters:
+            probe = plan.apply(probe)
+        prism, missing = elements.parametric_map(space, elements.dove_prism(upper, 0.0))
+        flip, missing_lower = elements.element_map(space, elements.mirror(lower))
+        elements.require_mirrors(probe, {**missing, **missing_lower})
+        self._probe = probe
+        self._varying = lambda theta: {**prism(theta), **flip}
+        self._tail = splitters
 
 
 def angular_sql_uncertainty(l: int, n_photons: int) -> float:
@@ -519,15 +552,7 @@ def scaling_experiment(
 # ---------------------------------------------------------------------------
 # Ramsey frequency readout
 
-_RAMSEY_SPACE = FockSpace([level(0)], n_max=1)
-_RAMSEY_GROUND = StateVector(
-    _RAMSEY_SPACE,
-    {
-        _RAMSEY_SPACE.basis_state({}): 1 / math.sqrt(2),
-        _RAMSEY_SPACE.basis_state({level(0): 1}): 1 / math.sqrt(2),
-    },
-)
-_RAMSEY_OBSERVABLE = observable_A(_RAMSEY_SPACE)
+_RAMSEY = SinglePhotonPhaseProtocol(level(0))
 
 
 def ramsey_fringe(omega: float, t: float) -> float:
@@ -539,8 +564,7 @@ def ramsey_fringe(omega: float, t: float) -> float:
     """
     if t <= 0:
         raise ValueError("free-evolution time must be positive")
-    st = elements.apply_phase_shift(_RAMSEY_GROUND, level(0), omega * t)
-    return expectation(st, _RAMSEY_OBSERVABLE)
+    return expectation(_RAMSEY.state(omega * t), _RAMSEY.observable)
 
 
 def ramsey_frequency_estimate(

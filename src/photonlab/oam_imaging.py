@@ -26,6 +26,7 @@ never tabulates a mode on the full grid.
 from __future__ import annotations
 
 import cmath
+import functools
 import io
 import math
 from dataclasses import dataclass
@@ -160,6 +161,16 @@ def lg_amplitude(spec: LGModeSpec, r, theta) -> np.ndarray:
 # polar sampling grid and object profiles
 
 
+@functools.lru_cache(maxsize=16)
+def _legendre(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Gauss-Legendre nodes and weights on [-1, 1], solved once per order
+    and shared read-only."""
+    x, w = np.polynomial.legendre.leggauss(n)
+    x.setflags(write=False)
+    w.setflags(write=False)
+    return x, w
+
+
 @dataclass(frozen=True)
 class PolarGrid:
     """Gauss-Legendre radial nodes on [0, r_max] times uniform angles."""
@@ -176,7 +187,7 @@ class PolarGrid:
 
     def nodes(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(radial nodes, radial weights, angular nodes)."""
-        x, w = np.polynomial.legendre.leggauss(self.n_r)
+        x, w = _legendre(self.n_r)
         r = 0.5 * self.r_max * (x + 1.0)
         wr = 0.5 * self.r_max * w
         theta = 2.0 * math.pi * np.arange(self.n_theta) / self.n_theta

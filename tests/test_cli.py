@@ -253,6 +253,14 @@ def test_single_monte_carlo_trial_fails_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_zero_analytic_trials_fails_before_writing(tmp_path, capsys):
+    out = tmp_path / "ramsey"
+    cfg = write_config(tmp_path, base_config("ramsey", out, trials=0))
+    assert main(["run", str(cfg)]) == EXIT_NUMERICAL
+    assert "need trials >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_result_fails_before_writing(tmp_path, capsys):
     # one repetition leaves the sample spread undefined (NaN)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonlab.elements import (
     ElementKind,
@@ -382,3 +384,43 @@ def test_swap_and_prism_on_multiphoton_terms():
     assert abs(out.amplitude(sp.basis_state({oam(-1): 2, oam(0): 1})) - expected) < 1e-15
     swapped = apply_swap(st, oam(0), oam(1))
     assert abs(swapped.amplitude(sp.basis_state({oam(0): 2, oam(1): 1})) - 1.0) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# element invariants on random inputs
+
+OAM_SPACES = [
+    FockSpace([oam(l, ch) for l in (-2, -1, 0, 1, 2) for ch in (0, 1)], n_max=3),
+    FockSpace([oam(l) for l in (-3, -1, 1, 3)], n_max=4),
+]
+CHAIN_SPACES = [FockSpace([A, B, path(2)], n_max=4)] + OAM_SPACES
+
+
+def sector_weights(state):
+    weights = {}
+    for bs, a in state.items():
+        weights[bs.total] = weights.get(bs.total, 0.0) + abs(a) ** 2
+    return weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(CHAIN_SPACES), st.integers(1, 10))
+def test_random_element_lists_conserve_photon_number(seed, sp, length):
+    rng = np.random.default_rng(seed)
+    state = random_state(sp, rng, terms=8)
+    out = build_interferometer(random_chain(sp, rng, length)).apply(state)
+    before, after = sector_weights(state), sector_weights(out)
+    # no weight leaves its photon-number sector, and none appears in a new one
+    assert after.keys() <= before.keys()
+    for n, w in before.items():
+        assert abs(after.get(n, 0.0) - w) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from(OAM_SPACES), st.floats(-10.0, 10.0, allow_nan=False))
+def test_prism_twice_at_one_angle_is_the_identity(seed, sp, theta):
+    rng = np.random.default_rng(seed)
+    state = random_state(sp, rng, terms=12)
+    arm = [m for m in sp.modes if m.channel == sp.modes[0].channel]
+    twice = apply_dove_prism(apply_dove_prism(state, arm, theta), arm, theta)
+    assert (twice + state.scaled(-1)).norm() <= 1e-12

@@ -2,15 +2,20 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photonlab import fock
 from photonlab.fock import (
+    FockError,
     FockSpace,
+    ModeMapPlan,
     NonHermitianError,
     Observable,
     StateVector,
     TruncationOverflowError,
     annihilate,
+    apply_mode_map,
     basis_vector,
     create,
     dyad_sum,
@@ -265,6 +270,60 @@ def test_generated_observables_are_hermitian():
     n_op = fock.number_observable(sp, path(0))
     assert a.max_hermiticity_defect() < 1e-12
     assert n_op.max_hermiticity_defect() < 1e-12
+
+
+THREE_MODES = FockSpace([path(0), path(1), path(2)], n_max=3)
+BASIS = list(THREE_MODES.enumerate_basis())
+# amplitudes of order one, plus some at and just above the 1e-15 pruning
+# threshold, so that some terms of O|psi> are pruned
+PART = st.one_of(st.floats(-1.0, 1.0, allow_nan=False), st.sampled_from([1e-16, -4e-16, 1e-15, 2e-15]))
+COEFF = st.builds(complex, PART, PART)
+
+
+@st.composite
+def states_and_dyads(draw):
+    index = st.integers(0, len(BASIS) - 1)
+    amps = draw(st.dictionaries(index, COEFF, min_size=1, max_size=8))
+    dyads = []
+    for bra, ket, c in draw(st.lists(st.tuples(index, index, COEFF), min_size=1, max_size=8)):
+        dyads += [(BASIS[bra], BASIS[ket], c), (BASIS[ket], BASIS[bra], c.conjugate())]
+    return StateVector(THREE_MODES, {BASIS[i]: a for i, a in amps.items()}), dyad_sum(THREE_MODES, dyads)
+
+
+@settings(max_examples=200, deadline=None)
+@given(states_and_dyads())
+def test_expectation_equals_inner_of_applied_observable(case):
+    state, obs = case
+    assert expectation(state, obs) == state.inner(obs.apply(state)).real
+
+
+def test_expectation_keeps_its_guards():
+    sp = single_mode_space(n_max=1)
+    zero, one = fock_level(sp, 0), fock_level(sp, 1)
+    # Hermitian to within the 1e-12 tolerance, but the defect times a
+    # large unnormalized state leaves an imaginary residue above 1e-10
+    skew = Observable(sp, {(zero, one): 1.0, (one, zero): 1.0 + 0.9e-12j})
+    with pytest.raises(FockError, match="imaginary residue"):
+        expectation(StateVector(sp, {zero: 100.0, one: 100.0}), skew)
+    other = FockSpace([path(1)], n_max=1)
+    with pytest.raises(ValueError, match="different spaces"):
+        expectation(basis_vector(other, {}), skew)
+
+
+def test_plan_reused_across_photon_numbers_matches_a_fresh_map():
+    # one plan, applied to states of 1, 3 and then 2 photons, grows its
+    # sqrt table once and must equal a map built afresh for each state
+    sp = FockSpace([path(0), path(1), path(2)], n_max=3)
+    c, s = math.cos(0.4), 1j * math.sin(0.4)
+    columns = {0: {0: c, 1: s}, 1: {0: s, 1: c}, 2: {2: np.exp(0.3j)}}
+    plan = ModeMapPlan(columns)
+    inputs = [
+        basis_vector(sp, {path(0): 1}),
+        StateVector(sp, {sp.basis_state({path(0): 2, path(2): 1}): 0.6, sp.basis_state({path(1): 3}): 0.8}),
+        basis_vector(sp, {path(0): 1, path(1): 1}),
+    ]
+    for state in inputs:
+        assert list(plan.apply(state)._amp.items()) == list(apply_mode_map(state, columns)._amp.items())
 
 
 # ---------------------------------------------------------------------------

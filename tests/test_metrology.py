@@ -23,7 +23,7 @@ from photonlab.metrology import (
     run_monte_carlo,
     scaling_experiment,
 )
-from photonlab.sources import SpdcOamSpectrum, spdc_oam_pair
+from photonlab.sources import SpdcOamSpectrum, noon_state, spdc_oam_pair
 
 A, B = path(0), path(1)
 
@@ -388,3 +388,86 @@ def test_result_invariants():
         EstimationResult(estimate=1.0, uncertainty=0.1, resources=0, method="analytic")
     with pytest.raises(ValueError):
         EstimationResult(estimate=1.0, uncertainty=0.1, resources=1, method="guess")
+
+
+# ---------------------------------------------------------------------------
+# the compiled circuit against element-by-element construction
+
+
+def one_photon_ground(space, mode):
+    return StateVector(
+        space,
+        {space.basis_state({}): 1 / math.sqrt(2), space.basis_state({mode: 1}): 1 / math.sqrt(2)},
+    )
+
+
+def rebuilt_single_photon(mode, phi):
+    space = FockSpace([mode], n_max=1)
+    return apply_phase_shift(one_photon_ground(space, mode), mode, phi), observable_A(space)
+
+
+def rebuilt_noon(n, phi):
+    space = FockSpace([A, B], n_max=n)
+    return apply_phase_shift(noon_state(space, A, B, n), A, phi), observable_B(space, A, B, n)
+
+
+def rebuilt_angular(l, theta):
+    space = AngularDisplacementProtocol(l).space
+    st = spdc_oam_pair(space, SpdcOamSpectrum.filtered_pair(l, relative_phase=math.pi))
+    for m in (l, -l):
+        st = apply_beam_splitter(st, oam(m, 0), oam(m, 1))
+    st = apply_dove_prism(st, [oam(l, 0), oam(-l, 0)], theta)
+    st = apply_mirror(st, [oam(l, 1), oam(-l, 1)])
+    for m in (l, -l):
+        st = apply_beam_splitter(st, oam(m, 0), oam(m, 1))
+    return st, observable_R(space, l)
+
+
+@pytest.mark.parametrize(
+    "proto, rebuild, points",
+    [(NoonPhaseProtocol(n), lambda x, n=n: rebuilt_noon(n, x), 256) for n in range(1, 9)]
+    + [
+        (SinglePhotonPhaseProtocol(), lambda x: rebuilt_single_photon(A, x), 256),
+        # the Ramsey circuit: one atom on an atomic-level mode
+        (SinglePhotonPhaseProtocol(level(0)), lambda x: rebuilt_single_photon(level(0), x), 600),
+    ]
+    + [(AngularDisplacementProtocol(l), lambda x, l=l: rebuilt_angular(l, x), 160) for l in (1, 2, 3)],
+)
+def test_compiled_state_equals_element_rebuild_bit_for_bit(proto, rebuild, points):
+    for x in np.linspace(-3.0, 9.0, points):
+        got = proto.state(float(x))
+        want, obs = rebuild(float(x))
+        # same terms in the same order with the same amplitudes
+        assert list(got._amp.items()) == list(want._amp.items())
+        assert expectation(got, proto.observable) == expectation(want, obs)
+
+
+@pytest.mark.parametrize(
+    "proto",
+    [SinglePhotonPhaseProtocol(), NoonPhaseProtocol(3), AngularDisplacementProtocol(2)],
+    ids=lambda p: p.name,
+)
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_state_rejects_non_finite_parameter(proto, x):
+    with pytest.raises(ValueError, match="finite"):
+        proto.state(x)
+
+
+def test_ramsey_fringe_rejects_non_finite_phase():
+    with pytest.raises(ValueError, match="finite"):
+        ramsey_fringe(math.nan, 1.0)
+
+
+def test_analytic_only_protocol_has_no_state():
+    proto = AngularDisplacementProtocol(1, n_photons=1)
+    with pytest.raises(NotImplementedError):
+        proto.state(0.1)
+    assert proto.analytic_uncertainty(math.pi / 8) > 0
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_analytic_uncertainty_needs_a_trial(trials):
+    with pytest.raises(ValueError, match="need trials >= 1"):
+        SinglePhotonPhaseProtocol().analytic_uncertainty(1.0, trials=trials)
+    with pytest.raises(ValueError, match="need trials >= 1"):
+        ramsey_frequency_estimate(1.0, 1.0, trials=trials)

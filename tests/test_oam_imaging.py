@@ -8,6 +8,7 @@ from scipy.special import eval_genlaguerre
 
 from photonlab.oam_imaging import (
     _genlaguerre,
+    _legendre,
     BeatMeasurement,
     LGModeSpec,
     ObjectProfile,
@@ -85,6 +86,21 @@ def test_gram_matrix_orthonormal():
         for j in range(n):
             gram[i, j] = np.sum(np.conj(fields[i]) * fields[j] * weight)
     assert np.max(np.abs(gram - np.eye(n))) < 1e-6
+
+
+def test_grid_nodes_are_solved_once_per_order():
+    # grids sharing n_r share the Legendre solve; the nodes stay those of
+    # a fresh solve, bit for bit, and the shared arrays cannot be written
+    for r_max in (6.0, 2.5):
+        r, wr, theta = PolarGrid(40, 64, r_max).nodes()
+        x, w = np.polynomial.legendre.leggauss(40)
+        assert np.array_equal(r, 0.5 * r_max * (x + 1.0))
+        assert np.array_equal(wr, 0.5 * r_max * w)
+        assert np.array_equal(theta, 2.0 * math.pi * np.arange(64) / 64)
+    shared = _legendre(40)
+    assert _legendre(40) is shared
+    with pytest.raises(ValueError):
+        shared[0][0] = 0.0
 
 
 def test_laguerre_recurrence_matches_scipy_bit_for_bit():
