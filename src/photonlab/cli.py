@@ -2,10 +2,13 @@
 
 Reads one declarative YAML config per run, dispatches to the library,
 and writes one CSV per result table plus a JSON summary.  Configs are
-strict: unknown keys are rejected, stochastic experiments must carry a
-seed, and identical (config, seed) pairs reproduce the CSV tables byte
-for byte.  Outputs are staged under temporary names and renamed only
-after every file has been written, so failures leave no partial runs.
+strict: unknown keys, values outside a parameter's declared domain
+(``photonlab list`` prints each one), non-finite floats and missing
+seeds are config errors (exit 2), found before anything is computed;
+numerical failures exit 3.  Identical (config, seed) pairs reproduce the
+CSV tables byte for byte.  Outputs are staged under temporary names and
+renamed only after every file has been written, so failures leave no
+partial runs.
 
     photonlab run config.yaml [--seed N] [--out DIR] [--quiet]
     photonlab list
@@ -69,11 +72,59 @@ class ResultBundle:
 
 
 @dataclass(frozen=True)
+class Domain:
+    """Where a parameter is defined: ``text`` names it in messages and the
+    catalog, ``test`` checks the value (each entry, for a list), and a
+    list's length lies in ``length``.  A float must also be finite."""
+
+    text: str = ""
+    test: Callable[[object], bool] = lambda v: True
+    length: tuple[int, int | None] = (1, None)
+
+
+def _above(lo, **kw) -> Domain:
+    return Domain(f"> {lo}", lambda v: v > lo, **kw)
+
+
+def _at_least(lo, **kw) -> Domain:
+    return Domain(f">= {lo}", lambda v: v >= lo, **kw)
+
+
+def _one_of(choices) -> Domain:
+    return Domain(f"one of {', '.join(choices)}", choices.__contains__)
+
+
+_NONZERO = Domain("!= 0", lambda v: v != 0)
+_PRINCIPAL = Domain("in (0, pi)", lambda v: 0.0 < v < math.pi)
+
+
+@dataclass(frozen=True)
 class Param:
     name: str
-    kind: str          # int | float | str | int-list | float-list
-    default: object
+    default: object    # its type is the kind: int, float, str, or a list of ints or floats
     help: str = ""
+    domain: Domain = Domain()
+
+    @property
+    def kind(self) -> str:
+        if isinstance(self.default, list):
+            return f"{type(self.default[0]).__name__}-list"
+        return type(self.default).__name__
+
+    def describe(self) -> str:
+        """The declared domain in words, finiteness and list length included."""
+        words = ", ".join(filter(None, ["finite" if "float" in self.kind else "", self.domain.text]))
+        if isinstance(self.default, list):
+            lo, hi = self.domain.length
+            return f"{'' if lo == hi else '>= '}{lo} entries" + (f", each {words}" if words else "")
+        return words or "any"
+
+    def admits(self, value) -> bool:
+        lo, hi = self.domain.length
+        if isinstance(value, list) and not lo <= len(value) <= (hi or len(value)):
+            return False
+        entries = value if isinstance(value, list) else [value]
+        return all((not isinstance(v, float) or math.isfinite(v)) and self.domain.test(v) for v in entries)
 
 
 @dataclass(frozen=True)
@@ -83,7 +134,19 @@ class Experiment:
     demonstrates: str
     params: tuple[Param, ...]
     runner: Callable[[dict, int | None], ResultBundle]
-    stochastic: bool
+    stochastic: bool | tuple[str, str]  # always, never, or when (param, value) is set
+    # cross-parameter rules that no kernel checks: (text, test on params)
+    rules: tuple[tuple[str, Callable[[dict], bool]], ...] = ()
+
+    def needs_seed(self, params: dict) -> bool:
+        if isinstance(self.stochastic, tuple):
+            return params[self.stochastic[0]] == self.stochastic[1]
+        return self.stochastic
+
+    def seed_text(self) -> str:
+        if isinstance(self.stochastic, tuple):
+            return "when {} is {} (seed required)".format(*self.stochastic)
+        return "yes (seed required)" if self.stochastic else "no"
 
 
 def _integral(value) -> int:
@@ -133,38 +196,34 @@ def _string_number_hint(value) -> str:
 
 def _coerce(param: Param, value):
     try:
-        if param.kind == "int":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError
-            return int(value)
-        if param.kind == "float":
+        if isinstance(param.default, float):
             return _real(value)
-        if param.kind == "str":
-            if not isinstance(value, str):
-                raise TypeError
+        if isinstance(param.default, list) and isinstance(value, list):
+            entry = _integral if param.kind == "int-list" else _real
+            return [entry(v) for v in value]
+        if type(value) is type(param.default):  # an int or a str; a bool is no int
             return value
-        if param.kind == "int-list":
-            if not isinstance(value, list) or not value:
-                raise TypeError
-            return [_integral(v) for v in value]
-        if param.kind == "float-list":
-            if not isinstance(value, list) or not value:
-                raise TypeError
-            return [_real(v) for v in value]
+        raise TypeError
     except (TypeError, ValueError):
-        hint = _string_number_hint(value) if param.kind in ("float", "float-list") else ""
+        hint = _string_number_hint(value) if "float" in param.kind else ""
         raise ConfigError(f"parameter {param.name!r} expects {param.kind}, got {value!r}{hint}")
-    raise ConfigError(f"unknown parameter kind {param.kind}")
 
 
 def _validate_params(exp: Experiment, raw: dict) -> dict:
+    """Coerce each parameter, then check every domain and every rule."""
     known = {p.name: p for p in exp.params}
     unknown = sorted(set(raw) - set(known))
     if unknown:
         raise ConfigError(f"unknown parameter(s) for {exp.name}: {', '.join(unknown)}")
     out = {}
     for p in exp.params:
-        out[p.name] = _coerce(p, raw[p.name]) if p.name in raw else p.default
+        value = _coerce(p, raw[p.name]) if p.name in raw else p.default
+        if not p.admits(value):
+            raise ConfigError(f"parameter {p.name!r} = {value!r} is outside its domain: {p.describe()}")
+        out[p.name] = value
+    for text, holds in exp.rules:
+        if not holds(out):
+            raise ConfigError(f"{exp.name} needs {text}")
     return out
 
 
@@ -239,20 +298,16 @@ def _run_angular(params: dict, seed: int | None) -> ResultBundle:
     return ResultBundle("angular", params, (table,), summary)
 
 
-def _make_object(params: dict) -> oam_imaging.ObjectProfile:
-    grid = oam_imaging.PolarGrid(params["n_radial"], params["n_angular"], 6.0 * params["w0"])
-    kind = params["object"]
-    if kind == "disk":
-        return oam_imaging.disk_object(grid, radius=params["radius"] * params["w0"])
-    if kind == "letter":
-        return oam_imaging.letter_mask_object(grid, params["w0"])
-    if kind == "harmonic":
-        return oam_imaging.angular_harmonic_object(grid, params["q"], params["w0"])
-    raise ConfigError(f"unknown object kind {kind!r}")
+_OBJECTS = {
+    "disk": lambda grid, p: oam_imaging.disk_object(grid, radius=p["radius"] * p["w0"]),
+    "letter": lambda grid, p: oam_imaging.letter_mask_object(grid, p["w0"]),
+    "harmonic": lambda grid, p: oam_imaging.angular_harmonic_object(grid, p["q"], p["w0"]),
+}
 
 
 def _run_spiral(params: dict, seed: int | None) -> ResultBundle:
-    profile = _make_object(params)
+    grid = oam_imaging.PolarGrid(params["n_radial"], params["n_angular"], 6.0 * params["w0"])
+    profile = _OBJECTS[params["object"]](grid, params)
     if params["rotation"] != 0.0:
         profile = oam_imaging.rotate_object(profile, params["rotation"])
     spectrum = oam_imaging.project_object(
@@ -300,6 +355,16 @@ def _run_doppler(params: dict, seed: int | None) -> ResultBundle:
     return ResultBundle("doppler", params, (table,), summary)
 
 
+# each configuration's interferogram through the medium, and without it
+_INTERFEROGRAMS = {
+    "hom": lambda s, m, taus: (dispersion.hom_interferogram(s, taus, signal=m), dispersion.hom_interferogram(s, taus)),
+    "skc": lambda s, m, taus: tuple(
+        dispersion.skc_interferogram(s, medium, taus, include_fringes=False) for medium in (m, dispersion.VACUUM_PROFILE)
+    ),
+    "franson": lambda s, m, taus: (dispersion.franson_interferogram(s, m, taus), dispersion.correlation_envelope(s, taus)),
+}
+
+
 def _run_dispersion(params: dict, seed: int | None) -> ResultBundle:
     spectrum = BiphotonSpectrum.gaussian(
         params["omega0"], params["sigma"], n_bins=params["n_bins"]
@@ -307,17 +372,7 @@ def _run_dispersion(params: dict, seed: int | None) -> ResultBundle:
     taus = np.linspace(-params["tau_span"], params["tau_span"], params["tau_points"])
     medium = dispersion.DispersionProfile(tuple(params["beta"]), params["length"])
     config = params["configuration"]
-    if config == "hom":
-        gram = dispersion.hom_interferogram(spectrum, taus, signal=medium)
-        empty = dispersion.hom_interferogram(spectrum, taus)
-    elif config == "skc":
-        gram = dispersion.skc_interferogram(spectrum, medium, taus, include_fringes=False)
-        empty = dispersion.skc_interferogram(spectrum, dispersion.VACUUM_PROFILE, taus, include_fringes=False)
-    elif config == "franson":
-        gram = dispersion.franson_interferogram(spectrum, medium, taus)
-        empty = dispersion.correlation_envelope(spectrum, taus)
-    else:
-        raise ConfigError(f"unknown dispersion configuration {config!r}")
+    gram, empty = _INTERFEROGRAMS[config](spectrum, medium, taus)
     envelope = np.abs(gram.kernel) ** 2
     rows = tuple(
         (float(t), float(r), float(e))
@@ -371,9 +426,10 @@ EXPERIMENTS: dict[str, Experiment] = {
             "Monte Carlo phase estimation with independent single photons",
             "shot-noise 1/sqrt(N) scaling of the interferometric phase uncertainty",
             (
-                Param("trial_grid", "int-list", [16, 64, 256, 1024, 4096], "trial counts per estimate"),
-                Param("repetitions", "int", 400, "independent estimates per grid point"),
-                Param("working_point", "float", math.pi / 2, "true phase in (0, pi)"),
+                # the log-log fit needs four grid points, a sample spread two repetitions
+                Param("trial_grid", [16, 64, 256, 1024, 4096], "trial counts per estimate", _at_least(1, length=(4, None))),
+                Param("repetitions", 400, "independent estimates per grid point", _at_least(2)),
+                Param("working_point", math.pi / 2, "true phase", _PRINCIPAL),
             ),
             _run_sql_scaling,
             stochastic=True,
@@ -383,10 +439,10 @@ EXPERIMENTS: dict[str, Experiment] = {
             "Monte Carlo phase estimation with N-photon entangled probes",
             "entangled 1/N scaling and the N-fold fringe compression",
             (
-                Param("photon_grid", "int-list", [1, 2, 3, 4, 5], "entangled photon numbers"),
-                Param("repetitions", "int", 500, "independent estimates per grid point"),
-                Param("shots_per_estimate", "int", 256, "readout shots per estimate"),
-                Param("working_point", "float", 0.4, "true phase; N*phi must stay in (0, pi)"),
+                Param("photon_grid", [1, 2, 3, 4, 5], "entangled photon numbers", _at_least(1, length=(4, None))),
+                Param("repetitions", 500, "independent estimates per grid point", _at_least(2)),
+                Param("shots_per_estimate", 256, "readout shots per estimate", _at_least(1)),
+                Param("working_point", 0.4, "true phase", _PRINCIPAL),
             ),
             _run_heisenberg_scaling,
             stochastic=True,
@@ -396,8 +452,8 @@ EXPERIMENTS: dict[str, Experiment] = {
             "entangled-pair angular displacement fringe through the prism interferometer",
             "super-resolved cos^2(2 l theta) coincidence fringe and 1/(2Nl) sensitivity",
             (
-                Param("l", "int", 2, "topological charge of the pair"),
-                Param("theta_points", "int", 101, "prism angles over one turn"),
+                Param("l", 2, "topological charge of the pair", _NONZERO),
+                Param("theta_points", 101, "prism angles over one turn", _at_least(2)),
             ),
             _run_angular,
             stochastic=False,
@@ -407,15 +463,15 @@ EXPERIMENTS: dict[str, Experiment] = {
             "digital spiral decomposition of a synthetic object",
             "object identification and rotational-symmetry readout from the charge spectrum",
             (
-                Param("object", "str", "harmonic", "disk | letter | harmonic"),
-                Param("q", "int", 3, "angular harmonic order (harmonic object)"),
-                Param("radius", "float", 2.0, "disk radius in waists (disk object)"),
-                Param("w0", "float", 1.0, "probe beam waist"),
-                Param("l_max", "int", 6, "charge cutoff"),
-                Param("p_max", "int", 2, "radial cutoff"),
-                Param("rotation", "float", 0.0, "rigid rotation applied to the object"),
-                Param("n_radial", "int", 128, "radial quadrature nodes"),
-                Param("n_angular", "int", 256, "angular samples"),
+                Param("object", "harmonic", "synthetic object", _one_of(_OBJECTS)),
+                Param("q", 3, "angular harmonic order (harmonic object)"),
+                Param("radius", 2.0, "disk radius in waists (disk object)", _at_least(0.0)),
+                Param("w0", 1.0, "probe beam waist", _above(0.0)),
+                Param("l_max", 6, "charge cutoff", _at_least(0)),
+                Param("p_max", 2, "radial cutoff", _at_least(0)),
+                Param("rotation", 0.0, "rigid rotation applied to the object"),
+                Param("n_radial", 128, "radial quadrature nodes", _at_least(2)),
+                Param("n_angular", 256, "angular samples", _at_least(4)),
             ),
             _run_spiral,
             stochastic=False,
@@ -425,11 +481,11 @@ EXPERIMENTS: dict[str, Experiment] = {
             "rotational Doppler beat of counter-wound reflected beams",
             "beat frequency 2 l Omega, linear in both charge and rotation rate",
             (
-                Param("l_values", "int-list", [5, 10, 20], "topological charges"),
-                Param("rotation_rates", "float-list", [0.3, 0.5, 0.8], "body rotation rates, rad/s"),
-                Param("omega", "float", 1000.0, "optical carrier, rad/s"),
-                Param("duration", "float", 200.0, "record length, s"),
-                Param("sample_rate", "float", 100.0, "intensity sampling rate, Hz"),
+                Param("l_values", [5, 10, 20], "topological charges", _NONZERO),
+                Param("rotation_rates", [0.3, 0.5, 0.8], "body rotation rates, rad/s"),
+                Param("omega", 1000.0, "optical carrier, rad/s"),
+                Param("duration", 200.0, "record length, s", _above(0.0)),
+                Param("sample_rate", 100.0, "intensity sampling rate, Hz", _above(0.0)),
             ),
             _run_doppler,
             stochastic=False,
@@ -439,14 +495,15 @@ EXPERIMENTS: dict[str, Experiment] = {
             "biphoton coincidence interferogram through dispersive media",
             "even-order dispersion cancellation against the classically broadened baseline",
             (
-                Param("configuration", "str", "hom", "hom | skc | franson"),
-                Param("sigma", "float", 0.3, "marginal spectral std, rad/fs"),
-                Param("omega0", "float", 2.35, "center frequency, rad/fs"),
-                Param("beta", "float-list", [0.0, 0.0, 22.0, 0.0], "beta_0..beta_3, fs^n per unit length"),
-                Param("length", "float", 1.0, "medium length"),
-                Param("tau_span", "float", 12.0, "delay scan half-range, fs"),
-                Param("tau_points", "int", 241, "delay samples"),
-                Param("n_bins", "int", 512, "detuning bins"),
+                Param("configuration", "hom", "interferometer", _one_of(_INTERFEROGRAMS)),
+                Param("sigma", 0.3, "marginal spectral std, rad/fs", _above(0.0)),
+                Param("omega0", 2.35, "center frequency, rad/fs"),
+                Param("beta", [0.0, 0.0, 22.0, 0.0], "Taylor coefficients beta_n, fs^n per unit length", Domain(length=(4, 4))),
+                Param("length", 1.0, "medium length", _at_least(0.0)),
+                Param("tau_span", 12.0, "delay scan half-range, fs", _above(0.0)),
+                Param("tau_points", 241, "delay samples", _at_least(2)),
+                # even, so the detuning grid is symmetric about zero
+                Param("n_bins", 512, "detuning bins", Domain("even, >= 2", lambda v: v >= 2 and v % 2 == 0)),
             ),
             _run_dispersion,
             stochastic=False,
@@ -456,17 +513,18 @@ EXPERIMENTS: dict[str, Experiment] = {
             "atomic transition-frequency readout by pulse interrogation",
             "the interferometric fringe cos(omega t) and 1/(N t) frequency uncertainty",
             (
-                Param("omega", "float", 1.0, "transition frequency, rad/s"),
-                Param("t_min", "float", 0.1, "fringe scan start, s"),
-                Param("t_max", "float", 6.0, "fringe scan end, s"),
-                Param("t_points", "int", 60, "fringe samples"),
-                Param("t_probe", "float", math.pi / 3, "interrogation time for the estimate, s"),
-                Param("atoms", "int", 1, "entangled atoms per probe"),
-                Param("trials", "int", 1000, "ensemble repetitions"),
-                Param("method", "str", "analytic", "analytic | monte-carlo"),
+                Param("omega", 1.0, "transition frequency, rad/s"),
+                Param("t_min", 0.1, "fringe scan start, s", _above(0.0)),
+                Param("t_max", 6.0, "fringe scan end, s", _above(0.0)),
+                Param("t_points", 60, "fringe samples", _at_least(1)),
+                Param("t_probe", math.pi / 3, "interrogation time for the estimate, s", _above(0.0)),
+                Param("atoms", 1, "entangled atoms per probe", _at_least(1)),
+                Param("trials", 1000, "ensemble repetitions", _at_least(1)),
+                Param("method", "analytic", "uncertainty estimate", _one_of(("analytic", "monte-carlo"))),
             ),
             _run_ramsey,
-            stochastic=False,
+            stochastic=("method", "monte-carlo"),
+            rules=(("t_min < t_max", lambda p: p["t_min"] < p["t_max"]),),
         ),
     ]
 }
@@ -507,7 +565,8 @@ def load_config(path: Path) -> dict:
 
 def _format_cell(value) -> str:
     if isinstance(value, float):
-        return repr(value)
+        # float() first: under numpy 2 a numpy float's repr is "np.float64(...)"
+        return repr(float(value))
     return str(value)
 
 
@@ -531,7 +590,7 @@ def _render_summary(bundle: ResultBundle, seed: int | None) -> bytes:
         "version": bundle.version,
         "timestamp": bundle.timestamp,
     }
-    return (json.dumps(doc, indent=2, sort_keys=True, default=str) + "\n").encode()
+    return (json.dumps(doc, indent=2, sort_keys=True, default=str, allow_nan=False) + "\n").encode()
 
 
 def _nonfinite(value) -> bool:
@@ -554,16 +613,16 @@ def _require_complete(bundle: ResultBundle) -> None:
 
 
 def write_bundle(bundle: ResultBundle, out_dir: Path, seed: int | None) -> list[Path]:
-    """Two-phase write: stage everything, then rename into place.
+    """Two-phase write: render everything, stage it, then rename into place.
 
     Refuses, before anything is written, a bundle with an empty table or
-    with a non-finite number in any table cell or summary value.
+    with a non-finite number in a table cell or anywhere in the summary.
     """
     _require_complete(bundle)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    staged: list[tuple[Path, Path]] = []
     payload: dict[str, bytes] = {f"{t.name}.csv": _render_csv(t) for t in bundle.tables}
     payload["summary.json"] = _render_summary(bundle, seed)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    staged: list[tuple[Path, Path]] = []
     try:
         for fname, blob in payload.items():
             tmp = out_dir / f".tmp-{os.getpid()}-{fname}"
@@ -581,9 +640,9 @@ def write_bundle(bundle: ResultBundle, out_dir: Path, seed: int | None) -> list[
 def run_experiment(config: dict, seed_override: int | None = None, out_override: str | None = None) -> tuple[ResultBundle, Path]:
     exp = EXPERIMENTS[config["experiment"]]
     seed = seed_override if seed_override is not None else config["seed"]
-    if exp.stochastic and seed is None:
-        raise ConfigError(f"experiment {exp.name!r} is stochastic; a seed is mandatory")
     params = _validate_params(exp, config["params"])
+    if seed is None and exp.needs_seed(params):
+        raise ConfigError(f"experiment {exp.name!r} draws random numbers here; a seed is mandatory")
     bundle = exp.runner(params, seed)
     out_root = out_override or config["out"] or os.environ.get(ENV_OUT, "runs")
     out_dir = Path(out_root)
@@ -599,9 +658,11 @@ def list_experiments() -> str:
         lines.append(f"{name}")
         lines.append(f"  {exp.description}")
         lines.append(f"  demonstrates: {exp.demonstrates}")
-        lines.append(f"  stochastic: {'yes (seed required)' if exp.stochastic else 'no'}")
+        lines.append(f"  stochastic: {exp.seed_text()}")
+        for text, _ in exp.rules:
+            lines.append(f"  requires: {text}")
         for p in exp.params:
-            lines.append(f"    {p.name} ({p.kind}, default {p.default!r}): {p.help}")
+            lines.append(f"    {p.name} ({p.kind}, default {p.default!r}; {p.describe()}): {p.help}")
         lines.append("")
     return "\n".join(lines)
 
@@ -631,7 +692,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (FockError, ValueError) as exc:
+    except (FockError, ValueError, ArithmeticError) as exc:
         print(f"numerical failure in {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     if not args.quiet:

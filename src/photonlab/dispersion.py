@@ -432,7 +432,10 @@ def envelope_rms_width(gram: Interferogram) -> float:
     """Centered second moment of the squared envelope."""
     tau, w = _envelope_distribution(gram)
     mean = float((tau * w).sum())
-    return math.sqrt(float(((tau - mean) ** 2 * w).sum()))
+    width = math.sqrt(float(((tau - mean) ** 2 * w).sum()))
+    if width == 0.0:
+        raise FitError("zero-width envelope: the scan does not resolve it")
+    return width
 
 
 def envelope_kurtosis(gram: Interferogram) -> float:

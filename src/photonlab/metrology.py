@@ -228,8 +228,12 @@ class Protocol:
         return st
 
     @property
+    def space(self) -> FockSpace:
+        return self._space
+
+    @property
     def observable(self) -> Observable:
-        raise NotImplementedError
+        return self._obs
 
     def mean(self, x: float) -> float:
         return self.offset + self.amplitude * math.cos(self.rate * x)
@@ -287,14 +291,6 @@ class SinglePhotonPhaseProtocol(Protocol):
         )
         self._varying, _ = elements.parametric_map(self._space, elements.phase_shift(self._mode, 0.0))
 
-    @property
-    def space(self) -> FockSpace:
-        return self._space
-
-    @property
-    def observable(self) -> Observable:
-        return self._obs
-
 
 class NoonPhaseProtocol(Protocol):
     """N entangled photons per trial: (|N,0> + |0,N>)/sqrt(2) probe.
@@ -320,14 +316,6 @@ class NoonPhaseProtocol(Protocol):
         self._obs = observable_B(self._space, self._mode_a, self._mode_b, n)
         self._probe = sources.noon_state(self._space, self._mode_a, self._mode_b, n)
         self._varying, _ = elements.parametric_map(self._space, elements.phase_shift(self._mode_a, 0.0))
-
-    @property
-    def space(self) -> FockSpace:
-        return self._space
-
-    @property
-    def observable(self) -> Observable:
-        return self._obs
 
 
 class AngularDisplacementProtocol(Protocol):
@@ -366,14 +354,6 @@ class AngularDisplacementProtocol(Protocol):
         self._input = sources.spdc_oam_pair(self._space, spectrum)
         if n_photons == 2:
             self._compile_pair()
-
-    @property
-    def space(self) -> FockSpace:
-        return self._space
-
-    @property
-    def observable(self) -> Observable:
-        return self._obs
 
     def input_state(self) -> StateVector:
         return self._input

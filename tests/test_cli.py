@@ -23,6 +23,7 @@ from photonlab.cli import (
     load_config,
     main,
     write_bundle,
+    _validate_params,
 )
 
 
@@ -51,6 +52,17 @@ def test_catalog_lists_every_experiment():
     for name in EXPERIMENTS:
         assert name in text
     assert text.count("demonstrates:") == len(EXPERIMENTS)
+
+
+def test_catalog_prints_each_domain_and_seed_rule():
+    text = list_experiments()
+    for exp in EXPERIMENTS.values():
+        for p in exp.params:
+            assert f"{p.name} ({p.kind}, default {p.default!r}; {p.describe()})" in text
+    assert "object (str, default 'harmonic'; one of disk, letter, harmonic)" in text
+    assert "n_bins (int, default 512; even, >= 2)" in text
+    assert "stochastic: when method is monte-carlo (seed required)" in text
+    assert "requires: t_min < t_max" in text
 
 
 def test_catalog_is_stable():
@@ -256,22 +268,20 @@ def test_single_monte_carlo_trial_fails_before_writing(tmp_path, capsys):
 def test_zero_analytic_trials_fails_before_writing(tmp_path, capsys):
     out = tmp_path / "ramsey"
     cfg = write_config(tmp_path, base_config("ramsey", out, trials=0))
-    assert main(["run", str(cfg)]) == EXIT_NUMERICAL
-    assert "need trials >= 1" in capsys.readouterr().err
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert "'trials' = 0 is outside its domain: >= 1" in capsys.readouterr().err
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_non_finite_result_fails_before_writing(tmp_path, capsys):
-    # one repetition leaves the sample spread undefined (NaN)
+    # one repetition would leave the sample spread undefined (NaN)
     out = tmp_path / "sql"
     cfg = write_config(
         tmp_path,
         {**base_config("sql-scaling", out, trial_grid=[16, 32, 64, 128], repetitions=1), "seed": 1},
     )
-    assert main(["run", str(cfg)]) == EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert "'scaling'" in err and "'delta_phi_mc[rad]'" in err
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert "'repetitions' = 1 is outside its domain: >= 2" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -282,11 +292,34 @@ def test_non_finite_summary_value_names_the_key(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_non_finite_table_cell_names_the_column(tmp_path):
+    bundle = ResultBundle("demo", {}, (Table("t", ("x[1]", "y[1]"), ((1.0, float("nan")),)),), {})
+    with pytest.raises(NonFiniteResultError, match="table 't', column 'y\\[1\\]' holds nan"):
+        write_bundle(bundle, tmp_path / "out", None)
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_table_names_the_table(tmp_path):
+    bundle = ResultBundle("demo", {}, (Table("t", ("x[1]",), ()),), {})
+    with pytest.raises(ValueError, match="table 't' has no rows"):
+        write_bundle(bundle, tmp_path / "out", None)
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_config_echo_is_not_written(tmp_path):
+    # the summary is strict JSON: a NaN anywhere in it, the echoed config
+    # included, is refused before the output directory exists
+    bundle = ResultBundle("demo", {"radius": float("nan")}, (Table("t", ("x[1]",), ((1.0,),)),), {})
+    with pytest.raises(ValueError, match="JSON compliant"):
+        write_bundle(bundle, tmp_path / "out", None)
+    assert not (tmp_path / "out").exists()
+
+
 def test_zero_detuning_bins_exit_numerical(tmp_path, capsys):
     out = tmp_path / "disp"
     cfg = write_config(tmp_path, base_config("dispersion", out, n_bins=0))
-    assert main(["run", str(cfg)]) == EXIT_NUMERICAL
-    assert "n_bins" in capsys.readouterr().err
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert "'n_bins' = 0 is outside its domain: even, >= 2" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -298,13 +331,18 @@ def test_zero_detuning_bins_exit_numerical(tmp_path, capsys):
     ],
 )
 def test_working_point_off_the_principal_branch_fails(tmp_path, capsys, experiment, params, n, phi):
-    # rate * phi must lie in (0, pi) for every grid entry; N = 4 is the
-    # first NOON probe past pi at phi = 1
+    # rate * phi must lie in (0, pi) for every grid entry.  With one photon
+    # that is the declared domain of phi (exit 2); N * phi < pi is the
+    # kernel's check (exit 3), and N = 4 is the first NOON probe past pi at phi = 1
+    expected = {
+        "sql-scaling": (EXIT_CONFIG, f"'working_point' = {phi} is outside its domain: finite, in (0, pi)"),
+        "heisenberg-scaling": (EXIT_NUMERICAL, f"N = {n}, phi = {phi}"),
+    }
+    code, message = expected[experiment]
     out = tmp_path / "scaling"
     cfg = write_config(tmp_path, {**base_config(experiment, out, **params), "seed": 3})
-    assert main(["run", str(cfg)]) == EXIT_NUMERICAL
-    err = capsys.readouterr().err
-    assert f"N = {n}, phi = {phi}" in err
+    assert main(["run", str(cfg)]) == code
+    assert message in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -317,11 +355,122 @@ def test_working_point_off_the_principal_branch_fails(tmp_path, capsys, experime
     ],
 )
 def test_empty_table_fails_before_writing(tmp_path, capsys, experiment, params, table):
+    # the first parameter would leave the table without rows; its domain
+    # refuses it before any compute
+    (name, value), *_ = params.items()
     out = tmp_path / "run"
     cfg = write_config(tmp_path, base_config(experiment, out, **params))
-    assert main(["run", str(cfg)]) == EXIT_NUMERICAL
-    assert f"table {table!r} has no rows" in capsys.readouterr().err
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert f"parameter {name!r} = {value} is outside its domain" in capsys.readouterr().err
     assert not out.exists()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "experiment, params, domain",
+    [
+        ("spiral", dict(radius=-1.0), "finite, >= 0.0"),
+        ("spiral", dict(radius=NAN), "finite, >= 0.0"),
+        ("spiral", dict(w0=0.0), "finite, > 0.0"),
+        ("spiral", dict(n_radial=0), ">= 2"),
+        ("spiral", dict(n_angular=3), ">= 4"),
+        ("angular", dict(theta_points=1), ">= 2"),
+        ("angular", dict(theta_points=0), ">= 2"),
+        ("angular", dict(l=0), "!= 0"),
+        ("ramsey", dict(method="foo"), "one of analytic, monte-carlo"),
+        ("ramsey", dict(atoms=0), ">= 1"),
+        ("ramsey", dict(t_probe=-1.0), "finite, > 0.0"),
+        ("ramsey", dict(omega=NAN), "finite"),
+        ("dispersion", dict(sigma=-0.3), "finite, > 0.0"),
+        ("dispersion", dict(n_bins=511), "even, >= 2"),
+        ("dispersion", dict(tau_points=1), ">= 2"),
+        ("dispersion", dict(length=-1.0), "finite, >= 0.0"),
+        ("dispersion", dict(beta=[0.0, 1.0]), "4 entries, each finite"),
+        ("dispersion", dict(tau_span=INF), "finite, > 0.0"),
+        ("sql-scaling", dict(repetitions=0), ">= 2"),
+        ("sql-scaling", dict(working_point=NAN), "finite, in (0, pi)"),
+        ("heisenberg-scaling", dict(shots_per_estimate=0), ">= 1"),
+        ("doppler", dict(l_values=[0]), ">= 1 entries, each != 0"),
+        ("doppler", dict(sample_rate=-5.0), "finite, > 0.0"),
+        ("doppler", dict(rotation_rates=[NAN]), ">= 1 entries, each finite"),
+        ("doppler", dict(omega=INF), "finite"),
+    ],
+)
+def test_out_of_domain_value_is_a_config_error(tmp_path, capsys, experiment, params, domain):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, {**base_config(experiment, out, **params), "seed": 1})
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    (name, value), = params.items()
+    assert f"parameter {name!r} = {value!r} is outside its domain: {domain}\n" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unresolved_delay_scan_fails_before_writing(tmp_path, capsys):
+    # a scan far inside one delay sample: the envelope width underflows to 0
+    out = tmp_path / "disp"
+    cfg = write_config(tmp_path, base_config("dispersion", out, tau_span=1e-208))
+    assert main(["run", str(cfg)]) == EXIT_NUMERICAL
+    assert "zero-width envelope" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("w0, error", [(1e-306, "ZeroDivisionError"), (1e200, "OverflowError")])
+def test_waist_beyond_the_float_range_fails_before_writing(tmp_path, capsys, w0, error):
+    # in the domain w0 > 0, but the Rayleigh range pi w0^2 leaves the float range
+    out = tmp_path / "spiral"
+    cfg = write_config(tmp_path, base_config("spiral", out, w0=w0, n_radial=16, n_angular=32, l_max=4))
+    assert main(["run", str(cfg)]) == EXIT_NUMERICAL
+    assert f"numerical failure in {error}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ramsey_scan_must_run_forwards(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, base_config("ramsey", out, t_min=5.0, t_max=1.0))
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert "ramsey needs t_min < t_max" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_monte_carlo_ramsey_requires_seed(tmp_path, capsys):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, base_config("ramsey", out, method="monte-carlo"))
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'ramsey'" in err and "seed is mandatory" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "experiment, params",
+    [
+        ("angular", dict(l=-2, theta_points=12)),
+        ("spiral", dict(q=-3, n_radial=32, n_angular=64)),
+        ("spiral", dict(object="disk", radius=0.0, n_radial=32, n_angular=64)),
+        ("doppler", dict(rotation_rates=[0.0, 0.0])),
+        ("ramsey", dict(t_points=1, omega=-1.0)),
+    ],
+)
+def test_edge_values_inside_their_domains_run(tmp_path, experiment, params):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, base_config(experiment, out, **params))
+    assert main(["run", str(cfg), "--quiet"]) == EXIT_OK
+    assert (out / "summary.json").exists()
+
+
+def test_defaults_and_shipped_configs_pass_validation():
+    # the benchmark's cli_suite runs configs/*.yaml; a domain that drifts
+    # away from them, or from a default, fails here first
+    for exp in EXPERIMENTS.values():
+        assert _validate_params(exp, {}) == {p.name: p.default for p in exp.params}
+    configs = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.yaml"))
+    assert configs
+    for path in configs:
+        config = load_config(path)
+        _validate_params(EXPERIMENTS[config["experiment"]], config["params"])
 
 
 def test_cli_import_loads_no_scipy():

@@ -251,6 +251,24 @@ def test_rotation_phases_channels():
         assert abs(ratio - cmath.exp(-1j * l * theta0)) < 1e-8
 
 
+def test_rotated_letter_is_clipped_not_rescaled():
+    # the letter's edges make the interpolant overshoot (peak |f| 1.112 at
+    # theta0 = 0.3); only the overshooting samples are clipped to |f| = 1
+    grid = default_grid(W0)
+    obj = letter_mask_object(grid, W0)
+    before = project_object(obj, W0, l_max=6, p_max=2)
+    largest = max(abs(a) for a in before.coefficients.values())
+    rotated = rotate_object(obj, 0.3)
+    assert np.max(np.abs(rotated.samples)) <= 1.0 + 1e-15
+    after = project_object(rotated, W0, l_max=6, p_max=2)
+    for key, a in before.coefficients.items():
+        assert abs(abs(after.coefficient(*key)) - abs(a)) <= 1.2e-2 * largest
+    # a whole grid step is a plain shift: nothing overshoots
+    stepped = project_object(rotate_object(obj, 2 * math.pi * 5 / grid.n_theta), W0, l_max=6, p_max=2)
+    for key, a in before.coefficients.items():
+        assert abs(abs(stepped.coefficient(*key)) - abs(a)) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # interferometric phase recovery
 
@@ -350,6 +368,13 @@ def test_undersampling_rejected():
         rotational_doppler_beat(50, 2.0, 100.0, duration=100.0, sample_rate=10.0)
     with pytest.raises(ResolutionError):
         rotational_doppler_beat(1, 0.01, 100.0, duration=10.0, sample_rate=50.0)
+
+
+@pytest.mark.parametrize("duration, sample_rate, n", [(1.0, 1.0, 1), (0.1, 1.0, 0)])
+def test_record_too_short_to_transform(duration, sample_rate, n):
+    # at zero rotation no beat period bounds the record from below
+    with pytest.raises(ResolutionError, match=f"record of {n} sample"):
+        rotational_doppler_beat(5, 0.0, 100.0, duration=duration, sample_rate=sample_rate)
 
 
 def test_beat_linear_in_charge_and_rate():
