@@ -306,6 +306,9 @@ _OBJECTS = {
 
 
 def _run_spiral(params: dict, seed: int | None) -> ResultBundle:
+    # the mode geometry of project_object's default wavelength, checked
+    # first, so an out-of-range waist is named before any object is built
+    oam_imaging.LGModeSpec(0, 0, params["w0"], 1.0)
     grid = oam_imaging.PolarGrid(params["n_radial"], params["n_angular"], 6.0 * params["w0"])
     profile = _OBJECTS[params["object"]](grid, params)
     if params["rotation"] != 0.0:

@@ -444,6 +444,8 @@ def envelope_kurtosis(gram: Interferogram) -> float:
     mean = float((tau * w).sum())
     m2 = float(((tau - mean) ** 2 * w).sum())
     m4 = float(((tau - mean) ** 4 * w).sum())
+    if m2 * m2 == 0.0:
+        raise FitError("zero-width envelope: the scan does not resolve it")
     return m4 / (m2 * m2)
 
 

@@ -15,6 +15,9 @@ single-element function is that call with one element.  Each map is
 written once, in ``parametric_map``, as a function of the element's
 parameter: callers that sweep one parameter resolve the element on the
 space once and form only the parameter-dependent entries per point.
+Every element but the beam splitter is a set of moves, and
+``parametric_moves`` gives those as fixed (column, row) pairs plus
+their coefficients alone, for ``fock.MoveStep``.
 
 Beam splitter convention (symmetric, i on reflection):
 
@@ -141,9 +144,36 @@ def _flip_pairs(
     return tuple(pairs), missing
 
 
-def _flip_columns(pairs: Sequence[tuple[int, int, int]], theta: float) -> ModeMap:
-    """The per-angle half: charge l moves with phase e^{i 2 l theta} per photon."""
-    return {j: {i: cmath.exp(2j * l * theta) if theta != 0.0 else 1.0} for j, i, l in pairs}
+def parametric_moves(
+    space: FockSpace,
+    spec: ElementSpec,
+) -> tuple[tuple[tuple[int, int], ...], Callable[[float], list[complex]], dict[int, ModeLabel]]:
+    """The moves of a phase shift, Dove prism, mirror or swap.
+
+    Each of these elements sends every column to one row, with one
+    coefficient per photon.  Returns the (column, row) pairs, resolved
+    once; a function forming only the coefficients, in pair order, at a
+    parameter value (a mirror's and a swap's ignore it); and the missing
+    mirror modes as for ``parametric_map``.
+    """
+    k = spec.kind
+    if k is ElementKind.PHASE_SHIFT:
+        a = space.index(spec.targets[0])
+        return ((a, a),), (lambda phi: [cmath.exp(1j * phi)]), {}
+    if k is ElementKind.DOVE_PRISM or k is ElementKind.MIRROR:
+        flips, missing = _flip_pairs(space, spec.targets)
+        pairs = tuple((j, i) for j, i, _ in flips)
+        if k is ElementKind.MIRROR:
+            return pairs, (lambda _: [1.0] * len(pairs)), missing
+        charges = [l for _, _, l in flips]
+        # charge l moves with phase e^{i 2 l theta} per photon
+        return pairs, (lambda theta: [cmath.exp(2j * l * theta) if theta != 0.0 else 1.0 for l in charges]), missing
+    if k is ElementKind.SWAP:
+        a, b = (space.index(m) for m in spec.targets)
+        return ((a, b), (b, a)), (lambda _: [1.0, 1.0]), {}
+    if k is ElementKind.BEAM_SPLITTER:
+        raise ValueError("a beam splitter spreads its photons; it has no moves")
+    raise ValueError(f"unknown element kind {k}")
 
 
 def parametric_map(
@@ -157,10 +187,10 @@ def parametric_map(
     on the parameter (a mirror's map ignores it); the spec's own
     parameter is not read.  The second value names, by position, arm
     modes of a Dove prism or mirror whose mirror charge is absent from
-    the space.
+    the space.  Every element but the beam splitter is a set of moves,
+    from ``parametric_moves``.
     """
-    k = spec.kind
-    if k is ElementKind.BEAM_SPLITTER:
+    if spec.kind is ElementKind.BEAM_SPLITTER:
         mode_a, mode_b = spec.targets
         a, b = space.index(mode_a), space.index(mode_b)
         if a == b:
@@ -171,19 +201,8 @@ def parametric_map(
             return {a: {a: c, b: is_}, b: {a: is_, b: c}}
 
         return split, {}
-    if k is ElementKind.PHASE_SHIFT:
-        a = space.index(spec.targets[0])
-        return (lambda phi: {a: {a: cmath.exp(1j * phi)}}), {}
-    if k is ElementKind.DOVE_PRISM:
-        pairs, missing = _flip_pairs(space, spec.targets)
-        return (lambda theta: _flip_columns(pairs, theta)), missing
-    if k is ElementKind.MIRROR:
-        pairs, missing = _flip_pairs(space, spec.targets)
-        return (lambda _: _flip_columns(pairs, 0.0)), missing
-    if k is ElementKind.SWAP:
-        a, b = (space.index(m) for m in spec.targets)
-        return (lambda _: {a: {b: 1.0}, b: {a: 1.0}}), {}
-    raise ValueError(f"unknown element kind {k}")
+    pairs, coeffs, missing = parametric_moves(space, spec)
+    return (lambda x: {j: {i: c} for (j, i), c in zip(pairs, coeffs(x))}), missing
 
 
 def element_map(space: FockSpace, spec: ElementSpec) -> tuple[ModeMap, dict[int, ModeLabel]]:

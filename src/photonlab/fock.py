@@ -11,7 +11,9 @@ Inside, a basis state is a tuple of integer occupations, one per mode in
 position.  ``ModeLabel`` and ``BasisState`` appear only at the API edge:
 building states and observables, and reading amplitudes back.  Passive
 linear optics acts through one routine, ``apply_mode_map``, which takes
-the map a_j^dag -> sum_i U_ij a_i^dag of the creation operators.
+the map a_j^dag -> sum_i U_ij a_i^dag of the creation operators;
+``ModeMapProgram`` and ``MoveStep`` replay its arithmetic, bit for bit,
+on states whose support is fixed in advance.
 
 Conventions:
 
@@ -462,6 +464,13 @@ class ModeMapPlan:
     ``apply`` replays them on a state.  Building the plan is the
     state-independent part of ``apply_mode_map``, so a caller applying
     one map to many states builds it once.
+
+    A caller whose states always have the same terms goes one step
+    further: ``compile(support)`` also resolves the basis-state
+    bookkeeping for that support, leaving a ``ModeMapProgram`` that
+    replays only the arithmetic, and that falls back to ``apply`` on a
+    state with other terms.  ``MoveStep`` does the same for a map of
+    moves whose coefficients change from call to call.
     """
 
     __slots__ = ("_moves", "_spreads", "_cleared", "_ordered", "_rows")
@@ -539,6 +548,173 @@ class ModeMapPlan:
             for t, x in terms.items():
                 out[t] = out.get(t, 0) + x
         return _state(state.space, out, ordered=self._ordered)
+
+    def compile(self, support: Sequence[Occupations]) -> "ModeMapProgram":
+        """This plan specialised to states whose terms are ``support``, in order."""
+        return ModeMapProgram(self, support)
+
+
+class ModeMapProgram:
+    """A ``ModeMapPlan`` compiled against one input support.
+
+    Compilation runs ``apply``'s expansion once on the occupation tuples
+    of ``support`` alone.  Every intermediate term becomes an integer
+    slot, and every expansion step an instruction: read a slot, scale it
+    by the term's moves factor or by 1/sqrt(p), and add x * cs[k] into
+    the slots of the next photon; the last instructions add each term
+    into its output slot.  ``apply`` replays the instructions on a
+    state's amplitudes with the same float operations in the same order,
+    every sum starting from the integer 0 as ``apply``'s dict
+    accumulation does, then prunes at ``PRUNE_EPS`` and keeps the
+    canonical output order found once.  So its states equal
+    ``plan.apply`` bit for bit.
+
+    A state whose terms differ from ``support``, say because an upstream
+    step cancelled one below ``PRUNE_EPS``, goes through ``plan.apply``.
+    ``support_out`` lists the output terms when none is pruned.
+    """
+
+    __slots__ = ("_plan", "_support", "_zeros", "_spread", "_gather", "_out", "support_out")
+
+    def __init__(self, plan: ModeMapPlan, support: Sequence[Occupations]):
+        support = [tuple(occ) for occ in support]
+        spreads = plan._spread_rows(max(map(sum, support), default=0)) if plan._spreads else []
+        slots = len(support)
+        spread_ops = []  # (source slot, multiplier or None, ((target slot, c), ...))
+        gather_ops = []  # (source slot, multiplier or None, output slot)
+        out: dict[Occupations, int] = {}
+        for s, occ in enumerate(support):
+            base = list(occ)
+            for j in plan._cleared:
+                base[j] = 0
+            factor = 1
+            for j, i, c in plan._moves:
+                n = occ[j]
+                if n:
+                    k = base[i]
+                    base[i] = k + n
+                    if c != 1:
+                        factor *= c ** n
+                    if k:
+                        factor *= math.sqrt(math.comb(k + n, n))
+            # key -> (slot, multiplier still to apply when the slot is read)
+            terms = {tuple(base): (s, factor if factor != 1 else None)}
+            for j, rows in spreads:
+                for p in range(1, occ[j] + 1):
+                    scale = 1 / math.sqrt(p)
+                    nxt: dict[Occupations, int] = {}
+                    for t, (src, mul) in terms.items():
+                        dsts = []
+                        for i, cs in rows:
+                            k = t[i]
+                            key = t[:i] + (k + 1,) + t[i + 1:]
+                            if key not in nxt:
+                                nxt[key] = slots
+                                slots += 1
+                            dsts.append((nxt[key], cs[k]))
+                        spread_ops.append((src, scale if p > 1 else mul, tuple(dsts)))
+                    terms = {t: (slot, None) for t, slot in nxt.items()}
+            for t, (src, mul) in terms.items():
+                if t not in out:
+                    out[t] = slots
+                    slots += 1
+                gather_ops.append((src, mul, out[t]))
+        keys = list(out) if plan._ordered else sorted(out, key=_order)
+        self._plan = plan
+        self._support = support
+        self._zeros = [0] * (slots - len(support))
+        self._spread = spread_ops
+        self._gather = gather_ops
+        self._out = [(key, out[key]) for key in keys]
+        self.support_out = keys
+
+    def apply(self, state: StateVector) -> StateVector:
+        """``plan.apply(state)``, bit for bit."""
+        plan = self._plan
+        if not plan._moves and not plan._spreads:
+            return state
+        if list(state._amp) != self._support:
+            return plan.apply(state)
+        v = [*state._amp.values(), *self._zeros]
+        for src, mul, dsts in self._spread:
+            x = v[src]
+            if mul is not None:
+                x = x * mul
+            for dst, c in dsts:
+                v[dst] += x * c
+        for src, mul, dst in self._gather:
+            x = v[src]
+            if mul is not None:
+                x = x * mul
+            v[dst] += x
+        return _state(state.space, {key: v[slot] for key, slot in self._out}, ordered=True)
+
+
+class MoveStep:
+    """A map of moves, compiled against one state, its coefficients left free.
+
+    ``pairs[q] = (j, i)`` sends the photons of column j to row i, with
+    coefficient ``coeffs[q]`` per photon; columns and rows must each be
+    distinct, as in a permutation of modes times phases.  The basis
+    state each term of ``state`` goes to, the photon counts and the
+    sqrt(comb(k + n, n)) factors are resolved once.  ``apply(coeffs)``
+    forms only the factor of each term, with the multiplications of
+    ``ModeMapPlan.apply`` in its order, so it equals
+    ``ModeMapPlan({j: {i: coeffs[q]}}).apply(state)`` bit for bit for
+    nonzero coefficients.  ``support_out`` lists the output terms when none
+    is pruned.
+    """
+
+    __slots__ = ("_state", "_diagonal", "_groups", "support_out")
+
+    def __init__(self, state: StateVector, pairs: Sequence[tuple[int, int]]):
+        pairs = [(j, i) for j, i in pairs]
+        for side in zip(*pairs):
+            if len(set(side)) != len(side):
+                raise ValueError(f"moves {pairs} repeat a column or a row")
+        # the plan's order is by column; every moved column is emptied
+        # first, so a row keeps its own photons only if no move empties it
+        order = sorted(range(len(pairs)), key=lambda q: pairs[q][0])
+        groups: dict[Occupations, list] = {}
+        for occ, amp in state._amp.items():
+            base = list(occ)
+            for j, _ in pairs:
+                base[j] = 0
+            program = []
+            for q in order:
+                j, i = pairs[q]
+                n = occ[j]
+                if n:
+                    k = base[i]
+                    base[i] = k + n
+                    program.append((q, n, math.sqrt(math.comb(k + n, n)) if k else None))
+            groups.setdefault(tuple(base), []).append((amp, tuple(program)))
+        self._state = state
+        self._diagonal = all(j == i for j, i in pairs)
+        self.support_out = list(groups) if self._diagonal else sorted(groups, key=_order)
+        self._groups = [(key, tuple(groups[key])) for key in self.support_out]
+
+    def apply(self, coeffs: list[complex]) -> StateVector:
+        """The moves with coefficients ``coeffs`` on the compiled state."""
+        if self._diagonal and coeffs.count(1) == len(coeffs):
+            # every column is the identity, which the plan skips
+            return self._state
+        out: dict[Occupations, complex] = {}
+        for key, sources in self._groups:
+            a = 0
+            for amp, program in sources:
+                factor = 1
+                for q, n, root in program:
+                    c = coeffs[q]
+                    if c != 1:
+                        factor *= c ** n
+                    if root is not None:
+                        factor *= root
+                if factor != 1:
+                    amp = amp * factor
+                a += amp
+            out[key] = a
+        return _state(self._state.space, out, ordered=True)
 
 
 def apply_mode_map(

@@ -3,11 +3,18 @@ displacement, and Ramsey frequency readout.
 
 Each protocol declares its analytic fringe once, as offset + amplitude
 cos(rate x); the uncertainty laws and the estimator follow from it.
-Each also declares its circuit, compiled when the protocol is built: a
-fixed probe, the map of the one element the parameter x drives, and the
-fixed maps after it.  ``state(x)`` forms only the x-dependent map and
-replays the same ``apply_mode_map`` steps as element-by-element
-construction, so its states equal that construction bit for bit.
+Each also declares its circuit, compiled when the protocol is built
+against the support of its fixed probe.  The one element x drives is a
+set of moves (a phase shift, or a Dove prism beside a mirror), compiled
+as a ``fock.MoveStep``: the basis state each probe term goes to is
+resolved once, and ``state(x)`` forms only the coefficients and the
+factor of each term.  Each fixed map after it (the angular splitters)
+is a ``fock.ModeMapProgram`` compiled for the support it receives, and
+replays its precomputed instructions.  Both repeat the float operations
+of ``apply_mode_map`` in its order, so the states equal
+element-by-element construction bit for bit; when a term cancels below
+``PRUNE_EPS`` and the support a program sees differs from its compiled
+one, that program falls back to the generic ``ModeMapPlan.apply``.
 Monte Carlo samples take one path: outcomes are drawn from the Born
 probabilities of the readout observable on the simulated probe state,
 so the shot-noise 1/sqrt(N) and entangled 1/N scalings are checked
@@ -31,9 +38,10 @@ from .fock import (
     FockSpace,
     ModeLabel,
     ModeMapPlan,
+    ModeMapProgram,
+    MoveStep,
     Observable,
     StateVector,
-    apply_mode_map,
     dyad_sum,
     expectation,
     level,
@@ -205,26 +213,45 @@ class Protocol:
     offset: float
     amplitude: float
     rate: float
-    # the compiled circuit: the x-independent probe, the map of the one
-    # element x drives, and the fixed maps applied after it, one
-    # apply_mode_map call each; no probe means the fringe is analytic only
-    _probe: StateVector | None = None
-    _varying: Callable[[float], elements.ModeMap]
-    _tail: tuple[ModeMapPlan, ...] = ()
+    # the compiled circuit: the moves of the element x drives, on the
+    # x-independent probe, their coefficients at x, and the fixed maps
+    # applied after them; no step means the fringe is analytic only
+    _step: MoveStep | None = None
+    _coeffs: Callable[[float], list[complex]]
+    _tail: tuple[ModeMapProgram, ...] = ()
+
+    def _compile(
+        self,
+        probe: StateVector,
+        pairs: Sequence[tuple[int, int]],
+        coeffs: Callable[[float], list[complex]],
+        tail: Sequence[ModeMapPlan] = (),
+    ) -> None:
+        """Compile the moves on ``probe``, then each tail map for the
+        support the one before it leaves."""
+        self._step = MoveStep(probe, pairs)
+        self._coeffs = coeffs
+        programs = []
+        support = self._step.support_out
+        for plan in tail:
+            programs.append(plan.compile(support))
+            support = programs[-1].support_out
+        self._tail = tuple(programs)
 
     def state(self, x: float) -> StateVector:
         """The probe state at parameter x, through the compiled circuit.
 
-        Only the map of the element x drives is formed per call; the
-        state equals the element-by-element construction bit for bit.
+        Only the coefficients of the element x drives are formed per
+        call; the state equals the element-by-element construction bit
+        for bit.
         """
-        if self._probe is None:
+        if self._step is None:
             raise NotImplementedError(f"{self.name}: no element-level circuit; the fringe is analytic")
         if not math.isfinite(x):
             raise ValueError(f"protocol parameter must be finite, got {x}")
-        st = apply_mode_map(self._probe, self._varying(x))
-        for plan in self._tail:
-            st = plan.apply(st)
+        st = self._step.apply(self._coeffs(x))
+        for program in self._tail:
+            st = program.apply(st)
         return st
 
     @property
@@ -282,14 +309,15 @@ class SinglePhotonPhaseProtocol(Protocol):
         self._mode = mode if mode is not None else path(0)
         self._space = FockSpace([self._mode], n_max=1)
         self._obs = observable_A(self._space)
-        self._probe = StateVector(
+        probe = StateVector(
             self._space,
             {
                 self._space.basis_state({}): 1 / math.sqrt(2),
                 self._space.basis_state({self._mode: 1}): 1 / math.sqrt(2),
             },
         )
-        self._varying, _ = elements.parametric_map(self._space, elements.phase_shift(self._mode, 0.0))
+        pairs, coeffs, _ = elements.parametric_moves(self._space, elements.phase_shift(self._mode, 0.0))
+        self._compile(probe, pairs, coeffs)
 
 
 class NoonPhaseProtocol(Protocol):
@@ -314,8 +342,9 @@ class NoonPhaseProtocol(Protocol):
         self._mode_b = mode_b if mode_b is not None else path(1)
         self._space = FockSpace([self._mode_a, self._mode_b], n_max=n)
         self._obs = observable_B(self._space, self._mode_a, self._mode_b, n)
-        self._probe = sources.noon_state(self._space, self._mode_a, self._mode_b, n)
-        self._varying, _ = elements.parametric_map(self._space, elements.phase_shift(self._mode_a, 0.0))
+        probe = sources.noon_state(self._space, self._mode_a, self._mode_b, n)
+        pairs, coeffs, _ = elements.parametric_moves(self._space, elements.phase_shift(self._mode_a, 0.0))
+        self._compile(probe, pairs, coeffs)
 
 
 class AngularDisplacementProtocol(Protocol):
@@ -363,8 +392,9 @@ class AngularDisplacementProtocol(Protocol):
 
         The first two splitters act before theta does, so they are
         applied once, to the probe.  The prism and mirror sit in
-        different arms and are both permutations, so their maps merge
-        into one call that equals the two calls in sequence.
+        different arms and are both permutations, so their moves merge
+        into one step that equals the two maps in sequence; the last two
+        splitters are the tail.
         """
         space, l = self._space, self.l
         upper = [oam(l, 0), oam(-l, 0)]
@@ -376,12 +406,11 @@ class AngularDisplacementProtocol(Protocol):
         probe = self._input
         for plan in splitters:
             probe = plan.apply(probe)
-        prism, missing = elements.parametric_map(space, elements.dove_prism(upper, 0.0))
-        flip, missing_lower = elements.element_map(space, elements.mirror(lower))
+        prism_pairs, prism, missing = elements.parametric_moves(space, elements.dove_prism(upper, 0.0))
+        flip_pairs, flip, missing_lower = elements.parametric_moves(space, elements.mirror(lower))
         elements.require_mirrors(probe, {**missing, **missing_lower})
-        self._probe = probe
-        self._varying = lambda theta: {**prism(theta), **flip}
-        self._tail = splitters
+        flip_coeffs = flip(0.0)
+        self._compile(probe, prism_pairs + flip_pairs, lambda theta: prism(theta) + flip_coeffs, splitters)
 
 
 def angular_sql_uncertainty(l: int, n_photons: int) -> float:

@@ -52,7 +52,9 @@ class LGModeSpec:
 
     ``w0`` is the waist radius and ``wavelength`` the optical wavelength,
     in the same length unit as ``z`` and the radial coordinate.  The
-    Rayleigh range is derived, never stored.
+    Rayleigh range is derived, never stored; it must be finite and
+    positive, which bounds w0 to about 1e-161 .. 1e154 at unit
+    wavelength.
     """
 
     l: int
@@ -66,6 +68,15 @@ class LGModeSpec:
             raise ValueError("radial index p must be >= 0")
         if self.w0 <= 0 or self.wavelength <= 0:
             raise ValueError("w0 and wavelength must be positive")
+        try:
+            zr = self.rayleigh_range
+        except OverflowError:
+            zr = math.inf
+        if not 0.0 < zr < math.inf:
+            raise ValueError(
+                f"w0 = {self.w0!r} at wavelength {self.wavelength!r} puts the Rayleigh range "
+                f"pi w0^2 / wavelength outside the float range"
+            )
 
     @property
     def rayleigh_range(self) -> float:

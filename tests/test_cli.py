@@ -176,14 +176,11 @@ def test_stochastic_experiment_requires_seed(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
-def test_seed_validation():
+def test_seed_validation(tmp_path):
+    path = tmp_path / "negative-seed.yaml"
+    path.write_text(yaml.safe_dump({"schema_version": 1, "experiment": "angular", "seed": -3}))
     with pytest.raises(ConfigError):
-        load_config_dict = {"schema_version": 1, "experiment": "angular", "seed": -3}
-        import photonlab.cli as cli
-
-        path = Path("/tmp/does-not-matter.yaml")
-        path.write_text(yaml.safe_dump(load_config_dict))
-        cli.load_config(path)
+        load_config(path)
 
 
 # ---------------------------------------------------------------------------
@@ -417,13 +414,13 @@ def test_unresolved_delay_scan_fails_before_writing(tmp_path, capsys):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.parametrize("w0, error", [(1e-306, "ZeroDivisionError"), (1e200, "OverflowError")])
-def test_waist_beyond_the_float_range_fails_before_writing(tmp_path, capsys, w0, error):
+@pytest.mark.parametrize("w0", [1e-306, 1e200])
+def test_waist_beyond_the_float_range_fails_before_writing(tmp_path, capsys, w0):
     # in the domain w0 > 0, but the Rayleigh range pi w0^2 leaves the float range
     out = tmp_path / "spiral"
     cfg = write_config(tmp_path, base_config("spiral", out, w0=w0, n_radial=16, n_angular=32, l_max=4))
     assert main(["run", str(cfg)]) == EXIT_NUMERICAL
-    assert f"numerical failure in {error}" in capsys.readouterr().err
+    assert f"numerical failure in ValueError: w0 = {w0!r}" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -398,6 +398,14 @@ def test_flat_data_raises_fit_error():
         extract_delay(gram)
 
 
+def test_zero_width_envelope_raises_fit_error():
+    # a scan far inside one delay sample: the envelope moments underflow to 0
+    gram = hom_interferogram(BiphotonSpectrum.gaussian(2.35, 0.3, n_bins=512), np.linspace(-1e-208, 1e-208, 241))
+    for moment in (envelope_rms_width, envelope_kurtosis):
+        with pytest.raises(FitError, match="zero-width envelope"):
+            moment(gram)
+
+
 def test_delay_fit_reports_visibility():
     fit = extract_delay(hom_interferogram(gaussian_pair(), TAUS))
     assert isinstance(fit, DelayFit)

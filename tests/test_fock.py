@@ -1,8 +1,9 @@
+import cmath
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from photonlab import fock
@@ -324,6 +325,136 @@ def test_plan_reused_across_photon_numbers_matches_a_fresh_map():
     ]
     for state in inputs:
         assert list(plan.apply(state)._amp.items()) == list(apply_mode_map(state, columns)._amp.items())
+
+
+# ---------------------------------------------------------------------------
+# compiled programs against the generic plan, item for item by repr (so
+# signed zeros count)
+
+
+def same_items(a, b):
+    return repr(list(a._amp.items())) == repr(list(b._amp.items()))
+
+
+# components with signed zeros and exact ones, which the plan treats
+# apart, and phases, whose products round differently in another order
+PART = st.one_of(st.floats(-1.0, 1.0, allow_nan=False), st.sampled_from([0.0, -0.0, 1.0]))
+COEFF = st.one_of(
+    st.sampled_from([1, 1.0, 1 + 0j, -1.0, 1j]),
+    st.builds(complex, PART, PART).filter(lambda c: c != 0),
+    st.floats(-math.pi, math.pi).map(lambda t: cmath.exp(1j * t)),
+)
+
+
+def patterns(m, n_max):
+    if m == 0:
+        yield ()
+        return
+    for first in range(n_max + 1):
+        for rest in patterns(m - 1, n_max - first):
+            yield (first,) + rest
+
+
+@st.composite
+def random_states(draw):
+    """A state on up to 4 modes and 4 photons with a random support."""
+    m = draw(st.integers(1, 4))
+    sp = FockSpace([path(i) for i in range(m)], n_max=4)
+    occs = draw(st.lists(st.sampled_from(list(patterns(m, 4))), min_size=1, max_size=6, unique=True))
+    amps = {sp.label(occ): complex(draw(PART), draw(PART)) for occ in occs}
+    return StateVector(sp, amps)
+
+
+@st.composite
+def moves_and_states(draw):
+    """Moves with distinct columns and rows, rows landing on moved
+    columns or on columns the map leaves alone, and their coefficients."""
+    state = draw(random_states())
+    m = len(state.space.modes)
+    cols = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
+    rows = draw(st.permutations(range(m)))[: len(cols)]
+    coeffs = [draw(st.lists(COEFF, min_size=len(cols), max_size=len(cols))) for _ in range(2)]
+    return state, list(zip(cols, rows)), coeffs
+
+
+def move_after_a_phase():
+    # a photon moved onto an occupied mode that no move empties, after a
+    # phase on another column: the order of the factor's products shows
+    sp = FockSpace([path(0), path(1), path(2)], n_max=3)
+    phase = cmath.exp(1j)
+    return basis_vector(sp, {path(0): 1, path(1): 1, path(2): 1}), [(0, 0), (1, 2)], [[phase, phase]]
+
+
+@settings(max_examples=300, deadline=None)
+@given(moves_and_states())
+@example(move_after_a_phase())
+def test_move_step_equals_the_plan(case):
+    state, pairs, coeff_sets = case
+    step = fock.MoveStep(state, pairs)
+    for coeffs in coeff_sets:
+        want = ModeMapPlan({j: {i: c} for (j, i), c in zip(pairs, coeffs)}).apply(state)
+        assert same_items(step.apply(coeffs), want)
+
+
+def test_move_step_refuses_a_repeated_row():
+    sp = FockSpace([path(0), path(1)], n_max=2)
+    with pytest.raises(ValueError, match="repeat"):
+        fock.MoveStep(basis_vector(sp, {path(0): 1}), [(0, 1), (1, 1)])
+
+
+@st.composite
+def maps_and_states(draw):
+    """Two maps of moves and spreads, entries with zeros, and a state."""
+    state = draw(random_states())
+    m = len(state.space.modes)
+    maps = []
+    for _ in range(2):
+        columns = {}
+        for j in draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True)):
+            rows = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
+            columns[j] = {i: draw(COEFF) for i in rows}
+        maps.append(ModeMapPlan(columns))
+    return state, maps
+
+
+@settings(max_examples=300, deadline=None)
+@given(maps_and_states())
+def test_compiled_programs_equal_the_plans(case):
+    # the second program is compiled for the support the first leaves
+    # unpruned; when the first prunes a term it falls back
+    state, (first, second) = case
+    one = first.compile(list(state._amp))
+    two = second.compile(one.support_out)
+    mid = one.apply(state)
+    assert same_items(mid, first.apply(state))
+    assert same_items(two.apply(mid), second.apply(mid))
+
+
+def test_program_falls_back_after_a_hom_cancellation():
+    # |1,1> through a 50:50 splitter: the coincidence term cancels to
+    # about 2e-16, below PRUNE_EPS, so the next program sees two terms
+    # of the three it was compiled for
+    sp = FockSpace([path(0), path(1)], n_max=2)
+    c, s = math.cos(math.pi / 4), 1j * math.sin(math.pi / 4)
+    splitter = ModeMapPlan({0: {0: c, 1: s}, 1: {0: s, 1: c}})
+    phase_and_split = ModeMapPlan({0: {0: c * np.exp(0.3j), 1: s}, 1: {0: s, 1: c}})
+    pair = basis_vector(sp, {path(0): 1, path(1): 1})
+    one = splitter.compile([(1, 1)])
+    two = phase_and_split.compile(one.support_out)
+    mid = one.apply(pair)
+    assert (1, 1) in one.support_out and (1, 1) not in mid._amp
+    assert same_items(mid, splitter.apply(pair))
+    assert same_items(two.apply(mid), phase_and_split.apply(mid))
+
+
+def test_program_falls_back_on_another_support():
+    sp = FockSpace([path(0), path(1)], n_max=2)
+    c, s = math.cos(0.4), 1j * math.sin(0.4)
+    plan = ModeMapPlan({0: {0: c, 1: s}, 1: {0: s, 1: c}})
+    program = plan.compile([(1, 0)])
+    both = StateVector(sp, {sp.basis_state({path(0): 1}): 0.6, sp.basis_state({path(1): 1}): -0.8})
+    for other in (basis_vector(sp, {path(1): 1}), basis_vector(sp, {path(0): 2}), both):
+        assert same_items(program.apply(other), plan.apply(other))
 
 
 # ---------------------------------------------------------------------------

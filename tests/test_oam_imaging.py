@@ -1,5 +1,6 @@
 import cmath
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -120,6 +121,13 @@ def test_mode_spec_validation():
         LGModeSpec(1, 0, -1.0, 1.0)
     with pytest.raises(ValueError):
         lg_amplitude(LGModeSpec(0, 0, W0, 1.0), -0.1, 0.0)
+
+
+@pytest.mark.parametrize("w0, wavelength", [(1e-306, 1.0), (1e200, 1.0), (1.0, 1e-310)])
+def test_mode_spec_refuses_a_rayleigh_range_outside_the_floats(w0, wavelength):
+    # pi w0^2 / wavelength underflows to 0 or overflows
+    with pytest.raises(ValueError, match=re.escape(f"w0 = {w0!r}")):
+        LGModeSpec(1, 0, w0, wavelength)
 
 
 # ---------------------------------------------------------------------------
