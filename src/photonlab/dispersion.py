@@ -439,14 +439,22 @@ def envelope_rms_width(gram: Interferogram) -> float:
 
 
 def envelope_kurtosis(gram: Interferogram) -> float:
-    """mu_4 / mu_2^2 of the squared envelope; 3 for a Gaussian."""
+    """mu_4 / mu_2^2 of the squared envelope; 3 for a Gaussian.
+
+    The ratio does not depend on the delay unit, so the centred delays
+    are divided by their largest magnitude before the moments are taken:
+    a scan of any width reads the same value instead of underflowing.
+    """
     tau, w = _envelope_distribution(gram)
-    mean = float((tau * w).sum())
-    m2 = float(((tau - mean) ** 2 * w).sum())
-    m4 = float(((tau - mean) ** 4 * w).sum())
-    if m2 * m2 == 0.0:
-        raise FitError("zero-width envelope: the scan does not resolve it")
-    return m4 / (m2 * m2)
+    d = tau - float((tau * w).sum())
+    scale = float(np.abs(d).max())
+    if scale == 0.0:
+        raise FitError("zero-width envelope: every centred delay is 0")
+    d = d / scale
+    m2 = float((d ** 2 * w).sum())
+    if m2 == 0.0:
+        raise FitError("zero-width envelope: its weight sits at one delay")
+    return float((d ** 4 * w).sum()) / (m2 * m2)
 
 
 def fringe_visibility(rates: np.ndarray) -> float:

@@ -165,9 +165,15 @@ def parametric_moves(
         pairs = tuple((j, i) for j, i, _ in flips)
         if k is ElementKind.MIRROR:
             return pairs, (lambda _: [1.0] * len(pairs)), missing
-        charges = [l for _, _, l in flips]
-        # charge l moves with phase e^{i 2 l theta} per photon
-        return pairs, (lambda theta: [cmath.exp(2j * l * theta) if theta != 0.0 else 1.0 for l in charges]), missing
+        rates = [2j * l for _, _, l in flips]
+
+        def prism(theta: float) -> list[complex]:
+            """Charge l moves with phase e^{i 2 l theta} per photon, exactly 1 at theta = 0."""
+            if theta == 0.0:
+                return [1.0] * len(rates)
+            return [cmath.exp(w * theta) for w in rates]
+
+        return pairs, prism, missing
     if k is ElementKind.SWAP:
         a, b = (space.index(m) for m in spec.targets)
         return ((a, b), (b, a)), (lambda _: [1.0, 1.0]), {}

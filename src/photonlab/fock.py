@@ -318,8 +318,8 @@ class StateVector:
             if nrm == 0:
                 raise ValueError("cannot normalize the zero vector")
             amp = {occ: a / nrm for occ, a in amp.items()}
-        object.__setattr__(self, "space", space)
-        object.__setattr__(self, "_amp", dict(sorted(amp.items(), key=lambda kv: _order(kv[0]))))
+        _set_space(self, space)
+        _set_amp(self, dict(sorted(amp.items(), key=_item_order)))
 
     def __setattr__(self, *_):
         raise AttributeError("StateVector is immutable")
@@ -349,7 +349,7 @@ class StateVector:
         nrm = self.norm()
         if nrm == 0:
             raise ValueError("cannot normalize the zero vector")
-        return _state(self.space, {occ: a / nrm for occ, a in self._amp.items()}, ordered=True)
+        return _wrap(self.space, {occ: b for occ, a in self._amp.items() if abs(b := a / nrm) > PRUNE_EPS})
 
     def inner(self, other: "StateVector") -> complex:
         """<self|other> over the smaller support."""
@@ -369,10 +369,10 @@ class StateVector:
         amp = dict(self._amp)
         for occ, a in other._amp.items():
             amp[occ] = amp.get(occ, 0) + a
-        return _state(self.space, amp)
+        return _wrap(self.space, _canonical(amp))
 
     def scaled(self, factor: complex) -> "StateVector":
-        return _state(self.space, {occ: factor * a for occ, a in self._amp.items()}, ordered=True)
+        return _wrap(self.space, {occ: b for occ, a in self._amp.items() if abs(b := factor * a) > PRUNE_EPS})
 
     def __repr__(self) -> str:
         terms = ", ".join(f"{a:.4g}*{bs}" for bs, a in self.items()[:6])
@@ -380,16 +380,28 @@ class StateVector:
         return f"StateVector({terms}{more})"
 
 
-def _state(space: FockSpace, amp: Mapping[Occupations, complex], ordered: bool = False) -> StateVector:
-    """State from occupation tuples: prunes tiny amplitudes, then sorts
-    into canonical order unless ``amp`` is already in it."""
-    items = [(occ, a) for occ, a in amp.items() if abs(a) > PRUNE_EPS]
-    if not ordered:
-        items.sort(key=lambda kv: _order(kv[0]))
+# the two slots, written through their descriptors: StateVector's own
+# __setattr__ refuses every assignment
+_set_space = StateVector.space.__set__
+_set_amp = StateVector._amp.__set__
+
+
+def _wrap(space: FockSpace, amp: dict[Occupations, complex]) -> StateVector:
+    """The state holding ``amp`` itself, which must already be pruned at
+    ``PRUNE_EPS`` and in canonical order."""
     st = object.__new__(StateVector)
-    object.__setattr__(st, "space", space)
-    object.__setattr__(st, "_amp", dict(items))
+    _set_space(st, space)
+    _set_amp(st, amp)
     return st
+
+
+def _item_order(item: tuple[Occupations, complex]) -> tuple[tuple[int, int], ...]:
+    return _order(item[0])
+
+
+def _canonical(amp: Mapping[Occupations, complex]) -> dict[Occupations, complex]:
+    """``amp`` pruned at ``PRUNE_EPS`` and sorted into canonical order."""
+    return dict(sorted(((occ, a) for occ, a in amp.items() if abs(a) > PRUNE_EPS), key=_item_order))
 
 
 def basis_vector(space: FockSpace, occupations: Mapping[ModeLabel, int]) -> StateVector:
@@ -421,7 +433,7 @@ def create(state: StateVector, mode: ModeLabel) -> StateVector:
             )
         n = occ[i]
         amp[occ[:i] + (n + 1,) + occ[i + 1:]] = a * math.sqrt(n + 1)
-    return _state(space, amp)
+    return _wrap(space, _canonical(amp))
 
 
 def annihilate(state: StateVector, mode: ModeLabel) -> StateVector:
@@ -437,7 +449,7 @@ def annihilate(state: StateVector, mode: ModeLabel) -> StateVector:
             continue
         tgt = occ[:i] + (n - 1,) + occ[i + 1:]
         amp[tgt] = amp.get(tgt, 0) + a * math.sqrt(n)
-    return _state(state.space, amp)
+    return _wrap(state.space, _canonical(amp))
 
 
 def number_expectation(state: StateVector, mode: ModeLabel) -> float:
@@ -547,7 +559,9 @@ class ModeMapPlan:
                     terms = nxt
             for t, x in terms.items():
                 out[t] = out.get(t, 0) + x
-        return _state(state.space, out, ordered=self._ordered)
+        if self._ordered:
+            return _wrap(state.space, {t: x for t, x in out.items() if abs(x) > PRUNE_EPS})
+        return _wrap(state.space, _canonical(out))
 
     def compile(self, support: Sequence[Occupations]) -> "ModeMapProgram":
         """This plan specialised to states whose terms are ``support``, in order."""
@@ -647,7 +661,7 @@ class ModeMapProgram:
             if mul is not None:
                 x = x * mul
             v[dst] += x
-        return _state(state.space, {key: v[slot] for key, slot in self._out}, ordered=True)
+        return _wrap(state.space, {key: a for key, slot in self._out if abs(a := v[slot]) > PRUNE_EPS})
 
 
 class MoveStep:
@@ -665,7 +679,7 @@ class MoveStep:
     is pruned.
     """
 
-    __slots__ = ("_state", "_diagonal", "_groups", "support_out")
+    __slots__ = ("_state", "_space", "_diagonal", "_groups", "support_out")
 
     def __init__(self, state: StateVector, pairs: Sequence[tuple[int, int]]):
         pairs = [(j, i) for j, i in pairs]
@@ -690,6 +704,7 @@ class MoveStep:
                     program.append((q, n, math.sqrt(math.comb(k + n, n)) if k else None))
             groups.setdefault(tuple(base), []).append((amp, tuple(program)))
         self._state = state
+        self._space = state.space
         self._diagonal = all(j == i for j, i in pairs)
         self.support_out = list(groups) if self._diagonal else sorted(groups, key=_order)
         self._groups = [(key, tuple(groups[key])) for key in self.support_out]
@@ -713,8 +728,9 @@ class MoveStep:
                 if factor != 1:
                     amp = amp * factor
                 a += amp
-            out[key] = a
-        return _state(self._state.space, out, ordered=True)
+            if abs(a) > PRUNE_EPS:
+                out[key] = a
+        return _wrap(self._space, out)
 
 
 def apply_mode_map(
@@ -751,11 +767,13 @@ class Observable:
     """Sparse linear operator: map (bra basis state, ket basis state) -> entry.
 
     If built with ``hermitian=True`` the entries are checked to satisfy
-    M[a,b] = conj(M[b,a]) to within 1e-12.  Entries are stored on
-    occupation-tuple pairs of ``space``.
+    M[a,b] = conj(M[b,a]) to within 1e-12.  Entries are stored once, on
+    occupation tuples of ``space``, as rows: each bra maps to its
+    (ket, entry) pairs, bras in order of first appearance and each row in
+    entry order.  An amplitude of O|psi> is then one walk along a row.
     """
 
-    __slots__ = ("space", "_entries", "hermitian")
+    __slots__ = ("space", "_rows", "hermitian")
 
     def __init__(
         self,
@@ -775,35 +793,46 @@ class Observable:
                         f"entry ({space.label(bra)},{space.label(ket)}) breaks "
                         f"Hermiticity by more than {HERMITICITY_TOL}"
                     )
+        rows: dict[Occupations, list[tuple[Occupations, complex]]] = {}
+        for (bra, ket), v in ent.items():
+            rows.setdefault(bra, []).append((ket, v))
         self.space = space
-        self._entries = ent
+        self._rows = {bra: tuple(row) for bra, row in rows.items()}
         self.hermitian = hermitian
 
-    def apply(self, state: StateVector) -> StateVector:
-        """O|psi> (unnormalized)."""
-        return _state(self.space, self._apply(state))
+    def _entries(self) -> Iterator[tuple[Occupations, Occupations, complex]]:
+        for bra, row in self._rows.items():
+            for ket, v in row:
+                yield bra, ket, v
 
-    def _apply(self, state: StateVector) -> dict[Occupations, complex]:
-        """The amplitudes of O|psi>, unpruned and in entry order."""
+    def apply(self, state: StateVector) -> StateVector:
+        """O|psi> (unnormalized).
+
+        Each amplitude sums its row's products from the integer 0, in
+        entry order.
+        """
         if not _same_modes(self.space, state.space):
             raise ValueError("state and observable live in different spaces")
-        amp: dict[Occupations, complex] = {}
-        for (bra, ket), v in self._entries.items():
-            a = state._amp.get(ket)
-            if a is not None:
-                amp[bra] = amp.get(bra, 0) + v * a
-        return amp
+        amp = state._amp
+        out: dict[Occupations, complex] = {}
+        for bra, row in self._rows.items():
+            o = 0
+            for ket, v in row:
+                a = amp.get(ket)
+                if a is not None:
+                    o += v * a
+            out[bra] = o
+        return _wrap(self.space, _canonical(out))
 
     def dagger(self) -> "Observable":
         label = self.space.label
-        ent = {(label(k), label(b)): v.conjugate() for (b, k), v in self._entries.items()}
+        ent = {(label(k), label(b)): v.conjugate() for b, k, v in self._entries()}
         return Observable(self.space, ent, hermitian=self.hermitian)
 
     def _support(self) -> set[Occupations]:
-        s = set()
-        for bra, ket in self._entries:
-            s.add(bra)
-            s.add(ket)
+        s = set(self._rows)
+        for row in self._rows.values():
+            s.update(ket for ket, _ in row)
         return s
 
     def support(self) -> list[BasisState]:
@@ -812,7 +841,7 @@ class Observable:
     def _matrix(self, basis: Sequence[Occupations]) -> np.ndarray:
         idx = {occ: i for i, occ in enumerate(basis)}
         m = np.zeros((len(basis), len(basis)), dtype=complex)
-        for (bra, ket), v in self._entries.items():
+        for bra, ket, v in self._entries():
             if bra in idx and ket in idx:
                 m[idx[bra], idx[ket]] = v
         return m
@@ -821,9 +850,10 @@ class Observable:
         return self._matrix([self.space.occupations(bs) for bs in basis])
 
     def max_hermiticity_defect(self) -> float:
+        ent = {(bra, ket): v for bra, ket, v in self._entries()}
         defect = 0.0
-        for (bra, ket), v in self._entries.items():
-            defect = max(defect, abs(v - self._entries.get((ket, bra), 0j).conjugate()))
+        for (bra, ket), v in ent.items():
+            defect = max(defect, abs(v - ent.get((ket, bra), 0j).conjugate()))
         return defect
 
     def eigensystem(self, state: StateVector) -> tuple[np.ndarray, np.ndarray]:
@@ -869,18 +899,29 @@ def expectation(state: StateVector, obs: Observable) -> float:
     """<psi|O|psi> for a Hermitian O on a normalized state.
 
     The imaginary residue must be below 1e-10 and is discarded.  The
-    value equals ``state.inner(obs.apply(state))`` bit for bit: O|psi>
-    keeps the terms above ``PRUNE_EPS``, and the sum runs over the
-    shared terms in canonical order, without building a state.
+    value equals ``state.inner(obs.apply(state))`` bit for bit, without
+    building O|psi>: the state's terms are walked in canonical order, and
+    each one with a row forms its O|psi> amplitude as ``apply`` does,
+    keeping it if it is above ``PRUNE_EPS``.
     """
     if not obs.hermitian:
         raise NonHermitianError("expectation requires a Hermitian observable")
-    ophi = obs._apply(state)
-    val = sum(
-        a.conjugate() * ophi[occ]
-        for occ, a in state._amp.items()
-        if abs(ophi.get(occ, 0)) > PRUNE_EPS
-    )
+    if obs.space is not state.space and obs.space.modes != state.space.modes:
+        raise ValueError("state and observable live in different spaces")
+    amp = state._amp
+    rows = obs._rows
+    terms = []
+    for occ, a in amp.items():
+        row = rows.get(occ)
+        if row is not None:
+            o = 0
+            for ket, v in row:
+                b = amp.get(ket)
+                if b is not None:
+                    o += v * b
+            if abs(o) > PRUNE_EPS:
+                terms.append(a.conjugate() * o)
+    val = sum(terms)
     if abs(val.imag) > IMAG_RESIDUE_TOL:
         raise FockError(f"imaginary residue {val.imag:.2e} exceeds {IMAG_RESIDUE_TOL}")
     return val.real

@@ -5,8 +5,8 @@ Each protocol declares its analytic fringe once, as offset + amplitude
 cos(rate x); the uncertainty laws and the estimator follow from it.
 Each also declares its circuit, compiled when the protocol is built
 against the support of its fixed probe.  The one element x drives is a
-set of moves (a phase shift, or a Dove prism beside a mirror), compiled
-as a ``fock.MoveStep``: the basis state each probe term goes to is
+set of moves (a phase shift, or a Dove prism), compiled as a
+``fock.MoveStep``: the basis state each probe term goes to is
 resolved once, and ``state(x)`` forms only the coefficients and the
 factor of each term.  Each fixed map after it (the angular splitters)
 is a ``fock.ModeMapProgram`` compiled for the support it receives, and
@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import isfinite
 from typing import Callable, Sequence
 
 import numpy as np
@@ -245,11 +246,12 @@ class Protocol:
         call; the state equals the element-by-element construction bit
         for bit.
         """
-        if self._step is None:
+        step = self._step
+        if step is None:
             raise NotImplementedError(f"{self.name}: no element-level circuit; the fringe is analytic")
-        if not math.isfinite(x):
+        if not isfinite(x):
             raise ValueError(f"protocol parameter must be finite, got {x}")
-        st = self._step.apply(self._coeffs(x))
+        st = step.apply(self._coeffs(x))
         for program in self._tail:
             st = program.apply(st)
         return st
@@ -391,10 +393,12 @@ class AngularDisplacementProtocol(Protocol):
         """The pair through splitters, prism and mirror, then splitters.
 
         The first two splitters act before theta does, so they are
-        applied once, to the probe.  The prism and mirror sit in
-        different arms and are both permutations, so their moves merge
-        into one step that equals the two maps in sequence; the last two
-        splitters are the tail.
+        applied once, to the probe.  The mirror sits in the other arm
+        from the prism, so it commutes with it and is applied once too:
+        its moves have coefficient 1 and land on modes they empty, so it
+        only relabels the probe's terms, and the states stay bit for bit
+        those of the prism and mirror in sequence.  The prism is the
+        step; the last two splitters are the tail.
         """
         space, l = self._space, self.l
         upper = [oam(l, 0), oam(-l, 0)]
@@ -407,10 +411,9 @@ class AngularDisplacementProtocol(Protocol):
         for plan in splitters:
             probe = plan.apply(probe)
         prism_pairs, prism, missing = elements.parametric_moves(space, elements.dove_prism(upper, 0.0))
-        flip_pairs, flip, missing_lower = elements.parametric_moves(space, elements.mirror(lower))
+        flip, missing_lower = elements.element_map(space, elements.mirror(lower))
         elements.require_mirrors(probe, {**missing, **missing_lower})
-        flip_coeffs = flip(0.0)
-        self._compile(probe, prism_pairs + flip_pairs, lambda theta: prism(theta) + flip_coeffs, splitters)
+        self._compile(ModeMapPlan(flip).apply(probe), prism_pairs, prism, splitters)
 
 
 def angular_sql_uncertainty(l: int, n_photons: int) -> float:
@@ -562,6 +565,7 @@ def scaling_experiment(
 # Ramsey frequency readout
 
 _RAMSEY = SinglePhotonPhaseProtocol(level(0))
+_RAMSEY_OBS = _RAMSEY.observable
 
 
 def ramsey_fringe(omega: float, t: float) -> float:
@@ -573,7 +577,7 @@ def ramsey_fringe(omega: float, t: float) -> float:
     """
     if t <= 0:
         raise ValueError("free-evolution time must be positive")
-    return expectation(_RAMSEY.state(omega * t), _RAMSEY.observable)
+    return expectation(_RAMSEY.state(omega * t), _RAMSEY_OBS)
 
 
 def ramsey_frequency_estimate(

@@ -399,11 +399,28 @@ def test_flat_data_raises_fit_error():
 
 
 def test_zero_width_envelope_raises_fit_error():
-    # a scan far inside one delay sample: the envelope moments underflow to 0
+    # a scan far inside one delay sample: the second moment underflows to 0
     gram = hom_interferogram(BiphotonSpectrum.gaussian(2.35, 0.3, n_bins=512), np.linspace(-1e-208, 1e-208, 241))
-    for moment in (envelope_rms_width, envelope_kurtosis):
+    with pytest.raises(FitError, match="zero-width envelope"):
+        envelope_rms_width(gram)
+
+
+def test_envelope_kurtosis_is_scale_free():
+    # the moments of raw delays underflow below about 1e-78; the ratio of
+    # scaled ones reads the same at every scan width
+    spectrum = BiphotonSpectrum.gaussian(2.35, 0.3, n_bins=512)
+
+    def kurtosis(s):
+        return envelope_kurtosis(hom_interferogram(spectrum, np.linspace(-s, s, 241)))
+
+    reference = kurtosis(1e-60)
+    for s in (1e-80, 1e-100, 1e-208):
+        assert kurtosis(s) == pytest.approx(reference, rel=1e-12)
+    one_delay = Interferogram(np.array([2.0]), np.array([0.5]), np.array([1.0 + 0j]), "hom")
+    one_weight = Interferogram(np.arange(4.0), np.full(4, 0.5), np.array([0, 0, 1j, 0]), "hom")
+    for gram in (one_delay, one_weight):
         with pytest.raises(FitError, match="zero-width envelope"):
-            moment(gram)
+            envelope_kurtosis(gram)
 
 
 def test_delay_fit_reports_visibility():

@@ -291,11 +291,42 @@ def states_and_dyads(draw):
     return StateVector(THREE_MODES, {BASIS[i]: a for i, a in amps.items()}), dyad_sum(THREE_MODES, dyads)
 
 
+def pruning_edge(scale):
+    """|0,0,0> + scale |1,0,0> under the dyad 1e-15 (|0><1| + |1><0|): the
+    term of O|psi> on |1,0,0> is 1e-15, exactly at PRUNE_EPS, and the
+    one on |0,0,0> is 1e-15 * scale."""
+    vac, one = BASIS[0], THREE_MODES.basis_state({path(0): 1})
+    state = StateVector(THREE_MODES, {vac: 1.0, one: scale})
+    return state, dyad_sum(THREE_MODES, [(vac, one, 1e-15), (one, vac, 1e-15)])
+
+
+def cancelling_row():
+    """A row of three entries whose products cancel, on the last basis
+    state in canonical order: its O|psi> amplitude, and the sum over the
+    state, both depend on the order of the additions."""
+    vac, one, two, three = (THREE_MODES.label(occ) for occ in ((0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)))
+    state = StateVector(THREE_MODES, {vac: 1.0, one: 5e-15, two: -1.0, three: 1e15})
+    return state, dyad_sum(THREE_MODES, [(three, ket, 1.0) for ket in (vac, one, two)] + [(ket, three, 1.0) for ket in (vac, one, two)])
+
+
 @settings(max_examples=200, deadline=None)
 @given(states_and_dyads())
+@example(cancelling_row())
+@example(pruning_edge(1.0))
+@example(pruning_edge(1.0 + 2 ** -52))
+@example(pruning_edge(-1.0 - 2 ** -52))
 def test_expectation_equals_inner_of_applied_observable(case):
+    # by repr, so signed zeros and an int 0 from an empty sum count
     state, obs = case
-    assert expectation(state, obs) == state.inner(obs.apply(state)).real
+    assert repr(expectation(state, obs)) == repr(state.inner(obs.apply(state)).real)
+
+
+def test_pruning_edge_examples_sit_at_and_just_above_the_threshold():
+    at = pruning_edge(1.0)
+    assert list(at[1].apply(at[0])._amp.values()) == []
+    above = pruning_edge(1.0 + 2 ** -52)
+    kept = above[1].apply(above[0])._amp
+    assert list(kept.values()) == [1e-15 * (1.0 + 2 ** -52)] and 1e-15 * (1.0 + 2 ** -52) > fock.PRUNE_EPS
 
 
 def test_expectation_keeps_its_guards():
@@ -455,6 +486,51 @@ def test_program_falls_back_on_another_support():
     both = StateVector(sp, {sp.basis_state({path(0): 1}): 0.6, sp.basis_state({path(1): 1}): -0.8})
     for other in (basis_vector(sp, {path(1): 1}), basis_vector(sp, {path(0): 2}), both):
         assert same_items(program.apply(other), plan.apply(other))
+
+
+@st.composite
+def every_construction(draw):
+    """One state from each way a StateVector is made, on a random state."""
+    state, pairs, (coeffs, _) = draw(moves_and_states())
+    sp = state.space
+    m = len(sp.modes)
+    columns = {}
+    for j in draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True)):
+        rows = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
+        columns[j] = {i: draw(COEFF) for i in rows}
+    plan = ModeMapPlan(columns)
+    occs = list(patterns(m, 4))
+    dyads = []
+    for _ in range(draw(st.integers(1, 4))):
+        bra, ket = (sp.label(draw(st.sampled_from(occs))) for _ in range(2))
+        c = draw(COEFF)
+        dyads += [(bra, ket, c), (ket, bra, c.conjugate())]
+    made = [
+        ("constructor", StateVector(sp, dict(reversed(state.items())))),
+        ("wrap", fock._wrap(sp, dict(state._amp))),
+        ("move step", fock.MoveStep(state, pairs).apply(coeffs)),
+        ("program", plan.compile(list(state._amp)).apply(state)),
+        ("plan", plan.apply(state)),
+        ("scaled", state.scaled(draw(COEFF))),
+        ("sum", state + plan.apply(state)),
+        ("observable", dyad_sum(sp, dyads).apply(state)),
+    ]
+    if state.norm() > 0:
+        made.append(("normalized", state.normalized()))
+    return made
+
+
+@settings(max_examples=100, deadline=None)
+@given(every_construction())
+def test_every_construction_path_is_immutable_and_canonical(made):
+    # every ModeMapProgram's support check compares a state's keys, in
+    # order, with its compiled support, so the canonical order is part
+    # of the contract
+    for name, state in made:
+        assert list(state._amp) == sorted(state._amp, key=fock._order), name
+        for attr in ("space", "_amp", "other"):
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(state, attr, None)
 
 
 # ---------------------------------------------------------------------------

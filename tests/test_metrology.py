@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from photonlab.elements import apply_beam_splitter, apply_dove_prism, apply_mirror, apply_phase_shift
-from photonlab.fock import FockSpace, StateVector, expectation, level, oam, path, variance_and_uncertainty
+from photonlab.fock import (
+    FockSpace,
+    ModeMapPlan,
+    StateVector,
+    expectation,
+    level,
+    oam,
+    path,
+    variance_and_uncertainty,
+)
 from photonlab.metrology import (
     AngularDisplacementProtocol,
     DegenerateGridError,
@@ -441,6 +450,29 @@ def test_compiled_state_equals_element_rebuild_bit_for_bit(proto, rebuild, point
         # tells the signed zeros apart, which == does not
         assert repr(list(got._amp.items())) == repr(list(want._amp.items()))
         assert repr(expectation(got, proto.observable)) == repr(expectation(want, obs))
+
+
+def test_sweeps_never_fall_back_to_the_generic_plan(monkeypatch):
+    # every point of these sweeps must go through the compiled move step
+    # and programs; the fringe zeros at the odd k pi / (4 l) prune the
+    # last program's output, which no later program reads
+    angular = [AngularDisplacementProtocol(l) for l in range(1, 5)]
+    noon = [NoonPhaseProtocol(n) for n in range(1, 9)]
+
+    def refuse(plan, state):
+        raise AssertionError("fell back to ModeMapPlan.apply")
+
+    monkeypatch.setattr(ModeMapPlan, "apply", refuse)
+    for proto in angular:
+        thetas = [*np.linspace(0.0, 2 * math.pi, 160, endpoint=False)]
+        thetas += [k * math.pi / (4 * proto.l) for k in range(-8 * proto.l, 8 * proto.l + 1)]
+        for theta in thetas:
+            assert 0.0 <= expectation(proto.state(float(theta)), proto.observable) <= 1.0 + 1e-12
+    for proto in noon:
+        for phi in np.linspace(-math.pi, math.pi, 256):
+            assert abs(expectation(proto.state(float(phi)), proto.observable)) <= 1.0 + 1e-12
+    for t in np.linspace(0.05, 10.0, 600):
+        assert abs(ramsey_fringe(1.3, float(t))) <= 1.0 + 1e-12
 
 
 @pytest.mark.parametrize(
