@@ -6,7 +6,7 @@ strict: unknown keys, values outside a parameter's declared domain
 (``photonlab list`` prints each one), non-finite floats and missing
 seeds are config errors (exit 2), found before anything is computed;
 numerical failures exit 3.  Identical (config, seed) pairs reproduce the
-CSV tables byte for byte.  Outputs are staged under temporary names and
+CSV tables and the summary byte for byte.  Outputs are staged under temporary names and
 renamed only after every file has been written, so failures leave no
 partial runs.
 
@@ -26,8 +26,7 @@ import math
 import os
 import re
 import sys
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -68,7 +67,6 @@ class ResultBundle:
     tables: tuple[Table, ...]
     summary: dict
     version: str = __version__
-    timestamp: float = field(default_factory=time.time)
 
 
 @dataclass(frozen=True)
@@ -591,7 +589,6 @@ def _render_summary(bundle: ResultBundle, seed: int | None) -> bytes:
         "summary": bundle.summary,
         "tables": [t.name for t in bundle.tables],
         "version": bundle.version,
-        "timestamp": bundle.timestamp,
     }
     return (json.dumps(doc, indent=2, sort_keys=True, default=str, allow_nan=False) + "\n").encode()
 

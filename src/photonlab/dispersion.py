@@ -60,10 +60,6 @@ class DispersionProfile:
                 acc = acc + b * d ** n / math.factorial(n)
         return self.length * acc
 
-    def scaled_coefficients(self) -> tuple[float, float, float, float]:
-        """beta_n L, the lumped phase coefficients."""
-        return tuple(b * self.length for b in self.beta)
-
 
 VACUUM_PROFILE = DispersionProfile()
 

@@ -12,12 +12,11 @@ a_j^dag -> sum_i U_ij a_i^dag, on the modes of the space:
 An ``Interferometer`` composes the maps of its elements into one M x M
 unitary per call and applies it with ``fock.apply_mode_map``; each
 single-element function is that call with one element.  Each map is
-written once, in ``parametric_map``, as a function of the element's
-parameter: callers that sweep one parameter resolve the element on the
-space once and form only the parameter-dependent entries per point.
-Every element but the beam splitter is a set of moves, and
-``parametric_moves`` gives those as fixed (column, row) pairs plus
-their coefficients alone, for ``fock.MoveStep``.
+written once: the beam splitter's in ``element_map``, and every other
+element's, a set of moves, in ``parametric_moves``, as fixed
+(column, row) pairs plus a function forming their coefficients at a
+parameter value.  ``element_map`` builds its map from those, and
+``fock.MoveStep`` compiles them.
 
 Beam splitter convention (symmetric, i on reflection):
 
@@ -154,7 +153,7 @@ def parametric_moves(
     coefficient per photon.  Returns the (column, row) pairs, resolved
     once; a function forming only the coefficients, in pair order, at a
     parameter value (a mirror's and a swap's ignore it); and the missing
-    mirror modes as for ``parametric_map``.
+    mirror modes as for ``element_map``.
     """
     k = spec.kind
     if k is ElementKind.PHASE_SHIFT:
@@ -182,42 +181,21 @@ def parametric_moves(
     raise ValueError(f"unknown element kind {k}")
 
 
-def parametric_map(
-    space: FockSpace,
-    spec: ElementSpec,
-) -> tuple[Callable[[float], ModeMap], dict[int, ModeLabel]]:
-    """The linear mode map of one element kind, as a function of its parameter.
-
-    Positions, and for a charge flip the pairs it exchanges, are resolved
-    here once; the returned function forms only the entries that depend
-    on the parameter (a mirror's map ignores it); the spec's own
-    parameter is not read.  The second value names, by position, arm
-    modes of a Dove prism or mirror whose mirror charge is absent from
-    the space.  Every element but the beam splitter is a set of moves,
-    from ``parametric_moves``.
-    """
-    if spec.kind is ElementKind.BEAM_SPLITTER:
-        mode_a, mode_b = spec.targets
-        a, b = space.index(mode_a), space.index(mode_b)
-        if a == b:
-            raise ValueError("beam splitter needs two distinct modes")
-
-        def split(kappa: float) -> ModeMap:
-            c, is_ = math.cos(kappa), 1j * math.sin(kappa)
-            return {a: {a: c, b: is_}, b: {a: is_, b: c}}
-
-        return split, {}
-    pairs, coeffs, missing = parametric_moves(space, spec)
-    return (lambda x: {j: {i: c} for (j, i), c in zip(pairs, coeffs(x))}), missing
-
-
 def element_map(space: FockSpace, spec: ElementSpec) -> tuple[ModeMap, dict[int, ModeLabel]]:
     """The linear mode map of one element on ``space``, at its parameter.
 
-    The second value is as for ``parametric_map``.
+    The second value names, by position, arm modes of a Dove prism or
+    mirror whose mirror charge is absent from the space.  Every element
+    but the beam splitter is a set of moves, from ``parametric_moves``.
     """
-    at, missing = parametric_map(space, spec)
-    return at(spec.parameter), missing
+    if spec.kind is ElementKind.BEAM_SPLITTER:
+        a, b = (space.index(m) for m in spec.targets)
+        if a == b:
+            raise ValueError("beam splitter needs two distinct modes")
+        c, is_ = math.cos(spec.parameter), 1j * math.sin(spec.parameter)
+        return {a: {a: c, b: is_}, b: {a: is_, b: c}}, {}
+    pairs, coeffs, missing = parametric_moves(space, spec)
+    return {j: {i: c} for (j, i), c in zip(pairs, coeffs(spec.parameter))}, missing
 
 
 def _column(u: ModeMap, j: int) -> dict[int, complex]:
@@ -329,12 +307,6 @@ class Interferometer:
             require_mirrors(state, missing, u)
             u = _compose(step, u) if u else step
         return apply_mode_map(state, u)
-
-    def __call__(self, state: StateVector) -> StateVector:
-        return self.apply(state)
-
-    def then(self, *specs: ElementSpec) -> "Interferometer":
-        return Interferometer(self.elements + tuple(specs))
 
 
 def build_interferometer(elements: Sequence[ElementSpec]) -> Interferometer:

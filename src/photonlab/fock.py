@@ -13,7 +13,8 @@ building states and observables, and reading amplitudes back.  Passive
 linear optics acts through one routine, ``apply_mode_map``, which takes
 the map a_j^dag -> sum_i U_ij a_i^dag of the creation operators;
 ``ModeMapProgram`` and ``MoveStep`` replay its arithmetic, bit for bit,
-on states whose support is fixed in advance.
+on states whose support is fixed in advance.  The plan, the program and
+the move step route photons through one move routine, ``_route``.
 
 Conventions:
 
@@ -172,9 +173,6 @@ class BasisState:
                 return cnt
         return 0
 
-    def as_dict(self) -> dict[ModeLabel, int]:
-        return dict(self.occ)
-
     def __repr__(self) -> str:
         if not self.occ:
             return "|vac>"
@@ -292,32 +290,22 @@ def _same_modes(a: FockSpace, b: FockSpace) -> bool:
 class StateVector:
     """Complex amplitudes over the occupation basis of one FockSpace.
 
-    Instances are immutable.  Construction does not normalize unless
-    asked; norm-preserving elements keep <psi|psi> = 1 to 1e-12.
+    Instances are immutable.  Construction prunes at ``PRUNE_EPS`` but
+    does not normalize; ``normalized()`` does.  Norm-preserving elements
+    keep <psi|psi> = 1 to 1e-12.
     Amplitudes are keyed on occupation tuples and kept in canonical
     order, so every sum over a state runs in the same order.
     """
 
     __slots__ = ("space", "_amp")
 
-    def __init__(
-        self,
-        space: FockSpace,
-        amplitudes: Mapping[BasisState, complex],
-        normalize: bool = False,
-        prune: bool = True,
-    ):
+    def __init__(self, space: FockSpace, amplitudes: Mapping[BasisState, complex]):
         amp: dict[Occupations, complex] = {}
         for bs, a in amplitudes.items():
             occ = space.occupations(bs)
             a = complex(a)
-            if not prune or abs(a) > PRUNE_EPS:
+            if abs(a) > PRUNE_EPS:
                 amp[occ] = amp.get(occ, 0) + a
-        if normalize:
-            nrm = math.sqrt(sum(abs(a) ** 2 for a in amp.values()))
-            if nrm == 0:
-                raise ValueError("cannot normalize the zero vector")
-            amp = {occ: a / nrm for occ, a in amp.items()}
         _set_space(self, space)
         _set_amp(self, dict(sorted(amp.items(), key=_item_order)))
 
@@ -466,6 +454,44 @@ def total_number_expectation(state: StateVector) -> float:
 # passive linear optics
 
 
+def _route(
+    occ: Occupations,
+    cleared: Sequence[int],
+    moves: Sequence[tuple[int, int, object]],
+) -> tuple[Occupations, list[tuple[object, int, float | None]]]:
+    """Land the photons of each move ``(j, i, payload)`` of ``occ`` on row i.
+
+    Every column in ``cleared`` is emptied first, so a row keeps its own
+    photons only if no move empties it.  Returns the occupations after
+    the moves and, for each move that carried n > 0 photons onto a row
+    already holding k, ``(payload, n, sqrt(comb(k + n, n)))``, the root
+    None when k = 0.
+    """
+    base = list(occ)
+    for j in cleared:
+        base[j] = 0
+    steps = []
+    for j, i, payload in moves:
+        n = occ[j]
+        if n:
+            k = base[i]
+            base[i] = k + n
+            steps.append((payload, n, math.sqrt(math.comb(k + n, n)) if k else None))
+    return tuple(base), steps
+
+
+def _factor(steps: Sequence[tuple[complex, int, float | None]]) -> complex:
+    """The product of c**n and the root of each step, from the integer 1,
+    in step order; a coefficient of exactly 1 is skipped."""
+    factor = 1
+    for c, n, root in steps:
+        if c != 1:
+            factor *= c ** n
+        if root is not None:
+            factor *= root
+    return factor
+
+
 class ModeMapPlan:
     """A passive linear map resolved once for repeated application.
 
@@ -476,13 +502,6 @@ class ModeMapPlan:
     ``apply`` replays them on a state.  Building the plan is the
     state-independent part of ``apply_mode_map``, so a caller applying
     one map to many states builds it once.
-
-    A caller whose states always have the same terms goes one step
-    further: ``compile(support)`` also resolves the basis-state
-    bookkeeping for that support, leaving a ``ModeMapProgram`` that
-    replays only the arithmetic, and that falls back to ``apply`` on a
-    state with other terms.  ``MoveStep`` does the same for a map of
-    moves whose coefficients change from call to call.
     """
 
     __slots__ = ("_moves", "_spreads", "_cleared", "_ordered", "_rows")
@@ -529,22 +548,11 @@ class ModeMapPlan:
         cleared = self._cleared
         out: dict[Occupations, complex] = {}
         for occ, amp in state._amp.items():
-            base = list(occ)
-            for j in cleared:
-                base[j] = 0
-            factor = 1
-            for j, i, c in moves:
-                n = occ[j]
-                if n:
-                    k = base[i]
-                    base[i] = k + n
-                    if c != 1:
-                        factor *= c ** n
-                    if k:
-                        factor *= math.sqrt(math.comb(k + n, n))
+            key, steps = _route(occ, cleared, moves)
+            factor = _factor(steps)
             if factor != 1:
                 amp = amp * factor
-            terms = {tuple(base): amp}
+            terms = {key: amp}
             for j, rows in spreads:
                 for p in range(1, occ[j] + 1):
                     scale = 1 / math.sqrt(p)
@@ -562,10 +570,6 @@ class ModeMapPlan:
         if self._ordered:
             return _wrap(state.space, {t: x for t, x in out.items() if abs(x) > PRUNE_EPS})
         return _wrap(state.space, _canonical(out))
-
-    def compile(self, support: Sequence[Occupations]) -> "ModeMapProgram":
-        """This plan specialised to states whose terms are ``support``, in order."""
-        return ModeMapProgram(self, support)
 
 
 class ModeMapProgram:
@@ -598,21 +602,10 @@ class ModeMapProgram:
         gather_ops = []  # (source slot, multiplier or None, output slot)
         out: dict[Occupations, int] = {}
         for s, occ in enumerate(support):
-            base = list(occ)
-            for j in plan._cleared:
-                base[j] = 0
-            factor = 1
-            for j, i, c in plan._moves:
-                n = occ[j]
-                if n:
-                    k = base[i]
-                    base[i] = k + n
-                    if c != 1:
-                        factor *= c ** n
-                    if k:
-                        factor *= math.sqrt(math.comb(k + n, n))
+            key, steps = _route(occ, plan._cleared, plan._moves)
+            factor = _factor(steps)
             # key -> (slot, multiplier still to apply when the slot is read)
-            terms = {tuple(base): (s, factor if factor != 1 else None)}
+            terms = {key: (s, factor if factor != 1 else None)}
             for j, rows in spreads:
                 for p in range(1, occ[j] + 1):
                     scale = 1 / math.sqrt(p)
@@ -686,23 +679,13 @@ class MoveStep:
         for side in zip(*pairs):
             if len(set(side)) != len(side):
                 raise ValueError(f"moves {pairs} repeat a column or a row")
-        # the plan's order is by column; every moved column is emptied
-        # first, so a row keeps its own photons only if no move empties it
-        order = sorted(range(len(pairs)), key=lambda q: pairs[q][0])
+        # the plan's moves run in column order, so the factors multiply in it
+        moves = sorted((j, i, q) for q, (j, i) in enumerate(pairs))
+        cleared = [j for j, _ in pairs]
         groups: dict[Occupations, list] = {}
         for occ, amp in state._amp.items():
-            base = list(occ)
-            for j, _ in pairs:
-                base[j] = 0
-            program = []
-            for q in order:
-                j, i = pairs[q]
-                n = occ[j]
-                if n:
-                    k = base[i]
-                    base[i] = k + n
-                    program.append((q, n, math.sqrt(math.comb(k + n, n)) if k else None))
-            groups.setdefault(tuple(base), []).append((amp, tuple(program)))
+            key, program = _route(occ, cleared, moves)
+            groups.setdefault(key, []).append((amp, tuple(program)))
         self._state = state
         self._space = state.space
         self._diagonal = all(j == i for j, i in pairs)
@@ -823,11 +806,6 @@ class Observable:
                     o += v * a
             out[bra] = o
         return _wrap(self.space, _canonical(out))
-
-    def dagger(self) -> "Observable":
-        label = self.space.label
-        ent = {(label(k), label(b)): v.conjugate() for b, k, v in self._entries()}
-        return Observable(self.space, ent, hermitian=self.hermitian)
 
     def _support(self) -> set[Occupations]:
         s = set(self._rows)

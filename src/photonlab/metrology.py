@@ -10,11 +10,10 @@ set of moves (a phase shift, or a Dove prism), compiled as a
 resolved once, and ``state(x)`` forms only the coefficients and the
 factor of each term.  Each fixed map after it (the angular splitters)
 is a ``fock.ModeMapProgram`` compiled for the support it receives, and
-replays its precomputed instructions.  Both repeat the float operations
-of ``apply_mode_map`` in its order, so the states equal
-element-by-element construction bit for bit; when a term cancels below
-``PRUNE_EPS`` and the support a program sees differs from its compiled
-one, that program falls back to the generic ``ModeMapPlan.apply``.
+replays its precomputed instructions.  Both route photons through the
+move routine ``ModeMapPlan.apply`` uses, so the states equal
+element-by-element construction bit for bit; a program handed another
+support falls back to ``ModeMapPlan.apply``.
 Monte Carlo samples take one path: outcomes are drawn from the Born
 probabilities of the readout observable on the simulated probe state,
 so the shot-noise 1/sqrt(N) and entangled 1/N scalings are checked
@@ -235,7 +234,7 @@ class Protocol:
         programs = []
         support = self._step.support_out
         for plan in tail:
-            programs.append(plan.compile(support))
+            programs.append(ModeMapProgram(plan, support))
             support = programs[-1].support_out
         self._tail = tuple(programs)
 
@@ -381,13 +380,8 @@ class AngularDisplacementProtocol(Protocol):
         self.rate = 2 * n_photons * self.l
         self._space = sources.spdc_space(self.l, n_max=2)
         self._obs = observable_R(self._space, self.l)
-        spectrum = sources.SpdcOamSpectrum.filtered_pair(self.l, relative_phase=math.pi)
-        self._input = sources.spdc_oam_pair(self._space, spectrum)
         if n_photons == 2:
             self._compile_pair()
-
-    def input_state(self) -> StateVector:
-        return self._input
 
     def _compile_pair(self) -> None:
         """The pair through splitters, prism and mirror, then splitters.
@@ -407,7 +401,8 @@ class AngularDisplacementProtocol(Protocol):
             ModeMapPlan(elements.element_map(space, elements.beam_splitter(oam(m, 0), oam(m, 1)))[0])
             for m in (l, -l)
         )
-        probe = self._input
+        spectrum = sources.SpdcOamSpectrum.filtered_pair(l, relative_phase=math.pi)
+        probe = sources.spdc_oam_pair(space, spectrum)
         for plan in splitters:
             probe = plan.apply(probe)
         prism_pairs, prism, missing = elements.parametric_moves(space, elements.dove_prism(upper, 0.0))

@@ -84,7 +84,7 @@ def coherent_state(space: FockSpace, mode: ModeLabel, alpha: complex) -> StateVe
     for n in range(space.n_max + 1):
         amp[space.basis_state({mode: n} if n else {})] = coeff
         coeff = coeff * alpha / math.sqrt(n + 1)
-    return StateVector(space, amp, normalize=True)
+    return StateVector(space, amp).normalized()
 
 
 def noon_state(space: FockSpace, mode_a: ModeLabel, mode_b: ModeLabel, n: int) -> StateVector:
@@ -298,4 +298,4 @@ def frequency_entangled_pair(spectrum: BiphotonSpectrum) -> StateVector:
             {freq_bin(j, SIGNAL_CHANNEL): 1, freq_bin(n - 1 - j, IDLER_CHANNEL): 1}
         )
         amp[bs] = complex(spectrum.amplitude[j]) * root_step
-    return StateVector(space, amp, normalize=True)
+    return StateVector(space, amp).normalized()

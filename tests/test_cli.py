@@ -225,6 +225,19 @@ def test_heisenberg_run_and_determinism(tmp_path):
         assert abs(float(analytic_s) - 1.0 / int(n_s)) < 1e-15
 
 
+def test_one_config_and_seed_write_identical_bytes(tmp_path):
+    # every file of the bundle, summary.json included, repeats byte for byte
+    params = dict(photon_grid=[1, 2, 3, 4], repetitions=60, shots_per_estimate=64)
+    cfg = write_config(tmp_path, {**base_config("heisenberg-scaling", tmp_path / "unused", **params), "seed": 11})
+    outs = [tmp_path / "a", tmp_path / "b"]
+    for out in outs:
+        assert main(["run", str(cfg), "--quiet", "--out", str(out)]) == EXIT_OK
+    files = [sorted(p.name for p in out.iterdir()) for out in outs]
+    assert files[0] == files[1] and "summary.json" in files[0]
+    for name in files[0]:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
 def test_seed_override_changes_tables(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     params = dict(trial_grid=[16, 32, 64, 128], repetitions=40)

@@ -197,7 +197,7 @@ def test_skc_oracle_from_fock_machinery():
         for j in range(n):
             key = space.basis_state({freq_bin(j, 0): 1, freq_bin(n - 1 - j, 0): 1})
             amp[key] = amp.get(key, 0) + complex(spec.amplitude[j]) * root_step
-        st = StateVector(space, amp, normalize=True)
+        st = StateVector(space, amp).normalized()
         for j in range(n):
             st = apply_beam_splitter(st, freq_bin(j, 0), freq_bin(j, 1))
         for j in range(n):

@@ -91,7 +91,7 @@ def test_beam_splitter_preserves_norm_and_photon_number():
     basis = list(sp.enumerate_basis())
     for _ in range(10):
         amps = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
-        st = StateVector(sp, dict(zip(basis, amps)), normalize=True)
+        st = StateVector(sp, dict(zip(basis, amps))).normalized()
         out = apply_beam_splitter(st, A, B, kappa=rng.uniform(0, math.pi))
         assert abs(out.norm() - 1.0) < 1e-12
         assert abs(total_number_expectation(out) - total_number_expectation(st)) < 1e-12
@@ -104,7 +104,7 @@ def test_inner_products_preserved():
 
     def random_state():
         amps = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
-        return StateVector(sp, dict(zip(basis, amps)), normalize=True)
+        return StateVector(sp, dict(zip(basis, amps))).normalized()
 
     for _ in range(5):
         u, v = random_state(), random_state()
@@ -185,7 +185,7 @@ def test_prism_is_involution():
     rng = np.random.default_rng(3)
     basis = list(sp.enumerate_basis())
     amps = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
-    st = StateVector(sp, dict(zip(basis, amps)), normalize=True)
+    st = StateVector(sp, dict(zip(basis, amps))).normalized()
     arm = [oam(2), oam(-2)]
     twice = apply_dove_prism(apply_dove_prism(st, arm, 0.7), arm, 0.7)
     assert abs(twice.fidelity(st) - 1.0) < 1e-12
@@ -257,7 +257,7 @@ def test_composite_preserves_norm():
     sp = two_path_space(n_max=3)
     basis = list(sp.enumerate_basis())
     amps = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
-    st = StateVector(sp, dict(zip(basis, amps)), normalize=True)
+    st = StateVector(sp, dict(zip(basis, amps))).normalized()
     circuit = build_interferometer(
         [beam_splitter(A, B), phase_shift(A, 0.7), beam_splitter(A, B, 0.3)]
     )
@@ -299,7 +299,7 @@ def random_state(sp, rng, terms):
     basis = list(sp.enumerate_basis())
     picks = rng.choice(len(basis), size=min(terms, len(basis)), replace=False)
     amps = rng.normal(size=len(picks)) + 1j * rng.normal(size=len(picks))
-    return StateVector(sp, {basis[i]: a for i, a in zip(picks, amps)}, normalize=True)
+    return StateVector(sp, {basis[i]: a for i, a in zip(picks, amps)}).normalized()
 
 
 def random_chain(sp, rng, length):

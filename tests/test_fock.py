@@ -11,6 +11,7 @@ from photonlab.fock import (
     FockError,
     FockSpace,
     ModeMapPlan,
+    ModeMapProgram,
     NonHermitianError,
     Observable,
     StateVector,
@@ -71,6 +72,14 @@ def test_create_not_renormalized():
     sp = single_mode_space()
     out = create(basis_vector(sp, {path(0): 3}), path(0))
     assert abs(out.norm() - 2.0) < 1e-15  # sqrt(3+1)
+
+
+def test_normalized_prunes_after_dividing_by_the_norm():
+    # |1> is 1e-16 of the norm, below PRUNE_EPS once divided by it
+    sp = single_mode_space()
+    st = StateVector(sp, {fock_level(sp, 0): 1e6, fock_level(sp, 1): 1e-10}).normalized()
+    assert st.num_terms == 1
+    assert st.amplitude(fock_level(sp, 0)) == 1.0
 
 
 def test_create_overflow_raises():
@@ -228,7 +237,7 @@ def test_identity_expectation_is_one():
     sp = single_mode_space(n_max=2)
     basis = list(sp.enumerate_basis())
     ident = fock.identity_observable(sp, basis)
-    st = StateVector(sp, {b: 1 for b in basis}, normalize=True)
+    st = StateVector(sp, {b: 1 for b in basis}).normalized()
     assert abs(expectation(st, ident) - 1.0) < 1e-12
 
 
@@ -416,9 +425,19 @@ def move_after_a_phase():
     return basis_vector(sp, {path(0): 1, path(1): 1, path(2): 1}), [(0, 0), (1, 2)], [[phase, phase]]
 
 
+def moves_out_of_column_order():
+    # pairs listed against column order, one landing on an occupied mode
+    # no move empties: the factor's three products must run in column
+    # order, as the plan's do (two complex products commute exactly)
+    sp = FockSpace([path(0), path(1), path(2)], n_max=3)
+    state = basis_vector(sp, {path(0): 1, path(1): 1, path(2): 1})
+    return state, [(2, 1), (0, 0)], [[cmath.exp(1j), cmath.exp(2j)]]
+
+
 @settings(max_examples=300, deadline=None)
 @given(moves_and_states())
 @example(move_after_a_phase())
+@example(moves_out_of_column_order())
 def test_move_step_equals_the_plan(case):
     state, pairs, coeff_sets = case
     step = fock.MoveStep(state, pairs)
@@ -454,8 +473,8 @@ def test_compiled_programs_equal_the_plans(case):
     # the second program is compiled for the support the first leaves
     # unpruned; when the first prunes a term it falls back
     state, (first, second) = case
-    one = first.compile(list(state._amp))
-    two = second.compile(one.support_out)
+    one = ModeMapProgram(first, list(state._amp))
+    two = ModeMapProgram(second, one.support_out)
     mid = one.apply(state)
     assert same_items(mid, first.apply(state))
     assert same_items(two.apply(mid), second.apply(mid))
@@ -470,8 +489,8 @@ def test_program_falls_back_after_a_hom_cancellation():
     splitter = ModeMapPlan({0: {0: c, 1: s}, 1: {0: s, 1: c}})
     phase_and_split = ModeMapPlan({0: {0: c * np.exp(0.3j), 1: s}, 1: {0: s, 1: c}})
     pair = basis_vector(sp, {path(0): 1, path(1): 1})
-    one = splitter.compile([(1, 1)])
-    two = phase_and_split.compile(one.support_out)
+    one = ModeMapProgram(splitter, [(1, 1)])
+    two = ModeMapProgram(phase_and_split, one.support_out)
     mid = one.apply(pair)
     assert (1, 1) in one.support_out and (1, 1) not in mid._amp
     assert same_items(mid, splitter.apply(pair))
@@ -482,7 +501,7 @@ def test_program_falls_back_on_another_support():
     sp = FockSpace([path(0), path(1)], n_max=2)
     c, s = math.cos(0.4), 1j * math.sin(0.4)
     plan = ModeMapPlan({0: {0: c, 1: s}, 1: {0: s, 1: c}})
-    program = plan.compile([(1, 0)])
+    program = ModeMapProgram(plan, [(1, 0)])
     both = StateVector(sp, {sp.basis_state({path(0): 1}): 0.6, sp.basis_state({path(1): 1}): -0.8})
     for other in (basis_vector(sp, {path(1): 1}), basis_vector(sp, {path(0): 2}), both):
         assert same_items(program.apply(other), plan.apply(other))
@@ -509,7 +528,7 @@ def every_construction(draw):
         ("constructor", StateVector(sp, dict(reversed(state.items())))),
         ("wrap", fock._wrap(sp, dict(state._amp))),
         ("move step", fock.MoveStep(state, pairs).apply(coeffs)),
-        ("program", plan.compile(list(state._amp)).apply(state)),
+        ("program", ModeMapProgram(plan, list(state._amp)).apply(state)),
         ("plan", plan.apply(state)),
         ("scaled", state.scaled(draw(COEFF))),
         ("sum", state + plan.apply(state)),
@@ -609,8 +628,7 @@ def test_rank_one_iff_product_expectations_factorize():
             for i in range(2)
             for j in range(2)
         },
-        normalize=True,
-    )
+    ).normalized()
     bell = StateVector(
         sp,
         {

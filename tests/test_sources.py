@@ -5,6 +5,7 @@ import pytest
 
 from photonlab.elements import apply_phase_shift
 from photonlab.fock import (
+    PRUNE_EPS,
     FockSpace,
     freq_bin,
     number_expectation,
@@ -249,3 +250,19 @@ def test_prepared_states_are_normalized():
     ]
     for st in states:
         assert abs(st.norm() - 1.0) < 1e-12
+
+
+def test_sources_prune_after_normalizing():
+    # the middle pair terms sit a hair above PRUNE_EPS and the spectrum
+    # power 9e-10 above 1, inside its tolerance: dividing by the norm
+    # takes those terms below PRUNE_EPS, and they go
+    tiny = 1e-15 * (1 + 2e-10)
+    big = math.sqrt((1 + 9e-10) / 2 - tiny ** 2)
+    spec = BiphotonSpectrum(0.0, np.array([-1.5, -0.5, 0.5, 1.5]), np.array([big, tiny, tiny, big]))
+    pair = frequency_entangled_pair(spec)
+    assert pair.num_terms == 2
+    sp = FockSpace([path(0)], n_max=30)
+    states = [coherent_state(sp, path(0), a) for a in (0.3, 2.0, 1.2 * np.exp(0.7j))]
+    for st in [pair, *states]:
+        assert abs(st.norm() - 1.0) < 1e-12
+        assert all(abs(a) > PRUNE_EPS for _, a in st.items())
