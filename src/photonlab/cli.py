@@ -3,10 +3,12 @@
 Reads one declarative YAML config per run, dispatches to the library,
 and writes one CSV per result table plus a JSON summary.  Configs are
 strict: unknown keys, values outside a parameter's declared domain
-(``photonlab list`` prints each one), non-finite floats and missing
-seeds are config errors (exit 2), found before anything is computed;
-numerical failures exit 3.  Identical (config, seed) pairs reproduce the
-CSV tables and the summary byte for byte.  Outputs are staged under temporary names and
+(``photonlab list`` prints each one), non-finite floats, and missing or
+negative seeds are config errors (exit 2), found before anything is
+computed.  A config path that cannot be read and an output directory
+that cannot be created are config errors too; numerical failures exit
+3.  Identical (config, seed) pairs reproduce the CSV tables and the
+summary byte for byte.  Outputs are staged under temporary names and
 renamed only after every file has been written, so failures leave no
 partial runs.
 
@@ -540,6 +542,8 @@ def load_config(path: Path) -> dict:
         raw = yaml.safe_load(path.read_text())
     except FileNotFoundError:
         raise ConfigError(f"config file not found: {path}")
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}")
     except yaml.YAMLError as exc:
         raise ConfigError(f"config is not valid YAML: {exc}")
     if not isinstance(raw, dict):
@@ -616,12 +620,16 @@ def write_bundle(bundle: ResultBundle, out_dir: Path, seed: int | None) -> list[
     """Two-phase write: render everything, stage it, then rename into place.
 
     Refuses, before anything is written, a bundle with an empty table or
-    with a non-finite number in a table cell or anywhere in the summary.
+    with a non-finite number in a table cell or anywhere in the summary,
+    and an ``out_dir`` that cannot be created (a ``ConfigError``).
     """
     _require_complete(bundle)
     payload: dict[str, bytes] = {f"{t.name}.csv": _render_csv(t) for t in bundle.tables}
     payload["summary.json"] = _render_summary(bundle, seed)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}")
     staged: list[tuple[Path, Path]] = []
     try:
         for fname, blob in payload.items():
@@ -637,9 +645,18 @@ def write_bundle(bundle: ResultBundle, out_dir: Path, seed: int | None) -> list[
     return [final for _, final in staged]
 
 
+def _resolve_seed(config: dict, seed_override: int | None = None) -> int | None:
+    """The seed a run uses: ``seed_override`` when given, else the
+    config's; a negative override is refused as a negative config seed is."""
+    seed = seed_override if seed_override is not None else config["seed"]
+    if seed is not None and seed < 0:
+        raise ConfigError(f"seed must be a nonnegative integer, got {seed}")
+    return seed
+
+
 def run_experiment(config: dict, seed_override: int | None = None, out_override: str | None = None) -> tuple[ResultBundle, Path]:
     exp = EXPERIMENTS[config["experiment"]]
-    seed = seed_override if seed_override is not None else config["seed"]
+    seed = _resolve_seed(config, seed_override)
     params = _validate_params(exp, config["params"])
     if seed is None and exp.needs_seed(params):
         raise ConfigError(f"experiment {exp.name!r} draws random numbers here; a seed is mandatory")
@@ -687,8 +704,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         bundle, out_dir = run_experiment(config, args.seed, args.out)
-        seed = args.seed if args.seed is not None else config["seed"]
-        paths = write_bundle(bundle, out_dir, seed)
+        paths = write_bundle(bundle, out_dir, _resolve_seed(config, args.seed))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -10,13 +10,14 @@ a_j^dag -> sum_i U_ij a_i^dag, on the modes of the space:
 * swap: a permutation of two modes.
 
 An ``Interferometer`` composes the maps of its elements into one M x M
-unitary per call and applies it with ``fock.apply_mode_map``; each
+unitary per call and applies it with ``fock.ModeMapPlan``; each
 single-element function is that call with one element.  Each map is
 written once: the beam splitter's in ``element_map``, and every other
 element's, a set of moves, in ``parametric_moves``, as fixed
 (column, row) pairs plus a function forming their coefficients at a
-parameter value.  ``element_map`` builds its map from those, and
-``fock.MoveStep`` compiles them.
+parameter value.  ``element_map`` builds its map from those, and a
+compiled protocol hands the coefficients to ``fock.PhaseStep`` per
+point.
 
 Beam splitter convention (symmetric, i on reflection):
 
@@ -44,8 +45,8 @@ from .fock import (
     FockSpace,
     ModeKind,
     ModeLabel,
+    ModeMapPlan,
     StateVector,
-    apply_mode_map,
     number_expectation,
 )
 
@@ -306,7 +307,7 @@ class Interferometer:
             step, missing = element_map(space, spec)
             require_mirrors(state, missing, u)
             u = _compose(step, u) if u else step
-        return apply_mode_map(state, u)
+        return ModeMapPlan(u).apply(state)
 
 
 def build_interferometer(elements: Sequence[ElementSpec]) -> Interferometer:

@@ -10,11 +10,12 @@ Inside, a basis state is a tuple of integer occupations, one per mode in
 ``FockSpace.modes`` order; the space owns the map from mode label to
 position.  ``ModeLabel`` and ``BasisState`` appear only at the API edge:
 building states and observables, and reading amplitudes back.  Passive
-linear optics acts through one routine, ``apply_mode_map``, which takes
-the map a_j^dag -> sum_i U_ij a_i^dag of the creation operators;
-``ModeMapProgram`` and ``MoveStep`` replay its arithmetic, bit for bit,
-on states whose support is fixed in advance.  The plan, the program and
-the move step route photons through one move routine, ``_route``.
+linear optics acts through one routine, ``ModeMapPlan.apply``, which
+takes the map a_j^dag -> sum_i U_ij a_i^dag of the creation operators;
+``ModeMapProgram`` replays its arithmetic, bit for bit, on a state whose
+support is fixed in advance, and ``PhaseStep`` does the same for a
+diagonal phase map whose phases are left free.  The plan and the
+program route photons through one move routine, ``_route``.
 
 Conventions:
 
@@ -457,51 +458,55 @@ def total_number_expectation(state: StateVector) -> float:
 def _route(
     occ: Occupations,
     cleared: Sequence[int],
-    moves: Sequence[tuple[int, int, object]],
-) -> tuple[Occupations, list[tuple[object, int, float | None]]]:
-    """Land the photons of each move ``(j, i, payload)`` of ``occ`` on row i.
+    moves: Sequence[tuple[int, int, complex]],
+) -> tuple[Occupations, complex]:
+    """Land the photons of each move ``(j, i, c)`` of ``occ`` on row i.
 
     Every column in ``cleared`` is emptied first, so a row keeps its own
     photons only if no move empties it.  Returns the occupations after
-    the moves and, for each move that carried n > 0 photons onto a row
-    already holding k, ``(payload, n, sqrt(comb(k + n, n)))``, the root
-    None when k = 0.
+    the moves and their factor: from the integer 1, in move order, for
+    each move that carried n > 0 photons onto a row already holding k,
+    c**n (skipped when c is exactly 1), then sqrt(comb(k + n, n)) when
+    k > 0.
     """
     base = list(occ)
     for j in cleared:
         base[j] = 0
-    steps = []
-    for j, i, payload in moves:
+    factor = 1
+    for j, i, c in moves:
         n = occ[j]
         if n:
             k = base[i]
             base[i] = k + n
-            steps.append((payload, n, math.sqrt(math.comb(k + n, n)) if k else None))
-    return tuple(base), steps
-
-
-def _factor(steps: Sequence[tuple[complex, int, float | None]]) -> complex:
-    """The product of c**n and the root of each step, from the integer 1,
-    in step order; a coefficient of exactly 1 is skipped."""
-    factor = 1
-    for c, n, root in steps:
-        if c != 1:
-            factor *= c ** n
-        if root is not None:
-            factor *= root
-    return factor
+            if c != 1:
+                factor *= c ** n
+            if k:
+                factor *= math.sqrt(math.comb(k + n, n))
+    return tuple(base), factor
 
 
 class ModeMapPlan:
-    """A passive linear map resolved once for repeated application.
+    """Passive linear map a_j^dag -> sum_i U_ij a_i^dag, resolved once.
 
     ``columns[j]`` holds the entries {i: U_ij} of column j, with i and j
     positions in the space's modes; absent columns are the identity.
     The columns are sorted into moves, whose photons all go to one row,
-    and spreads, whose photons are distributed over several rows;
-    ``apply`` replays them on a state.  Building the plan is the
-    state-independent part of ``apply_mode_map``, so a caller applying
-    one map to many states builds it once.
+    and spreads, whose photons are distributed over several rows, so a
+    caller applying one map to many states builds the plan once.
+    ``apply`` rebuilds each basis state one creation operator at a
+    time, as in SLOS (Heurtel et al., arXiv:2206.10549):
+
+    * photons in modes the map leaves fixed are copied;
+    * the n photons of a column with a single entry c move in one step
+      with factor c**n, so a phase shift multiplies by ph**n exactly;
+    * every other photon is spread over the rows of its column, gaining
+      sqrt(k + 1) on a row already holding k photons.
+
+    The 1/sqrt(s!) of the input occupations is paid one photon at a
+    time, so an output amplitude is Perm(U_T,S) / sqrt(prod s! prod t!)
+    (Scheel, quant-ph/0406127) with no factorial formed.  Input terms
+    are expanded in canonical order and the output is put back into it.
+    Photon number is conserved, so the truncation cannot overflow.
     """
 
     __slots__ = ("_moves", "_spreads", "_cleared", "_ordered", "_rows")
@@ -540,7 +545,7 @@ class ModeMapPlan:
         return rows
 
     def apply(self, state: StateVector) -> StateVector:
-        """The map on every basis state of ``state``; see ``apply_mode_map``."""
+        """The map on every basis state of ``state``."""
         moves = self._moves
         if not moves and not self._spreads:
             return state
@@ -548,8 +553,7 @@ class ModeMapPlan:
         cleared = self._cleared
         out: dict[Occupations, complex] = {}
         for occ, amp in state._amp.items():
-            key, steps = _route(occ, cleared, moves)
-            factor = _factor(steps)
+            key, factor = _route(occ, cleared, moves)
             if factor != 1:
                 amp = amp * factor
             terms = {key: amp}
@@ -602,8 +606,7 @@ class ModeMapProgram:
         gather_ops = []  # (source slot, multiplier or None, output slot)
         out: dict[Occupations, int] = {}
         for s, occ in enumerate(support):
-            key, steps = _route(occ, plan._cleared, plan._moves)
-            factor = _factor(steps)
+            key, factor = _route(occ, plan._cleared, plan._moves)
             # key -> (slot, multiplier still to apply when the slot is read)
             terms = {key: (s, factor if factor != 1 else None)}
             for j, rows in spreads:
@@ -657,89 +660,50 @@ class ModeMapProgram:
         return _wrap(state.space, {key: a for key, slot in self._out if abs(a := v[slot]) > PRUNE_EPS})
 
 
-class MoveStep:
-    """A map of moves, compiled against one state, its coefficients left free.
+class PhaseStep:
+    """A diagonal phase map on one state, its coefficients left free.
 
-    ``pairs[q] = (j, i)`` sends the photons of column j to row i, with
-    coefficient ``coeffs[q]`` per photon; columns and rows must each be
-    distinct, as in a permutation of modes times phases.  The basis
-    state each term of ``state`` goes to, the photon counts and the
-    sqrt(comb(k + n, n)) factors are resolved once.  ``apply(coeffs)``
-    forms only the factor of each term, with the multiplications of
-    ``ModeMapPlan.apply`` in its order, so it equals
-    ``ModeMapPlan({j: {i: coeffs[q]}}).apply(state)`` bit for bit for
-    nonzero coefficients.  ``support_out`` lists the output terms when none
-    is pruned.
+    ``coeffs[q]`` multiplies every photon of mode position ``modes[q]``.
+    The photon counts of each term of ``state`` are read once, with the
+    q's sorted by mode position, the order in which ``ModeMapPlan``
+    multiplies the factors of its columns.  ``apply(coeffs)`` forms only
+    the factor of each term, so it equals
+    ``ModeMapPlan({modes[q]: {modes[q]: coeffs[q]}}).apply(state)`` bit
+    for bit for nonzero coefficients.  The map keeps every term on its
+    basis state, so ``support_out`` is the support of ``state``.
     """
 
-    __slots__ = ("_state", "_space", "_diagonal", "_groups", "support_out")
+    __slots__ = ("_state", "_terms", "support_out")
 
-    def __init__(self, state: StateVector, pairs: Sequence[tuple[int, int]]):
-        pairs = [(j, i) for j, i in pairs]
-        for side in zip(*pairs):
-            if len(set(side)) != len(side):
-                raise ValueError(f"moves {pairs} repeat a column or a row")
-        # the plan's moves run in column order, so the factors multiply in it
-        moves = sorted((j, i, q) for q, (j, i) in enumerate(pairs))
-        cleared = [j for j, _ in pairs]
-        groups: dict[Occupations, list] = {}
-        for occ, amp in state._amp.items():
-            key, program = _route(occ, cleared, moves)
-            groups.setdefault(key, []).append((amp, tuple(program)))
+    def __init__(self, state: StateVector, modes: Sequence[int]):
+        order = sorted(range(len(modes)), key=modes.__getitem__)
         self._state = state
-        self._space = state.space
-        self._diagonal = all(j == i for j, i in pairs)
-        self.support_out = list(groups) if self._diagonal else sorted(groups, key=_order)
-        self._groups = [(key, tuple(groups[key])) for key in self.support_out]
+        self._terms = [
+            (occ, amp, tuple((q, occ[modes[q]]) for q in order if occ[modes[q]]))
+            for occ, amp in state._amp.items()
+        ]
+        self.support_out = list(state._amp)
 
     def apply(self, coeffs: list[complex]) -> StateVector:
-        """The moves with coefficients ``coeffs`` on the compiled state."""
-        if self._diagonal and coeffs.count(1) == len(coeffs):
+        """The phases ``coeffs`` on the compiled state."""
+        if coeffs.count(1) == len(coeffs):
             # every column is the identity, which the plan skips
             return self._state
         out: dict[Occupations, complex] = {}
-        for key, sources in self._groups:
-            a = 0
-            for amp, program in sources:
-                factor = 1
-                for q, n, root in program:
-                    c = coeffs[q]
-                    if c != 1:
-                        factor *= c ** n
-                    if root is not None:
-                        factor *= root
-                if factor != 1:
-                    amp = amp * factor
-                a += amp
+        for occ, amp, photons in self._terms:
+            factor = 1
+            for q, n in photons:
+                c = coeffs[q]
+                if c != 1:
+                    factor *= c ** n
+            if factor != 1:
+                amp = amp * factor
+            # the plan sums each output from the integer 0, which turns
+            # a -0.0 part into 0.0
+            a = 0 + amp
             if abs(a) > PRUNE_EPS:
-                out[key] = a
-        return _wrap(self._space, out)
-
-
-def apply_mode_map(
-    state: StateVector,
-    columns: Mapping[int, Mapping[int, complex]],
-) -> StateVector:
-    """Passive linear map a_j^dag -> sum_i U_ij a_i^dag on every basis state.
-
-    ``columns[j]`` holds the entries {i: U_ij} of column j, with i and j
-    positions in ``state.space.modes``; absent columns are the identity.
-    Each basis state is rebuilt one creation operator at a time, as in
-    SLOS (Heurtel et al., arXiv:2206.10549):
-
-    * photons in modes the map leaves fixed are copied;
-    * the n photons of a column with a single entry c move in one step
-      with factor c**n, so a phase shift multiplies by ph**n exactly;
-    * every other photon is spread over the rows of its column, gaining
-      sqrt(k + 1) on a row already holding k photons.
-
-    The 1/sqrt(s!) of the input occupations is paid one photon at a
-    time, so an output amplitude is Perm(U_T,S) / sqrt(prod s! prod t!)
-    (Scheel, quant-ph/0406127) with no factorial formed.  Input terms
-    are expanded in canonical order and the output is put back into it.
-    Photon number is conserved, so the truncation cannot overflow.
-    """
-    return ModeMapPlan(columns).apply(state)
+                out[occ] = a
+        return _wrap(self._state.space, out)
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,14 @@ Each protocol declares its analytic fringe once, as offset + amplitude
 cos(rate x); the uncertainty laws and the estimator follow from it.
 Each also declares its circuit, compiled when the protocol is built
 against the support of its fixed probe.  The one element x drives is a
-set of moves (a phase shift, or a Dove prism), compiled as a
-``fock.MoveStep``: the basis state each probe term goes to is
-resolved once, and ``state(x)`` forms only the coefficients and the
-factor of each term.  Each fixed map after it (the angular splitters)
-is a ``fock.ModeMapProgram`` compiled for the support it receives, and
-replays its precomputed instructions.  Both route photons through the
-move routine ``ModeMapPlan.apply`` uses, so the states equal
+diagonal phase, compiled as a ``fock.PhaseStep``: a phase shift is one
+already, and a Dove prism is a fixed charge flip, applied to the probe
+once, followed by a phase on the flipped modes.  The photon counts of
+each probe term are read once, and ``state(x)`` forms only the phases
+and the factor of each term.  Each fixed map after it (the angular
+splitters) is a ``fock.ModeMapProgram`` compiled for the support it
+receives, and replays its precomputed instructions.  Both replay the
+float operations of ``ModeMapPlan.apply``, so the states equal
 element-by-element construction bit for bit; a program handed another
 support falls back to ``ModeMapPlan.apply``.
 Monte Carlo samples take one path: outcomes are drawn from the Born
@@ -39,8 +40,8 @@ from .fock import (
     ModeLabel,
     ModeMapPlan,
     ModeMapProgram,
-    MoveStep,
     Observable,
+    PhaseStep,
     StateVector,
     dyad_sum,
     expectation,
@@ -213,23 +214,23 @@ class Protocol:
     offset: float
     amplitude: float
     rate: float
-    # the compiled circuit: the moves of the element x drives, on the
-    # x-independent probe, their coefficients at x, and the fixed maps
+    # the compiled circuit: the phases of the element x drives, on the
+    # x-independent probe, their values at x, and the fixed maps
     # applied after them; no step means the fringe is analytic only
-    _step: MoveStep | None = None
+    _step: PhaseStep | None = None
     _coeffs: Callable[[float], list[complex]]
     _tail: tuple[ModeMapProgram, ...] = ()
 
     def _compile(
         self,
         probe: StateVector,
-        pairs: Sequence[tuple[int, int]],
+        modes: Sequence[int],
         coeffs: Callable[[float], list[complex]],
         tail: Sequence[ModeMapPlan] = (),
     ) -> None:
-        """Compile the moves on ``probe``, then each tail map for the
-        support the one before it leaves."""
-        self._step = MoveStep(probe, pairs)
+        """Compile the phases on the positions ``modes`` of ``probe``,
+        then each tail map for the support the one before it leaves."""
+        self._step = PhaseStep(probe, modes)
         self._coeffs = coeffs
         programs = []
         support = self._step.support_out
@@ -317,8 +318,8 @@ class SinglePhotonPhaseProtocol(Protocol):
                 self._space.basis_state({self._mode: 1}): 1 / math.sqrt(2),
             },
         )
-        pairs, coeffs, _ = elements.parametric_moves(self._space, elements.phase_shift(self._mode, 0.0))
-        self._compile(probe, pairs, coeffs)
+        _, coeffs, _ = elements.parametric_moves(self._space, elements.phase_shift(self._mode, 0.0))
+        self._compile(probe, [self._space.index(self._mode)], coeffs)
 
 
 class NoonPhaseProtocol(Protocol):
@@ -344,8 +345,8 @@ class NoonPhaseProtocol(Protocol):
         self._space = FockSpace([self._mode_a, self._mode_b], n_max=n)
         self._obs = observable_B(self._space, self._mode_a, self._mode_b, n)
         probe = sources.noon_state(self._space, self._mode_a, self._mode_b, n)
-        pairs, coeffs, _ = elements.parametric_moves(self._space, elements.phase_shift(self._mode_a, 0.0))
-        self._compile(probe, pairs, coeffs)
+        _, coeffs, _ = elements.parametric_moves(self._space, elements.phase_shift(self._mode_a, 0.0))
+        self._compile(probe, [self._space.index(self._mode_a)], coeffs)
 
 
 class AngularDisplacementProtocol(Protocol):
@@ -387,12 +388,14 @@ class AngularDisplacementProtocol(Protocol):
         """The pair through splitters, prism and mirror, then splitters.
 
         The first two splitters act before theta does, so they are
-        applied once, to the probe.  The mirror sits in the other arm
-        from the prism, so it commutes with it and is applied once too:
-        its moves have coefficient 1 and land on modes they empty, so it
-        only relabels the probe's terms, and the states stay bit for bit
-        those of the prism and mirror in sequence.  The prism is the
-        step; the last two splitters are the tail.
+        applied once, to the probe.  The prism is the charge flip of its
+        arm followed by a phase per photon on the flipped modes, and the
+        mirror is the flip of the other arm, so both flips are applied
+        once too, as one map: its moves have coefficient 1 and land on
+        modes they empty, so it only relabels the probe's terms, and the
+        states stay bit for bit those of the prism and mirror in
+        sequence.  The prism's phases are the step; the last two
+        splitters are the tail.
         """
         space, l = self._space, self.l
         upper = [oam(l, 0), oam(-l, 0)]
@@ -405,10 +408,10 @@ class AngularDisplacementProtocol(Protocol):
         probe = sources.spdc_oam_pair(space, spectrum)
         for plan in splitters:
             probe = plan.apply(probe)
-        prism_pairs, prism, missing = elements.parametric_moves(space, elements.dove_prism(upper, 0.0))
-        flip, missing_lower = elements.element_map(space, elements.mirror(lower))
-        elements.require_mirrors(probe, {**missing, **missing_lower})
-        self._compile(ModeMapPlan(flip).apply(probe), prism_pairs, prism, splitters)
+        prism_pairs, prism, _ = elements.parametric_moves(space, elements.dove_prism(upper, 0.0))
+        flip, missing = elements.element_map(space, elements.mirror(upper + lower))
+        elements.require_mirrors(probe, missing)
+        self._compile(ModeMapPlan(flip).apply(probe), [i for _, i in prism_pairs], prism, splitters)
 
 
 def angular_sql_uncertainty(l: int, n_photons: int) -> float:

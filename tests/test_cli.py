@@ -183,6 +183,37 @@ def test_seed_validation(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize(
+    "experiment, params",
+    [("sql-scaling", {"trial_grid": [16, 32, 64, 128]}), ("ramsey", {})],
+)
+def test_negative_seed_override_is_a_config_error(tmp_path, capsys, experiment, params):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, {**base_config(experiment, out, **params), "seed": 4})
+    assert main(["run", str(cfg), "--seed", "-1"]) == EXIT_CONFIG
+    assert "seed must be a nonnegative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_path_that_is_a_directory_is_a_config_error(tmp_path, capsys):
+    folder = tmp_path / "configs"
+    folder.mkdir()
+    assert main(["run", str(folder)]) == EXIT_CONFIG
+    assert f"cannot read config file {folder}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-a-file"])
+def test_output_path_that_cannot_be_created_is_a_config_error(tmp_path, capsys, below):
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    out = afile / "x" if below else afile
+    cfg = write_config(tmp_path, base_config("ramsey", tmp_path / "unused"))
+    assert main(["run", str(cfg), "--out", str(out)]) == EXIT_CONFIG
+    assert f"cannot create output directory {out}" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "config.yaml"]
+    assert afile.read_text() == "keep"
+
+
 # ---------------------------------------------------------------------------
 # running experiments
 

@@ -17,7 +17,6 @@ from photonlab.fock import (
     StateVector,
     TruncationOverflowError,
     annihilate,
-    apply_mode_map,
     basis_vector,
     create,
     dyad_sum,
@@ -364,7 +363,7 @@ def test_plan_reused_across_photon_numbers_matches_a_fresh_map():
         basis_vector(sp, {path(0): 1, path(1): 1}),
     ]
     for state in inputs:
-        assert list(plan.apply(state)._amp.items()) == list(apply_mode_map(state, columns)._amp.items())
+        assert list(plan.apply(state)._amp.items()) == list(ModeMapPlan(columns).apply(state)._amp.items())
 
 
 # ---------------------------------------------------------------------------
@@ -406,50 +405,34 @@ def random_states(draw):
 
 
 @st.composite
-def moves_and_states(draw):
-    """Moves with distinct columns and rows, rows landing on moved
-    columns or on columns the map leaves alone, and their coefficients."""
+def phases_and_states(draw):
+    """Distinct mode positions in any order, and two sets of phases."""
     state = draw(random_states())
     m = len(state.space.modes)
-    cols = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
-    rows = draw(st.permutations(range(m)))[: len(cols)]
-    coeffs = [draw(st.lists(COEFF, min_size=len(cols), max_size=len(cols))) for _ in range(2)]
-    return state, list(zip(cols, rows)), coeffs
+    modes = draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True))
+    coeffs = [draw(st.lists(COEFF, min_size=len(modes), max_size=len(modes))) for _ in range(2)]
+    return state, modes, coeffs
 
 
-def move_after_a_phase():
-    # a photon moved onto an occupied mode that no move empties, after a
-    # phase on another column: the order of the factor's products shows
-    sp = FockSpace([path(0), path(1), path(2)], n_max=3)
-    phase = cmath.exp(1j)
-    return basis_vector(sp, {path(0): 1, path(1): 1, path(2): 1}), [(0, 0), (1, 2)], [[phase, phase]]
-
-
-def moves_out_of_column_order():
-    # pairs listed against column order, one landing on an occupied mode
-    # no move empties: the factor's three products must run in column
-    # order, as the plan's do (two complex products commute exactly)
+def phases_out_of_column_order():
+    # three phases listed against column order on |1,1,1>: their
+    # products must run in column order, as the plan's do (two complex
+    # products commute exactly, three need not)
     sp = FockSpace([path(0), path(1), path(2)], n_max=3)
     state = basis_vector(sp, {path(0): 1, path(1): 1, path(2): 1})
-    return state, [(2, 1), (0, 0)], [[cmath.exp(1j), cmath.exp(2j)]]
+    return state, [2, 0, 1], [[cmath.exp(1j), cmath.exp(2j), cmath.exp(0.7j)]]
 
 
 @settings(max_examples=300, deadline=None)
-@given(moves_and_states())
-@example(move_after_a_phase())
-@example(moves_out_of_column_order())
-def test_move_step_equals_the_plan(case):
-    state, pairs, coeff_sets = case
-    step = fock.MoveStep(state, pairs)
+@given(phases_and_states())
+@example(phases_out_of_column_order())
+def test_phase_step_equals_the_plan(case):
+    state, modes, coeff_sets = case
+    step = fock.PhaseStep(state, modes)
+    assert step.support_out == list(state._amp)
     for coeffs in coeff_sets:
-        want = ModeMapPlan({j: {i: c} for (j, i), c in zip(pairs, coeffs)}).apply(state)
+        want = ModeMapPlan({m: {m: c} for m, c in zip(modes, coeffs)}).apply(state)
         assert same_items(step.apply(coeffs), want)
-
-
-def test_move_step_refuses_a_repeated_row():
-    sp = FockSpace([path(0), path(1)], n_max=2)
-    with pytest.raises(ValueError, match="repeat"):
-        fock.MoveStep(basis_vector(sp, {path(0): 1}), [(0, 1), (1, 1)])
 
 
 @st.composite
@@ -510,7 +493,7 @@ def test_program_falls_back_on_another_support():
 @st.composite
 def every_construction(draw):
     """One state from each way a StateVector is made, on a random state."""
-    state, pairs, (coeffs, _) = draw(moves_and_states())
+    state, modes, (coeffs, _) = draw(phases_and_states())
     sp = state.space
     m = len(sp.modes)
     columns = {}
@@ -527,7 +510,7 @@ def every_construction(draw):
     made = [
         ("constructor", StateVector(sp, dict(reversed(state.items())))),
         ("wrap", fock._wrap(sp, dict(state._amp))),
-        ("move step", fock.MoveStep(state, pairs).apply(coeffs)),
+        ("phase step", fock.PhaseStep(state, modes).apply(coeffs)),
         ("program", ModeMapProgram(plan, list(state._amp)).apply(state)),
         ("plan", plan.apply(state)),
         ("scaled", state.scaled(draw(COEFF))),

@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonlab.elements import beam_splitter, build_interferometer, phase_shift
-from photonlab.fock import FockSpace, apply_mode_map, basis_vector, path
+from photonlab.fock import FockSpace, ModeMapPlan, basis_vector, path
 
 
 def ryser_permanent(a: np.ndarray) -> complex:
@@ -105,7 +105,7 @@ def test_any_mode_map_matches_the_permanent(case):
     modes = [path(i) for i in range(m)]
     sp = FockSpace(modes, n_max=n)
     columns = {j: {i: complex(u[i, j]) for i in range(m)} for j in range(m)}
-    out = apply_mode_map(basis_vector(sp, dict(zip(modes, s))), columns)
+    out = ModeMapPlan(columns).apply(basis_vector(sp, dict(zip(modes, s))))
     for t in occupations(m, n):
         got = out.amplitude(sp.basis_state(dict(zip(modes, t))))
         assert abs(got - permanent_amplitude(u, s, t)) <= 1e-12
