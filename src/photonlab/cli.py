@@ -5,12 +5,13 @@ and writes one CSV per result table plus a JSON summary.  Configs are
 strict: unknown keys, values outside a parameter's declared domain
 (``photonlab list`` prints each one), non-finite floats, and missing or
 negative seeds are config errors (exit 2), found before anything is
-computed.  A config path that cannot be read and an output directory
-that cannot be created are config errors too; numerical failures exit
-3.  Identical (config, seed) pairs reproduce the CSV tables and the
-summary byte for byte.  Outputs are staged under temporary names and
-renamed only after every file has been written, so failures leave no
-partial runs.
+computed.  A config path that cannot be read, an output directory that
+cannot be created and an output file name taken by something other
+than a regular file are config errors too; numerical failures exit 3.
+Identical (config, seed) pairs reproduce the CSV tables and the summary
+byte for byte.  Outputs are staged under temporary names and renamed
+only after every file has been written, so failures leave no partial
+runs.
 
     photonlab run config.yaml [--seed N] [--out DIR] [--quiet]
     photonlab list
@@ -478,6 +479,8 @@ EXPERIMENTS: dict[str, Experiment] = {
             ),
             _run_spiral,
             stochastic=False,
+            # the mode normalization holds (p + |l|)!, and 171! overflows a float
+            rules=(("l_max + p_max <= 170", lambda p: p["l_max"] + p["p_max"] <= 170),),
         ),
         Experiment(
             "doppler",
@@ -621,11 +624,17 @@ def write_bundle(bundle: ResultBundle, out_dir: Path, seed: int | None) -> list[
 
     Refuses, before anything is written, a bundle with an empty table or
     with a non-finite number in a table cell or anywhere in the summary,
-    and an ``out_dir`` that cannot be created (a ``ConfigError``).
+    and (a ``ConfigError``) an ``out_dir`` that cannot be created or a
+    target that exists but is not a regular file, which no rename could
+    replace.
     """
     _require_complete(bundle)
     payload: dict[str, bytes] = {f"{t.name}.csv": _render_csv(t) for t in bundle.tables}
     payload["summary.json"] = _render_summary(bundle, seed)
+    for fname in payload:
+        target = out_dir / fname
+        if target.exists() and not target.is_file():
+            raise ConfigError(f"output target {target} exists and is not a regular file")
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:

@@ -950,12 +950,21 @@ def schmidt_values(
     state: StateVector,
     partition: tuple[Sequence[ModeLabel], Sequence[ModeLabel]],
 ) -> np.ndarray:
-    """Singular values of the amplitude matrix under a mode bipartition.
+    """Singular values of the amplitude matrix under a mode bipartition,
+    in descending order.
 
     The state amplitudes are reshaped into a matrix indexed by the
     occupation pattern on each side; the singular values squared are the
     Schmidt coefficients.  Rank 1 (one value above 1e-10) iff the state
     is separable across the partition.
+
+    The matrix is block-diagonal under the photon numbers on the two
+    sides: a block joins every side-A count and side-B count linked
+    through the (n_a, n_b) pairs the state holds, so a state of fixed
+    total number splits into one block per n_a, and a mixed-number state
+    such as a product of coherent states stays one block.  Each block is
+    decomposed on its own; the values are joined and padded with zeros to
+    min(rows, columns), the length of a full-matrix SVD.
     """
     side_a, side_b = (frozenset(p) for p in partition)
     if not side_a or not side_b:
@@ -978,7 +987,26 @@ def schmidt_values(
     m = np.zeros((len(rows), len(cols)), dtype=complex)
     for i, j, a in coords:
         m[i, j] = a
-    return np.linalg.svd(m, compute_uv=False)
+    # a union-find over the labels ("a", n_a) and ("b", n_b)
+    root: dict = {}
+
+    def find(label):
+        while root.setdefault(label, label) != label:
+            label = root[label]
+        return label
+
+    row_n = [sum(k) if isinstance(k, tuple) else k for k in rows]
+    col_n = [sum(k) if isinstance(k, tuple) else k for k in cols]
+    for n_a, n_b in {(row_n[i], col_n[j]) for i, j, _ in coords}:
+        root[find(("a", n_a))] = find(("b", n_b))
+    blocks: dict = {}
+    for i, n in enumerate(row_n):
+        blocks.setdefault(find(("a", n)), ([], []))[0].append(i)
+    for j, n in enumerate(col_n):
+        blocks[find(("b", n))][1].append(j)
+    values = [np.linalg.svd(m[np.ix_(r, c)], compute_uv=False) for r, c in blocks.values()]
+    values.append(np.zeros(min(m.shape) - sum(v.size for v in values)))
+    return np.sort(np.concatenate(values))[::-1]
 
 
 def schmidt_rank(

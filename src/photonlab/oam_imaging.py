@@ -20,7 +20,11 @@ Objects are sampled on a polar quadrature grid (Gauss-Legendre radial
 nodes on [0, R_max], uniform angular nodes).  Because every mode is a
 radial profile times e^{-i l theta}, an overlap integral is one angular
 DFT of the samples followed by a weighted radial sum, and a projection
-never tabulates a mode on the full grid.
+never tabulates a mode on the full grid.  The radial profile depends on
+l through |l| alone, so a projection builds one radial family per |l|,
+from one Laguerre recurrence over every p, and reads it for +l and -l;
+a single mode is the last member of its family, so both paths share
+one formula and give the same bits.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ import functools
 import io
 import math
 from dataclasses import dataclass
-from typing import Mapping, TextIO
+from typing import Iterable, Iterator, Mapping, TextIO
 
 import numpy as np
 
@@ -84,9 +88,13 @@ class LGModeSpec:
 
     @property
     def normalization(self) -> float:
-        return math.sqrt(
-            2 * math.factorial(self.p) / (math.pi * math.factorial(self.p + abs(self.l)))
-        )
+        return _normalization(self.p, abs(self.l))
+
+
+def _normalization(p: int, la: int) -> float:
+    """C = sqrt(2 p! / (pi (p + |l|)!)); (p + |l|)! must fit a float, so
+    p + |l| <= 170."""
+    return math.sqrt(2 * math.factorial(p) / (math.pi * math.factorial(p + la)))
 
 
 def _binom(n: int, k: int) -> float:
@@ -107,53 +115,77 @@ def _binom(n: int, k: int) -> float:
     return num / den
 
 
-def _genlaguerre(n: int, alpha: int, x: np.ndarray) -> np.ndarray:
-    """Generalized Laguerre polynomial L_n^alpha(x) for integers n, alpha >= 0.
+def _laguerre_family(n_max: int, alpha: int, x: np.ndarray) -> Iterator[np.ndarray]:
+    """Generalized Laguerre polynomials L_0^alpha(x) ... L_{n_max}^alpha(x)
+    for integers n_max, alpha >= 0, from one run of the recurrence.
 
-    Runs the three-term recurrence on the increments d_k = P_k - P_{k-1}
-    of P_k = L_k^alpha / binom(k + alpha, k), starting from P_0 = 1:
+    L_0 = 1 and L_1 = alpha + 1 - x directly.  Past that the recurrence
+    runs on the increments d_k = P_k - P_{k-1} of
+    P_k = L_k^alpha / binom(k + alpha, k), starting from P_0 = 1:
 
         d_1 = -x / (alpha + 1)
         d_{k+1} = -x / (k + alpha + 1) P_k + k / (k + alpha + 1) d_k
 
-    and scales P_n by binom(n + alpha, n) at the end.
+    and each L_n is P_n scaled by binom(n + alpha, n).
     """
-    x = np.asarray(x, dtype=float)
-    if n == 0:
-        return np.ones_like(x)
-    if n == 1:
-        return -x + alpha + 1
+    if n_max < 0:
+        return
+    yield np.ones_like(x)
+    if n_max == 0:
+        return
+    yield -x + alpha + 1
     d = -x / (alpha + 1)
     p = d + 1
-    for k in range(1, n):
+    for k in range(1, n_max):
         d = -x / (k + alpha + 1) * p + (k / (k + alpha + 1)) * d
         p = p + d
-    return _binom(n + alpha, n) * p
+        yield _binom(k + 1 + alpha, k + 1) * p
+
+
+def _genlaguerre(n: int, alpha: int, x: np.ndarray) -> np.ndarray:
+    """Generalized Laguerre polynomial L_n^alpha(x) for integers n, alpha >= 0."""
+    *_, last = _laguerre_family(n, alpha, np.asarray(x, dtype=float))
+    return last
+
+
+def _radial_families(
+    w0: float, wavelength: float, z: float, r: np.ndarray, charges: Iterable[int], p_max: int
+) -> list[list[np.ndarray]]:
+    """R_{lp}(r), the mode without its azimuthal factor (u = R e^{-i l theta}),
+    for each |l| in ``charges`` and p = 0 .. p_max: ``families[i][p]``.
+
+    R holds the radial envelope, the wavefront curvature and the Gouy
+    phase, none of which depends on theta, and it depends on l through
+    |l| alone.  The beam radius, the Gaussian and the curvature are
+    computed once for every mode, and one Laguerre recurrence per |l|
+    serves every p.
+    """
+    zr = LGModeSpec(0, 0, w0, wavelength, z).rayleigh_range
+    w = w0 * math.sqrt(1.0 + (z / zr) ** 2)
+    x = 2.0 * r ** 2 / w ** 2
+    gaussian = np.exp(-(r ** 2) / w ** 2)
+    gouy_angle = math.atan2(z, zr)
+    if z == 0.0:
+        curvature = 0.0
+    else:
+        k = 2.0 * math.pi / wavelength
+        curvature = -k * r ** 2 * z / (2.0 * (z ** 2 + zr ** 2))
+    families = []
+    for la in charges:
+        power = (np.sqrt(2.0) * r / w) ** la
+        family = []
+        for p, laguerre in enumerate(_laguerre_family(p_max, la, x)):
+            radial = (_normalization(p, la) / w) * power * gaussian * laguerre
+            gouy = (2 * p + la + 1) * gouy_angle
+            family.append(radial * np.exp(1j * (curvature + gouy)))
+        families.append(family)
+    return families
 
 
 def _lg_radial(spec: LGModeSpec, r: np.ndarray) -> np.ndarray:
-    """R_{lp}(r), the mode without its azimuthal factor: u = R e^{-i l theta}.
-
-    Holds the radial envelope, the wavefront curvature and the Gouy
-    phase, none of which depends on theta.
-    """
-    la = abs(spec.l)
-    zr = spec.rayleigh_range
-    w = spec.w0 * math.sqrt(1.0 + (spec.z / zr) ** 2)
-    x = 2.0 * r ** 2 / w ** 2
-    radial = (
-        (spec.normalization / w)
-        * (np.sqrt(2.0) * r / w) ** la
-        * np.exp(-(r ** 2) / w ** 2)
-        * _genlaguerre(spec.p, la, x)
-    )
-    gouy = (2 * spec.p + la + 1) * math.atan2(spec.z, zr)
-    if spec.z == 0.0:
-        curvature = 0.0
-    else:
-        k = 2.0 * math.pi / spec.wavelength
-        curvature = -k * r ** 2 * spec.z / (2.0 * (spec.z ** 2 + zr ** 2))
-    return radial * np.exp(1j * (curvature + gouy))
+    """R_{lp}(r) of one mode: u = R e^{-i l theta}."""
+    (family,) = _radial_families(spec.w0, spec.wavelength, spec.z, r, [abs(spec.l)], spec.p)
+    return family[spec.p]
 
 
 def lg_amplitude(spec: LGModeSpec, r, theta) -> np.ndarray:
@@ -383,8 +415,11 @@ def project_object(
 
         a_{lp} = sum_r w_r r dtheta conj(R_{lp}(r)) F_l(r).
 
-    Requires n_theta >= 4 l_max so the angular harmonics up to l_max are
-    unaliased on the grid.
+    R_{lp} = R_{-l,p}, so the radial factors are built once per |l|, one
+    family over p = 0 .. p_max, with the float operations of a single
+    mode's R_{lp}; every coefficient is the per-mode radial sum, bit for
+    bit.  Requires n_theta >= 4 l_max so the angular harmonics up to l_max
+    are unaliased on the grid.
     """
     n_theta = profile.grid.n_theta
     if n_theta < 4 * l_max:
@@ -392,11 +427,11 @@ def project_object(
     r, wr, _ = profile.grid.nodes()
     weight = wr * r * profile.grid.dtheta
     harmonics, _ = _angular_harmonics(profile)
+    families = _radial_families(w0, wavelength, z, r, range(l_max + 1), p_max)
     coeffs = {}
     for l in range(-l_max, l_max + 1):
         weighted = harmonics[:, (-l) % n_theta] * weight
-        for p in range(p_max + 1):
-            radial = _lg_radial(LGModeSpec(l, p, w0, wavelength, z), r)
+        for p, radial in enumerate(families[abs(l)]):
             coeffs[(l, p)] = complex(np.vdot(radial, weighted))
     captured = sum(abs(a) ** 2 for a in coeffs.values())
     return SpiralSpectrum(
@@ -519,6 +554,15 @@ class BeatMeasurement:
     detected: bool
 
 
+@functools.lru_cache(maxsize=4)
+def _hann(n: int) -> np.ndarray:
+    """The n-point Hann window, built once per record length and shared
+    read-only; a record can be long, so only a few lengths are kept."""
+    window = np.hanning(n)
+    window.setflags(write=False)
+    return window
+
+
 def rotational_doppler_beat(
     l: int,
     rotation_rate: float,
@@ -556,8 +600,7 @@ def rotational_doppler_beat(
         1j * (omega - l * rotation_rate) * t
     )
     intensity = np.abs(field) ** 2
-    window = np.hanning(n)
-    spectrum = np.abs(np.fft.rfft((intensity - intensity.mean()) * window))
+    spectrum = np.abs(np.fft.rfft((intensity - intensity.mean()) * _hann(n)))
     bin_width = 2.0 * math.pi * sample_rate / n
     peak = int(np.argmax(spectrum[1:]) + 1)
     if spectrum[peak] < 1e-9 * n:

@@ -214,6 +214,23 @@ def test_output_path_that_cannot_be_created_is_a_config_error(tmp_path, capsys, 
     assert afile.read_text() == "keep"
 
 
+def test_output_name_taken_by_a_directory_is_a_config_error(tmp_path, capsys):
+    # no rename can replace a directory: refused before anything is staged
+    out = tmp_path / "out"
+    taken = out / "summary.json"
+    taken.mkdir(parents=True)
+    cfg = write_config(tmp_path, base_config("spiral", out, n_radial=32, n_angular=64))
+    assert main(["run", str(cfg), "--quiet"]) == EXIT_CONFIG
+    assert f"output target {taken} exists and is not a regular file" in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["summary.json"]
+    assert not any(taken.iterdir())
+    # a regular file of that name is replaced
+    taken.rmdir()
+    taken.write_text("old")
+    assert main(["run", str(cfg), "--quiet"]) == EXIT_OK
+    assert json.loads(taken.read_text())["experiment"] == "spiral"
+
+
 # ---------------------------------------------------------------------------
 # running experiments
 
@@ -454,6 +471,20 @@ def test_unresolved_delay_scan_fails_before_writing(tmp_path, capsys):
     cfg = write_config(tmp_path, base_config("dispersion", out, tau_span=1e-208))
     assert main(["run", str(cfg)]) == EXIT_NUMERICAL
     assert "zero-width envelope" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("params", [dict(l_max=171, n_angular=688), dict(p_max=170)], ids=["l_max", "p_max"])
+def test_spiral_family_past_the_factorial_range_is_a_config_error(tmp_path, capsys, monkeypatch, params):
+    # the mode normalization holds (p + |l|)!, and 171! overflows a float
+    def computed(*args, **kwargs):
+        raise AssertionError("projected a config that fails validation")
+
+    monkeypatch.setattr(photonlab.oam_imaging, "project_object", computed)
+    out = tmp_path / "spiral"
+    cfg = write_config(tmp_path, base_config("spiral", out, **params))
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert "spiral needs l_max + p_max <= 170" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -561,6 +561,57 @@ def test_noon_state_rank_and_singular_values():
     assert np.allclose(sorted(svals), [1 / math.sqrt(2)] * 2, atol=1e-12)
 
 
+def _full_matrix_schmidt(state, partition):
+    """The singular values of the whole amplitude matrix, in one SVD."""
+    rows, cols, entries = {}, {}, {}
+    for bs in state.support():
+        i = rows.setdefault(tuple(bs.n(m) for m in partition[0]), len(rows))
+        j = cols.setdefault(tuple(bs.n(m) for m in partition[1]), len(cols))
+        entries[i, j] = state.amplitude(bs)
+    dense = np.zeros((len(rows), len(cols)), dtype=complex)
+    for (i, j), a in entries.items():
+        dense[i, j] = a
+    return np.linalg.svd(dense, compute_uv=False)
+
+
+def _schmidt_cases():
+    from photonlab.elements import beam_splitter, build_interferometer, phase_shift
+    from photonlab.sources import coherent_state, noon_state
+
+    rng = np.random.default_rng(7)
+    modes = [path(i) for i in range(7)]
+    mesh = build_interferometer([
+        spec
+        for depth in range(7)
+        for i in range(depth % 2, 6, 2)
+        for spec in (phase_shift(modes[i], rng.uniform(0, 2 * math.pi)), beam_splitter(modes[i], modes[i + 1], rng.uniform(0.2, 1.35)))
+    ])
+    space7 = FockSpace(modes, n_max=7)
+    yield "mesh", mesh.apply(basis_vector(space7, {m: 1 for m in modes})), (modes[:3], modes[3:])
+    sp = two_mode_space(n_max=6)
+    yield "noon", noon_state(sp, path(0), path(1), 6), ([path(0)], [path(1)])
+    space4 = FockSpace(modes[:4], n_max=4)
+    yield "product", basis_vector(space4, {modes[0]: 2, modes[3]: 1}), (modes[:2], modes[2:4])
+    # a coherent state split in two is a product of coherent states, up to
+    # the truncation of the total number: every photon number on one side
+    # meets every one on the other, so the matrix is one block
+    space2 = FockSpace(modes[:2], n_max=14)
+    split = build_interferometer([beam_splitter(modes[0], modes[1])])
+    yield "coherent", split.apply(coherent_state(space2, modes[0], 1.1 + 0.4j)), ([modes[0]], [modes[1]])
+
+
+def test_schmidt_blocks_match_the_full_matrix_svd():
+    for name, st, partition in _schmidt_cases():
+        want = _full_matrix_schmidt(st, partition)
+        got = fock.schmidt_values(st, partition)
+        assert got.shape == want.shape, name
+        assert np.max(np.abs(got - want)) <= 1e-12, name
+        assert schmidt_rank(st, partition)[0] == int(np.sum(want > fock.SCHMIDT_TOL)), name
+    ranks = {name: schmidt_rank(st, partition)[0] for name, st, partition in _schmidt_cases()}
+    assert (ranks["noon"], ranks["product"]) == (2, 1)
+    assert ranks["mesh"] > 1
+
+
 def test_spdc_uniform_rank_counts_terms():
     from photonlab.sources import SpdcOamSpectrum, spdc_oam_pair, spdc_space
 

@@ -9,7 +9,9 @@ from scipy.special import eval_genlaguerre
 
 from photonlab.oam_imaging import (
     _genlaguerre,
+    _hann,
     _legendre,
+    _lg_radial,
     BeatMeasurement,
     LGModeSpec,
     ObjectProfile,
@@ -215,6 +217,54 @@ def test_projection_matches_full_grid_quadrature(grid, z):
             assert worst <= 1e-13 * math.sqrt(obj.power()), (name, l_max, p_max, worst)
 
 
+def _reference_radial(spec, r):
+    """R_{lp}(r) of one mode by the closed formula, with scipy's Laguerre
+    polynomial (bit-identical to the recurrence, see above)."""
+    la = abs(spec.l)
+    zr = spec.rayleigh_range
+    w = spec.w0 * math.sqrt(1.0 + (spec.z / zr) ** 2)
+    x = 2.0 * r ** 2 / w ** 2
+    radial = (
+        (spec.normalization / w)
+        * (np.sqrt(2.0) * r / w) ** la
+        * np.exp(-(r ** 2) / w ** 2)
+        * eval_genlaguerre(spec.p, la, x)
+    )
+    gouy = (2 * spec.p + la + 1) * math.atan2(spec.z, zr)
+    if spec.z == 0.0:
+        curvature = 0.0
+    else:
+        k = 2.0 * math.pi / spec.wavelength
+        curvature = -k * r ** 2 * spec.z / (2.0 * (spec.z ** 2 + zr ** 2))
+    return radial * np.exp(1j * (curvature + gouy))
+
+
+@pytest.mark.parametrize("z", [0.0, 0.37])
+def test_projection_equals_the_per_mode_sum_bit_for_bit(z):
+    # one radial family per |l|, shared by +l and -l, gives every
+    # coefficient the per-mode quadrature gives, to the last bit
+    grid = PolarGrid(128, 256, 6.0 * W0)
+    r, wr, _ = grid.nodes()
+    weight = wr * r * grid.dtheta
+    for obj in (letter_mask_object(grid, W0), disk_object(grid, 2.0 * W0)):
+        harmonics = np.fft.fft(obj.samples, axis=1)
+        got = project_object(obj, W0, 20, 5, z=z)
+        want = {}
+        for l in range(-20, 21):
+            weighted = harmonics[:, (-l) % grid.n_theta] * weight
+            for p in range(6):
+                spec = LGModeSpec(l, p, W0, 1.0, z)
+                radial = _reference_radial(spec, r)
+                assert np.array_equal(_lg_radial(spec, r), radial), (l, p)
+                want[(l, p)] = complex(np.vdot(radial, weighted))
+        assert list(got.coefficients) == list(want)
+        for key, a in want.items():
+            b = got.coefficients[key]
+            assert (b.real.hex(), b.imag.hex()) == (a.real.hex(), a.imag.hex()), key
+        captured = sum(abs(a) ** 2 for a in want.values())
+        assert got.residual.hex() == float(obj.power() - captured).hex()
+
+
 def test_projection_memory_stays_per_radius():
     # the full-grid quadrature held one 128 x 256 complex array per mode,
     # 246 of them (125 MiB); the angular-DFT projection needs about 1 MiB
@@ -383,6 +433,14 @@ def test_record_too_short_to_transform(duration, sample_rate, n):
     # at zero rotation no beat period bounds the record from below
     with pytest.raises(ResolutionError, match=f"record of {n} sample"):
         rotational_doppler_beat(5, 0.0, 100.0, duration=duration, sample_rate=sample_rate)
+
+
+def test_hann_window_is_shared_read_only():
+    window = _hann(20000)
+    assert np.array_equal(window, np.hanning(20000))
+    assert _hann(20000) is window
+    with pytest.raises(ValueError):
+        window[0] = 1.0
 
 
 def test_beat_linear_in_charge_and_rate():
