@@ -7,7 +7,8 @@ strict: unknown keys, values outside a parameter's declared domain
 negative seeds are config errors (exit 2), found before anything is
 computed.  A config path that cannot be read, an output directory that
 cannot be created and an output file name taken by something other
-than a regular file are config errors too; numerical failures exit 3.
+than a regular file are config errors too; numerical failures exit 3,
+and so, as a last resort, does a run that runs out of memory.
 Identical (config, seed) pairs reproduce the CSV tables and the summary
 byte for byte.  Outputs are staged under temporary names and renamed
 only after every file has been written, so failures leave no partial
@@ -710,6 +711,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(list_experiments())
         return EXIT_OK
 
+    config = None
     try:
         config = load_config(args.config)
         bundle, out_dir = run_experiment(config, args.seed, args.out)
@@ -719,6 +721,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_CONFIG
     except (FockError, ValueError, ArithmeticError) as exc:
         print(f"numerical failure in {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    except MemoryError:
+        # last resort: no size parameter is bounded from above yet
+        what = f"experiment {config['experiment']!r}" if config else f"config {str(args.config)!r}"
+        print(f"out of memory running {what}; reduce its size parameters", file=sys.stderr)
         return EXIT_NUMERICAL
     if not args.quiet:
         for key, value in sorted(bundle.summary.items()):

@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .fock import FockError
-from .oam_imaging import ResolutionError
+from .oam_imaging import ResolutionError, _phasors
 from .sources import BiphotonSpectrum
 
 
@@ -133,13 +133,16 @@ def _fourier_sum(delays: np.ndarray, detunings: np.ndarray, weights: np.ndarray,
     so with block length B = isqrt(n) and k = a B + b the phase factors
     into a coarse and a fine part,
 
-        e^{i s d_k tau} = e^{i s d_{aB} tau} e^{i s b h tau},
+        e^{i s d_k tau} = [e^{i s d_0 tau} e^{i s a B h tau}] e^{i s b h tau},
 
     and the sum becomes one (n_delays x B) @ (B x n_blocks) product,
     dotted row by row with the (n_delays x n_blocks) coarse factors.
     The weights are zero-padded to whole blocks.  h is taken from the
-    grid ends, (d_{n-1} - d_0) / (n - 1), which keeps the fine phases
-    within round-off of the grid values.
+    grid ends, (d_{n-1} - d_0) / (n - 1), which keeps the phases within
+    round-off of the grid values.  Both tables come from ``_phasors``,
+    so a delay costs about 4 n^{1/4} cos/sin pairs and the one complex
+    exponential e^{i s d_0 tau} (33 in all at 4096 bins), not 2 sqrt(n)
+    complex exponentials.
     """
     n = detunings.size
     block = math.isqrt(n)
@@ -147,8 +150,8 @@ def _fourier_sum(delays: np.ndarray, detunings: np.ndarray, weights: np.ndarray,
     step = (detunings[-1] - detunings[0]) / (n - 1)
     padded = np.zeros(n_blocks * block, dtype=complex)
     padded[:n] = weights
-    fine = np.exp(1j * scale * np.outer(delays, step * np.arange(block)))
-    coarse = np.exp(1j * scale * np.outer(delays, detunings[::block]))
+    fine = _phasors(scale * step * delays, block)
+    coarse = _phasors(scale * step * block * delays, n_blocks) * np.exp(1j * scale * detunings[0] * delays)[:, None]
     return np.einsum("ja,ja->j", coarse, fine @ padded.reshape(n_blocks, block).T)
 
 

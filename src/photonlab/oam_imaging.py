@@ -554,6 +554,28 @@ class BeatMeasurement:
     detected: bool
 
 
+def _phasors(theta: np.ndarray, count: int) -> np.ndarray:
+    """The rows e^{i theta_j m} for m = 0 .. count - 1, shape (len(theta), count).
+
+    With C = ceil(sqrt(count)) each m is q C + r, and the entry is the
+    product of e^{i theta q C} and e^{i theta r}, read from two tables of
+    about sqrt(count) columns each.  The tables are filled with cos and
+    sin, so a row costs about 2 sqrt(count) trig pairs and count complex
+    products instead of count complex exponentials.  An entry differs
+    from e^{i theta_j m} by a few ulp plus the rounding of theta_j m,
+    which grows as |theta_j| m.
+    """
+    theta = np.asarray(theta, dtype=float)
+    width = math.isqrt(count - 1) + 1
+    steps = (np.arange(width), width * np.arange(-(-count // width)))
+    fine, coarse = (np.empty((theta.size, m.size), dtype=complex) for m in steps)
+    for table, m in zip((fine, coarse), steps):
+        angle = np.outer(theta, m)
+        table.real = np.cos(angle)
+        table.imag = np.sin(angle)
+    return (coarse[:, :, None] * fine[:, None, :]).reshape(theta.size, -1)[:, :count]
+
+
 @functools.lru_cache(maxsize=4)
 def _hann(n: int) -> np.ndarray:
     """The n-point Hann window, built once per record length and shared
@@ -578,7 +600,15 @@ def rotational_doppler_beat(
     measured beat.  The intensity record is Hann-windowed, Fourier
     transformed, and the dominant nonzero peak refined by parabolic
     interpolation; the returned resolution is one DFT bin.
+
+    The beams are built in the frame that rotates at the carrier, as
+    e^{+/- i l Omega t}.  A square-law detector's |E|^2 does not depend
+    on omega, so omega is checked but does not enter the record, and the
+    beat survives any finite carrier; in the lab frame omega +/- l Omega
+    rounds to omega once omega is large.
     """
+    if not (math.isfinite(omega) and math.isfinite(rotation_rate)):
+        raise ValueError(f"omega ({omega!r}) and rotation_rate ({rotation_rate!r}) must be finite")
     if l == 0:
         raise ValueError("need l != 0")
     if duration <= 0 or sample_rate <= 0:
@@ -595,10 +625,8 @@ def rotational_doppler_beat(
     n = int(round(duration * sample_rate))
     if n < 2:
         raise ResolutionError(f"a record of {n} sample(s) has no spectrum to search: need >= 2")
-    t = np.arange(n) / sample_rate
-    field = np.exp(1j * (omega + l * rotation_rate) * t) + np.exp(
-        1j * (omega - l * rotation_rate) * t
-    )
+    per_sample = l * rotation_rate / sample_rate
+    field = _phasors(np.array([per_sample, -per_sample]), n).sum(axis=0)
     intensity = np.abs(field) ** 2
     spectrum = np.abs(np.fft.rfft((intensity - intensity.mean()) * _hann(n)))
     bin_width = 2.0 * math.pi * sample_rate / n

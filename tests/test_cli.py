@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -598,6 +600,34 @@ def test_doppler_run_linearity(tmp_path):
     summary = json.loads((out / "summary.json").read_text())
     assert summary["summary"]["r_squared"] > 0.999
     assert summary["summary"]["max_bin_error"] <= 1.0
+
+
+def _beats(tmp_path, omega):
+    out = tmp_path / f"doppler-{omega!r}"
+    cfg = write_config(tmp_path, base_config("doppler", out, omega=omega), name=f"{omega!r}.yaml")
+    assert main(["run", str(cfg), "--quiet"]) == EXIT_OK
+    with open(out / "beats.csv", newline="") as fh:
+        return np.array([float(row["beat_measured[rad/s]"]) for row in csv.DictReader(fh)])
+
+
+@pytest.mark.parametrize("omega", [1e15, 1e20])
+def test_doppler_beats_do_not_depend_on_the_carrier(tmp_path, omega):
+    # in the lab frame omega +/- l Omega rounds towards omega, and the beat is lost
+    reference = _beats(tmp_path, 1e3)
+    assert np.all(reference > 0)
+    assert np.allclose(_beats(tmp_path, omega), reference, rtol=1e-12, atol=0.0)
+
+
+def test_memory_error_exits_numerical_and_writes_nothing(tmp_path, capsys, monkeypatch):
+    def exhausted(params, seed):
+        raise MemoryError
+
+    monkeypatch.setitem(EXPERIMENTS, "doppler", dataclasses.replace(EXPERIMENTS["doppler"], runner=exhausted))
+    out = tmp_path / "doppler"
+    cfg = write_config(tmp_path, base_config("doppler", out))
+    assert main(["run", str(cfg)]) == EXIT_NUMERICAL
+    assert "out of memory running experiment 'doppler'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_dispersion_run_summary(tmp_path):

@@ -12,6 +12,7 @@ from photonlab.oam_imaging import (
     _hann,
     _legendre,
     _lg_radial,
+    _phasors,
     BeatMeasurement,
     LGModeSpec,
     ObjectProfile,
@@ -433,6 +434,25 @@ def test_record_too_short_to_transform(duration, sample_rate, n):
     # at zero rotation no beat period bounds the record from below
     with pytest.raises(ResolutionError, match=f"record of {n} sample"):
         rotational_doppler_beat(5, 0.0, 100.0, duration=duration, sample_rate=sample_rate)
+
+
+@pytest.mark.parametrize("count", [1, 2, 5, 22, 24, 64, 141, 20000])
+def test_phasors_match_complex_exponentials(count):
+    # |theta * m| reaches about 2e5; the reference rounds theta * m too,
+    # so both sides carry an error that grows as |theta| m
+    theta = np.array([0.0, 1.0, -0.7, math.pi, -2.3e5 / count, 2e5 / count, 1e-9])
+    got = _phasors(theta, count)
+    assert got.shape == (theta.size, count)
+    ref = np.exp(1j * np.outer(theta, np.arange(count)))
+    tol = 4 * np.finfo(float).eps * (1.0 + np.abs(theta)[:, None] * np.arange(count))
+    assert np.all(np.abs(got - ref) <= tol)
+    assert np.array_equal(got[0], np.ones(count))
+
+
+@pytest.mark.parametrize("omega, rate", [(math.inf, 0.5), (math.nan, 0.5), (500.0, -math.inf), (500.0, math.nan)])
+def test_doppler_refuses_non_finite_carrier_or_rate(omega, rate):
+    with pytest.raises(ValueError, match="must be finite"):
+        rotational_doppler_beat(10, rate, omega, duration=120.0, sample_rate=60.0)
 
 
 def test_hann_window_is_shared_read_only():
