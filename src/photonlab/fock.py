@@ -11,10 +11,15 @@ Inside, a basis state is a tuple of integer occupations, one per mode in
 position.  ``ModeLabel`` and ``BasisState`` appear only at the API edge:
 building states and observables, and reading amplitudes back.  Passive
 linear optics acts through one routine, ``ModeMapPlan.apply``, which
-takes the map a_j^dag -> sum_i U_ij a_i^dag of the creation operators;
-``ModeMapProgram`` replays its arithmetic, bit for bit, on a state whose
-support is fixed in advance, and ``PhaseStep`` does the same for a
-diagonal phase map whose phases are left free.  The plan and the
+takes the map a_j^dag -> sum_i U_ij a_i^dag of the creation operators
+and builds the output one photon level at a time, each level one numpy
+step over the terms of every input term.  Its float operations, and the
+order of every sum, are those of a dict expansion with one update per
+(term, row); complex products are written in float parts because
+numpy's complex multiply rounds differently from CPython's.
+``ModeMapProgram`` replays that arithmetic, bit for bit, on a state
+whose support is fixed in advance, and ``PhaseStep`` does the same for
+a diagonal phase map whose phases are left free.  The plan and the
 program route photons through one move routine, ``_route``.
 
 Conventions:
@@ -34,7 +39,7 @@ import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
-from itertools import compress
+from itertools import compress, groupby
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -500,16 +505,30 @@ class ModeMapPlan:
     * the n photons of a column with a single entry c move in one step
       with factor c**n, so a phase shift multiplies by ph**n exactly;
     * every other photon is spread over the rows of its column, gaining
-      sqrt(k + 1) on a row already holding k photons.
+      sqrt(k + 1) on a row already holding k photons; the photons of a
+      column with no entry vanish.
 
     The 1/sqrt(s!) of the input occupations is paid one photon at a
     time, so an output amplitude is Perm(U_T,S) / sqrt(prod s! prod t!)
-    (Scheel, quant-ph/0406127) with no factorial formed.  Input terms
-    are expanded in canonical order and the output is put back into it.
-    Photon number is conserved, so the truncation cannot overflow.
+    (Scheel, quant-ph/0406127) with no factorial formed.  Photon number
+    is conserved, so the truncation cannot overflow.
+
+    ``apply`` routes each input term through the moves in Python, then
+    spreads the other photons in numpy (``_Expansion``): one step per
+    photon level, over the terms of all input terms at once.  A step
+    does the arithmetic of a dict expansion with one update per (term,
+    row): it visits a level's terms in the order they were first
+    reached, scales each by 1/sqrt(p) when p > 1, and adds its product
+    with each row's factor into the target term, starting from 0.0.
+    The output sums each basis state's contributions from 0.0 in input
+    order, prunes at ``PRUNE_EPS`` and sorts into canonical order
+    (``_collect``); a map of phases only keeps every term on its basis
+    state and skips the sort.  So the states are bit-stable, and for
+    finite amplitudes and coefficients they equal that dict expansion
+    bit for bit.
     """
 
-    __slots__ = ("_moves", "_spreads", "_cleared", "_ordered", "_rows")
+    __slots__ = ("_moves", "_spreads", "_cleared", "_ordered", "_span", "_rows", "_expansion")
 
     def __init__(self, columns: Mapping[int, Mapping[int, complex]]):
         moves: list[tuple[int, int, complex]] = []
@@ -527,9 +546,13 @@ class ModeMapPlan:
         self._cleared = [j for j, _, _ in moves] + [j for j, _ in spreads]
         # a map of phases only keeps the canonical order of the terms
         self._ordered = not spreads and all(i == j for j, i, _ in moves)
-        # (table size, spread rows), replaced whole and never mutated, so
-        # a plan shared between threads stays consistent
+        # the rows the spreads reach: the expansion tracks their counts
+        self._span = sorted({i for _, entries in spreads for i, _ in entries})
+        # (table size, spread rows) and the arrays for ``apply``, each
+        # replaced whole and never mutated, so a plan shared between
+        # threads stays consistent
         self._rows: tuple[int, list] = (-1, [])
+        self._expansion: _Expansion | None = None
 
     def _spread_rows(self, photons: int) -> list:
         """The spread columns as (j, [(i, [c * sqrt(k + 1) for k < size])]),
@@ -549,47 +572,290 @@ class ModeMapPlan:
         moves = self._moves
         if not moves and not self._spreads:
             return state
-        spreads = self._spread_rows(max(map(sum, state._amp), default=0)) if self._spreads else []
         cleared = self._cleared
-        out: dict[Occupations, complex] = {}
+        if self._ordered:
+            out: dict[Occupations, complex] = {}
+            for occ, amp in state._amp.items():
+                _, factor = _route(occ, cleared, moves)
+                if factor != 1:
+                    amp = amp * factor
+                # the sum from the integer 0 turns a -0.0 part into 0.0
+                a = 0 + amp
+                if abs(a) > PRUNE_EPS:
+                    out[occ] = a
+            return _wrap(state.space, out)
+        spread_cols = [j for j, _ in self._spreads]
+        sinks = [j for j, entries in self._spreads if not entries]
+        keys, re, im, held = [], [], [], []
         for occ, amp in state._amp.items():
+            if any(occ[j] for j in sinks):
+                continue
             key, factor = _route(occ, cleared, moves)
             if factor != 1:
                 amp = amp * factor
-            terms = {key: amp}
-            for j, rows in spreads:
-                for p in range(1, occ[j] + 1):
-                    scale = 1 / math.sqrt(p)
-                    nxt: dict[Occupations, complex] = {}
-                    for t, x in terms.items():
-                        if p > 1:
-                            x = x * scale
-                        for i, cs in rows:
-                            k = t[i]
-                            key = t[:i] + (k + 1,) + t[i + 1:]
-                            nxt[key] = nxt.get(key, 0) + x * cs[k]
-                    terms = nxt
-            for t, x in terms.items():
-                out[t] = out.get(t, 0) + x
-        if self._ordered:
-            return _wrap(state.space, {t: x for t, x in out.items() if abs(x) > PRUNE_EPS})
-        return _wrap(state.space, _canonical(out))
+            keys.append(key)
+            re.append(amp.real)
+            im.append(amp.imag)
+            held.append([occ[j] for j in spread_cols])
+        if not keys:
+            return _wrap(state.space, {})
+        size = max(map(sum, state._amp))
+        expansion = self._expansion
+        if expansion is None or expansion.size < size:
+            expansion = self._expansion = _Expansion(self._spreads, self._span, size)
+        return _wrap(state.space, expansion.run(keys, re, im, held))
+
+
+class _Expansion:
+    """The spread columns of a plan as arrays, for terms of up to
+    ``size`` photons, and the expansion of routed terms over them.
+
+    The arrays run over the span, the r rows the spreads reach.  A term
+    is a column of 2r integers: its counts on the span, each offset by
+    its row's position times ``size``, then its rank indices (see
+    ``run``); the terms of a level lie side by side.
+
+    Adjacent spread columns that reach the same rows form a block, which
+    ``run`` expands together.  Per block, ``blocks`` holds:
+
+    * the rows' positions in the span, as a slice when they are adjacent;
+    * the positions of its columns among the spread columns;
+    * ``parts``, 2 x 2 planes whose entry (q * r + i) * size + k holds
+      [[re, im], [-im, re]] of the factor of the block's column q for
+      span row i when that row already holds k photons, so that xr times
+      the first plane plus xi times the second is their product in
+      CPython's order, (xr * cr - xi * ci, xr * ci + xi * cr);
+    * ``up``, with up[k, q] = 1 where a photon on the block's row q
+      raises the rank step of span row k;
+    * ``hot``, whose column q adds that photon to a term.
+
+    The factors are formed in numpy as (re * sqrt(k + 1),
+    im * sqrt(k + 1)).  CPython's complex-by-float product differs from
+    that in the sign of a zero part at most, which no later product or
+    sum from 0.0 can tell.
+    """
+
+    __slots__ = ("size", "span", "start", "steps", "blocks")
+
+    def __init__(self, spreads: list, span: list[int], size: int):
+        r = len(span)
+        self.size = size
+        self.span = span
+        self.start = np.concatenate([np.arange(r) * size, np.arange(r) * (size + 1)])
+        # ``run`` reads only binomials up to its ``count``, at most 2**53
+        self.steps = np.array(
+            [min(math.comb(s + k, k), _EXACT) if k < r - 1 else 0 for k in range(r) for s in range(size + 1)],
+            dtype=float,
+        )
+        up = np.tri(r, dtype=np.int64)
+        up[r - 1:] = 0
+        hot = np.hstack([np.eye(r, dtype=np.int64), up.T])
+        # every spread column's coefficient on every span row
+        c = np.array([[dict(entries).get(i, 0) for i in span] for _, entries in spreads], dtype=complex).reshape(len(spreads), r)
+        root = np.sqrt(np.arange(1, size + 1))
+        re, im = c.real[..., None] * root, c.imag[..., None] * root
+        parts = np.array([[re, im], [-im, re]]).reshape(2, 2, len(spreads), r * size)
+        self.blocks = []
+        q = 0
+        for local, same in groupby([span.index(i) for i, _ in entries] for _, entries in spreads):
+            cols = list(range(q, q + len(list(same))))
+            q = cols[-1] + 1
+            adjacent = local and local[-1] - local[0] == len(local) - 1
+            rows = slice(local[0], local[-1] + 1) if adjacent else local
+            block = parts[:, :, cols].reshape(2, 2, -1)
+            self.blocks.append((rows, cols, block, up[:, local].astype(float), hot[local].T.copy()))
+
+    def run(
+        self,
+        keys: list[Occupations],
+        re: list[float],
+        im: list[float],
+        held: list[list[int]],
+    ) -> dict[Occupations, complex]:
+        """The output terms of ``ModeMapPlan.apply``, in canonical order.
+
+        ``keys`` are the occupations of each input term after the moves,
+        ``re`` and ``im`` the parts of its amplitude with the moves'
+        factor, and ``held`` its photons in each spread column.
+
+        The terms of all input terms live in one set of arrays: per term
+        a code g * count + rank, g being its input term, its column of
+        counts and rank indices, and its amplitude parts (xr, xi), kept
+        as two planes.  An input term spreads the photons it holds in a
+        block column by column, and photon p of a column is one level of
+        its expansion.  Step s of a block takes every input term to its
+        level s + 1 there, whatever column and p that is; the input terms
+        with fewer photons in the block wait until it is done.
+
+        A step scales each term by 1/sqrt(p), forms each (term, row)
+        product in float parts as CPython multiplies two complex numbers
+        (numpy's complex multiply may round otherwise), orders the
+        targets by first touch over the (term, row) pairs, and sums each
+        target's products in that order from 0.0: what a dict filled
+        with ``nxt.get(key, 0) + x * c`` holds, -0.0 parts turned into
+        0.0 included.  CPython scales by the complex (s, 0.0), whose
+        extra products are signed zeros, and a term at p = 1 is not
+        scaled where the step scales it by 1.0; for finite parts either
+        changes the sign of a zero at most, which no later product or
+        sum from 0.0 can tell.
+
+        A target is keyed by its code.  The rank is that of the
+        combinatorial number system over the span, sum_{k < r-1}
+        C(S_k + k, k + 1) with S_k the photons spread on span rows 0..k:
+        one to one on the occupations of each total, and below
+        ``count``, their number at the largest total ``top``.  So codes
+        differ between input terms, and a level shares none with
+        another.  A photon on row i raises the rank by the sum of
+        C(S_k + k, k) over i <= k < r-1; a term's rank indices are the
+        S_k + k * (size + 1), where ``steps`` holds these binomials.  The
+        sums are formed in float64, exact for integers below 2**53, so a
+        ``count`` above that, or codes past int64, raise ``FockError``.
+        """
+        span, start, steps, size = self.span, self.start, self.steps, self.size
+        r, terms = len(span), len(keys)
+        top = max(map(sum, held))
+        count = math.comb(top + r - 1, top) if r else 1
+        if count > _EXACT or terms * count > _INT64_MAX:
+            raise FockError(
+                f"{top} photons spread over the {r} modes the map mixes have {count} "
+                f"occupations, and {terms} input terms need {terms * count} keys: "
+                f"more than the expansion numbers (2**53 occupations, 2**63 keys)"
+            )
+        base = np.array(keys, dtype=np.int64).T
+        xw = np.zeros((2 * r, terms), dtype=np.int64)
+        xw[:r] = base[span]
+        xw += start[:, None]
+        a = np.array([re, im])
+        code = np.arange(0, terms * count, count, dtype=np.int64)
+        need = np.array(held, dtype=np.int64).reshape(terms, -1)
+        for rows, cols, parts, up, hot in self.blocks:
+            block = need[:, cols]
+            ends = block.cumsum(axis=1)
+            length = ends[:, -1]
+            lasting = set(length.tolist())
+            # per input term and level s + 1: the offset of its column in
+            # parts and its scale 1/sqrt(p), read only up to its last level
+            level = np.arange(max(lasting))
+            passed = ends[:, :, None] <= level
+            offset = passed.sum(axis=1) * (r * size)
+            p = level + 1 - (block[:, :, None] * passed).sum(axis=1)
+            scale = 1 / np.sqrt(p)
+            scaled = (p > 1).any(axis=0).tolist()
+            waiting = []
+            for s in range(len(level)):
+                if s in lasting:
+                    # the input terms with s photons in the block are done
+                    go = length.take(code // count) > s
+                    waiting.append((code[~go], xw[:, ~go], a[:, ~go]))
+                    code, xw, a = code[go], xw[:, go], a[:, go]
+                term = code // count
+                if scaled[s]:
+                    a = a * scale[:, s].take(term)
+                width = hot.shape[1]
+                # the (term, row) pairs, term by term
+                index = xw[rows].T + offset[:, s].take(term)[:, None]
+                m = a.repeat(width, axis=1)[:, None] * parts.take(index, axis=2).reshape(2, 2, -1)
+                prod = m[0] + m[1]
+                key = (steps.take(xw[r:]).T @ up).astype(np.int64)
+                key += code[:, None]
+                key = key.ravel()
+                first, slot, slots, touched = _first_touch(key, terms * count)
+                a = np.array([np.bincount(slot, prod[0], slots), np.bincount(slot, prod[1], slots)])
+                a = a.take(touched, axis=1)
+                src, row = np.divmod(first, width)
+                xw = xw.take(src, axis=1) + hot.take(row, axis=1)
+                code = key.take(first)
+            if waiting:
+                code = np.concatenate([code, *(c for c, _, _ in waiting)])
+                xw = np.concatenate([xw, *(x for _, x, _ in waiting)], axis=1)
+                a = np.concatenate([a, *(z for _, _, z in waiting)], axis=1)
+        term = code // count
+        occ = base.take(term, axis=1)
+        occ[span] = xw[:r] - start[:r, None]
+        return _collect(occ, term, a, size)
+
+
+_EXACT = 2**53
+_INT64_MAX = 2**63 - 1
+
+
+def _first_touch(key: np.ndarray, extent: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:
+    """Group the keys, all in [0, ``extent``), in the order each is first met.
+
+    Returns the position of each distinct key's first occurrence, in
+    increasing order; a slot per key, shared by equal keys; the number of
+    slots; and the slots of the first occurrences.  Keys are their own
+    slots when ``extent`` is at most a few thousand more than four times
+    their number; otherwise they are sorted.
+    """
+    n = key.size
+    if extent <= 4 * n + 4096:
+        first = np.full(extent, n)
+        seen = np.arange(n)
+        np.minimum.at(first, key, seen)
+        firsts = (first.take(key) == seen).nonzero()[0]
+        return firsts, key, extent, key.take(firsts)
+    order = key.argsort(kind="stable")
+    ranked = key.take(order)
+    head = np.empty(n, dtype=bool)
+    head[0] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=head[1:])
+    slot = np.empty(n, dtype=np.intp)
+    slot[order] = head.cumsum() - 1
+    mark = np.zeros(n, dtype=bool)
+    mark[order[head]] = True
+    firsts = mark.nonzero()[0]
+    return firsts, slot, len(firsts), slot.take(firsts)
+
+
+def _collect(occ: np.ndarray, term: np.ndarray, a: np.ndarray, top: int) -> dict[Occupations, complex]:
+    """The output terms in canonical order, from the final terms of every
+    input term: occupations ``occ``, one column per term and none above
+    ``top``, input term ``term`` and amplitude planes ``a``.  Each basis
+    state sums its contributions from 0.0 in input order and is kept if
+    its ``abs`` (a hypot) is above ``PRUNE_EPS``."""
+    # canonical order is the order of the (position, n) lists: at the
+    # first position where two states differ, a count sorts before a
+    # larger one, and a 0 sorts after any count when a photon follows
+    # it and before any count when none does
+    held = occ.cumsum(axis=0)
+    digits = np.where(occ, occ + 1, (held < held[-1]) * (top + 2))
+    # packed into int64 words of base top + 3, most significant first
+    modes, radix = len(occ), top + 3
+    per = 62 // radix.bit_length()
+    weights = [[radix ** (per - 1 - i % per) * (i // per == w) for i in range(modes)] for w in range(-(-modes // per))]
+    packed = np.array(weights, dtype=np.int64) @ digits
+    order = np.lexsort((term, *packed[::-1]))
+    ranked = packed.take(order, axis=1)
+    head = np.empty(len(order), dtype=bool)
+    head[0] = True
+    np.not_equal(ranked[0, 1:], ranked[0, :-1], out=head[1:])
+    for word in ranked[1:]:
+        head[1:] |= word[1:] != word[:-1]
+    ids = head.cumsum() - 1
+    amp = np.empty(ids[-1] + 1, dtype=complex)
+    amp.real = np.bincount(ids, a[0].take(order))
+    amp.imag = np.bincount(ids, a[1].take(order))
+    keep = np.hypot(amp.real, amp.imag) > PRUNE_EPS
+    kept = occ.take(order[head][keep], axis=1)
+    return dict(zip(zip(*kept.tolist()), amp[keep].tolist()))
 
 
 class ModeMapProgram:
     """A ``ModeMapPlan`` compiled against one input support.
 
-    Compilation runs ``apply``'s expansion once on the occupation tuples
-    of ``support`` alone.  Every intermediate term becomes an integer
-    slot, and every expansion step an instruction: read a slot, scale it
-    by the term's moves factor or by 1/sqrt(p), and add x * cs[k] into
-    the slots of the next photon; the last instructions add each term
-    into its output slot.  ``apply`` replays the instructions on a
-    state's amplitudes with the same float operations in the same order,
-    every sum starting from the integer 0 as ``apply``'s dict
-    accumulation does, then prunes at ``PRUNE_EPS`` and keeps the
-    canonical output order found once.  So its states equal
-    ``plan.apply`` bit for bit.
+    Compilation runs the plan's expansion once, as a dict expansion, on
+    the occupation tuples of ``support`` alone.  Every intermediate term
+    becomes an integer slot, and every expansion step an instruction:
+    read a slot, scale it by the term's moves factor or by 1/sqrt(p),
+    and add x * cs[k] into the slots of the next photon; the last
+    instructions add each term into its output slot.  ``apply`` replays
+    the instructions on a state's amplitudes in CPython complex
+    arithmetic, in the order of ``plan.apply``'s sums, each starting
+    from the integer 0 as the plan's start from 0.0, then prunes at
+    ``PRUNE_EPS`` and keeps the canonical output order found once.  The
+    plan forms the same products in float parts, so for finite values
+    the states equal ``plan.apply`` bit for bit.
 
     A state whose terms differ from ``support``, say because an upstream
     step cancelled one below ``PRUNE_EPS``, goes through ``plan.apply``.

@@ -379,7 +379,9 @@ class AngularDisplacementProtocol(Protocol):
         self.n_photons = n_photons
         self.photons_per_trial = n_photons
         self.rate = 2 * n_photons * self.l
-        self._space = sources.spdc_space(self.l, n_max=2)
+        # the four modes the pair and its flips reach, not all 4l + 2
+        # of spdc_space(l): the terms and their order are the same
+        self._space = FockSpace([oam(c, ch) for c in (self.l, -self.l) for ch in (0, 1)], n_max=2)
         self._obs = observable_R(self._space, self.l)
         if n_photons == 2:
             self._compile_pair()

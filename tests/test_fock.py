@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from photonlab import fock
+from photonlab.elements import _compose, beam_splitter, build_interferometer, element_map, mach_zehnder, phase_shift
 from photonlab.fock import (
     FockError,
     FockSpace,
@@ -30,6 +31,8 @@ from photonlab.fock import (
     vacuum_state,
     variance_and_uncertainty,
 )
+from photonlab.sources import noon_state
+from test_linear_optics import permanent_amplitude, sparse_maps
 
 
 def single_mode_space(n_max=5):
@@ -488,6 +491,157 @@ def test_program_falls_back_on_another_support():
     both = StateVector(sp, {sp.basis_state({path(0): 1}): 0.6, sp.basis_state({path(1): 1}): -0.8})
     for other in (basis_vector(sp, {path(1): 1}), basis_vector(sp, {path(0): 2}), both):
         assert same_items(program.apply(other), plan.apply(other))
+
+
+# ---------------------------------------------------------------------------
+# the plan's numpy expansion against the dict expansion it replaced, item
+# for item by repr
+
+
+def reference_apply(plan, state):
+    """``ModeMapPlan.apply`` as it was before the numpy expansion: one dict
+    update per (term, row), kept verbatim as the oracle."""
+    moves = plan._moves
+    if not moves and not plan._spreads:
+        return state
+    spreads = plan._spread_rows(max(map(sum, state._amp), default=0)) if plan._spreads else []
+    cleared = plan._cleared
+    out = {}
+    for occ, amp in state._amp.items():
+        key, factor = fock._route(occ, cleared, moves)
+        if factor != 1:
+            amp = amp * factor
+        terms = {key: amp}
+        for j, rows in spreads:
+            for p in range(1, occ[j] + 1):
+                scale = 1 / math.sqrt(p)
+                nxt = {}
+                for t, x in terms.items():
+                    if p > 1:
+                        x = x * scale
+                    for i, cs in rows:
+                        k = t[i]
+                        key = t[:i] + (k + 1,) + t[i + 1:]
+                        nxt[key] = nxt.get(key, 0) + x * cs[k]
+                terms = nxt
+        for t, x in terms.items():
+            out[t] = out.get(t, 0) + x
+    if plan._ordered:
+        return fock._wrap(state.space, {t: x for t, x in out.items() if abs(x) > fock.PRUNE_EPS})
+    return fock._wrap(state.space, fock._canonical(out))
+
+
+def composed_map(interferometer, space):
+    """The one map ``Interferometer.apply`` builds from its elements."""
+    u = {}
+    for spec in interferometer.elements:
+        step, _ = element_map(space, spec)
+        u = _compose(step, u) if u else step
+    return u
+
+
+@pytest.mark.parametrize("m", range(3, 9))
+def test_plan_equals_the_dict_expansion_on_brick_meshes(m):
+    rng = np.random.default_rng(m)
+    modes = [path(i) for i in range(m)]
+    specs = []
+    for depth in range(m):
+        for i in range(depth % 2, m - 1, 2):
+            specs += [phase_shift(modes[i], rng.uniform(0, 2 * math.pi)), beam_splitter(modes[i], modes[i + 1], rng.uniform(0.2, 1.35))]
+    sp = FockSpace(modes, n_max=m)
+    plan = ModeMapPlan(composed_map(build_interferometer(specs), sp))
+    state = basis_vector(sp, {mode: 1 for mode in modes})
+    out = plan.apply(state)
+    assert out.num_terms == math.comb(2 * m - 1, m)
+    assert same_items(out, reference_apply(plan, state))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 10, 20, 40])
+def test_plan_equals_the_dict_expansion_on_noon_states(n):
+    a, b = path(0), path(1)
+    sp = FockSpace([a, b], n_max=n)
+    state = noon_state(sp, a, b, n)
+    for phi in (0.0, 1.234, math.pi):
+        plan = ModeMapPlan(composed_map(mach_zehnder(a, b, phi), sp))
+        assert same_items(plan.apply(state), reference_apply(plan, state))
+
+
+@st.composite
+def maps_on_mixed_states(draw):
+    """A map drawn by ``sparse_maps`` and a state of several photon
+    numbers on its modes, with signed zeros among the parts."""
+    u, _ = draw(sparse_maps())
+    m = len(u)
+    sp = FockSpace([path(i) for i in range(m)], n_max=4)
+    occs = draw(st.lists(st.sampled_from(list(patterns(m, 4))), max_size=8, unique=True))
+    state = StateVector(sp, {sp.label(occ): complex(draw(PART), draw(PART)) for occ in occs})
+    return ModeMapPlan({j: {i: complex(u[i, j]) for i in range(m)} for j in range(m)}), state
+
+
+@settings(max_examples=300, deadline=None)
+@given(maps_on_mixed_states())
+def test_plan_equals_the_dict_expansion_on_any_map(case):
+    plan, state = case
+    assert same_items(plan.apply(state), reference_apply(plan, state))
+
+
+def test_plan_equals_the_dict_expansion_at_the_edges():
+    sp = FockSpace([path(0), path(1), path(2)], n_max=3)
+    c, s = math.cos(0.4), 1j * math.sin(0.4)
+    splitter = {0: {0: c, 1: s}, 1: {0: s, 1: c}}
+    # signed zeros in the parts, and three photon numbers
+    mixed = StateVector(
+        sp,
+        {
+            sp.basis_state({}): complex(0.1, -0.0),
+            sp.basis_state({path(0): 1}): complex(-0.0, 0.6),
+            sp.basis_state({path(1): 2, path(2): 1}): complex(-0.7, -0.0),
+            sp.basis_state({path(0): 1, path(1): 1}): complex(0.3, 0.2),
+        },
+    )
+    cases = [
+        # a column with no entry: its photons vanish, the other terms stay
+        (ModeMapPlan({0: {0: 0, 1: 0j}, 1: {0: s, 1: c}}), mixed),
+        # the zero map on one photon
+        (ModeMapPlan({0: {0: 0j, 1: 0j}, 1: {0: 0j, 1: 0j}}), basis_vector(sp, {path(0): 1})),
+        (ModeMapPlan(splitter), StateVector(sp, {})),
+        # moves only: a swap with a phase, then phases only
+        (ModeMapPlan({0: {1: 1.0}, 1: {0: cmath.exp(0.3j)}}), mixed),
+        (ModeMapPlan({2: {2: cmath.exp(0.3j)}, 0: {0: -1.0}}), mixed),
+        (ModeMapPlan(splitter), mixed),
+        # a spread landing on a row a move fills
+        (ModeMapPlan({0: {0: c, 1: s}, 2: {1: 1j}}), mixed),
+    ]
+    for plan, state in cases:
+        assert same_items(plan.apply(state), reference_apply(plan, state))
+
+
+def test_wide_map_on_three_photons_keeps_its_keys_exact():
+    # 3 photons over 40 modes reach all C(42, 3) = 11 480 occupations; a
+    # key counting (n_max + 1)**40 = 4**40 of them would wrap an int64
+    m = 40
+    rng = np.random.default_rng(40)
+    q, r = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    u = q * (np.diag(r) / abs(np.diag(r)))
+    sp = FockSpace([path(i) for i in range(m)], n_max=3)
+    s = tuple(int(i in (3, 17, 31)) for i in range(m))
+    state = basis_vector(sp, {path(i): 1 for i in (3, 17, 31)})
+    plan = ModeMapPlan({j: {i: complex(u[i, j]) for i in range(m)} for j in range(m)})
+    out = plan.apply(state)
+    assert out.num_terms == 11480
+    assert same_items(out, reference_apply(plan, state))
+    items = list(out._amp.items())
+    for k in [0, len(items) - 1, *rng.choice(len(items), size=14, replace=False)]:
+        t, amp = items[k]
+        assert abs(amp - permanent_amplitude(u, s, t)) <= 1e-12, t
+
+
+def test_expansion_too_large_to_number_raises_naming_its_size():
+    # 30 photons spread over 64 modes have C(93, 30) ~ 1.5e24 occupations
+    sp = FockSpace([path(i) for i in range(64)], n_max=30)
+    plan = ModeMapPlan({0: {i: 0.125 for i in range(64)}})
+    with pytest.raises(FockError, match=str(math.comb(93, 30))):
+        plan.apply(basis_vector(sp, {path(0): 30}))
 
 
 @st.composite

@@ -98,6 +98,17 @@ def test_angular_fringe_at_zero_is_unity():
     assert abs(expectation(proto.state(0.0), proto.observable) - 1.0) < 1e-12
 
 
+def test_angular_space_holds_only_the_four_modes_of_the_pair():
+    # the pair and its flips reach oam(+-l, 0 and 1) alone; a space over
+    # all 4l + 2 charges took seconds to build at l = 30000
+    l = 30000
+    proto = AngularDisplacementProtocol(l)
+    assert len(proto.space.modes) == 4
+    for theta in (0.0, 1e-6, 3.3e-6, 1.234e-5, -2.5e-5):
+        got = expectation(proto.state(theta), proto.observable)
+        assert abs(got - math.cos(2 * l * theta) ** 2) < 1e-12
+
+
 def test_angular_observable_is_projector_on_output():
     # <R^2> = <R> through the apparatus, and Delta R = sin(4 l theta)/2
     l = 1
