@@ -754,8 +754,9 @@ class _Expansion:
                 width = hot.shape[1]
                 # the (term, row) pairs, term by term
                 index = xw[rows].T + offset[:, s].take(term)[:, None]
-                m = a.repeat(width, axis=1)[:, None] * parts.take(index, axis=2).reshape(2, 2, -1)
-                prod = m[0] + m[1]
+                m = parts.take(index, axis=2).reshape(2, 2, -1)
+                m *= a.repeat(width, axis=1)[:, None]
+                prod = np.add(m[0], m[1], out=m[0])
                 key = (steps.take(xw[r:]).T @ up).astype(np.int64)
                 key += code[:, None]
                 key = key.ravel()
@@ -763,7 +764,8 @@ class _Expansion:
                 a = np.array([np.bincount(slot, prod[0], slots), np.bincount(slot, prod[1], slots)])
                 a = a.take(touched, axis=1)
                 src, row = np.divmod(first, width)
-                xw = xw.take(src, axis=1) + hot.take(row, axis=1)
+                xw = xw.take(src, axis=1)
+                xw += hot.take(row, axis=1)
                 code = key.take(first)
             if waiting:
                 code = np.concatenate([code, *(c for c, _, _ in waiting)])
