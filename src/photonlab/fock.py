@@ -528,7 +528,7 @@ class ModeMapPlan:
     bit for bit.
     """
 
-    __slots__ = ("_moves", "_spreads", "_cleared", "_ordered", "_span", "_rows", "_expansion")
+    __slots__ = ("_moves", "_spreads", "_cleared", "_ordered", "_rows", "_expansion")
 
     def __init__(self, columns: Mapping[int, Mapping[int, complex]]):
         moves: list[tuple[int, int, complex]] = []
@@ -546,8 +546,6 @@ class ModeMapPlan:
         self._cleared = [j for j, _, _ in moves] + [j for j, _ in spreads]
         # a map of phases only keeps the canonical order of the terms
         self._ordered = not spreads and all(i == j for j, i, _ in moves)
-        # the rows the spreads reach: the expansion tracks their counts
-        self._span = sorted({i for _, entries in spreads for i, _ in entries})
         # (table size, spread rows) and the arrays for ``apply``, each
         # replaced whole and never mutated, so a plan shared between
         # threads stays consistent
@@ -602,7 +600,7 @@ class ModeMapPlan:
         size = max(map(sum, state._amp))
         expansion = self._expansion
         if expansion is None or expansion.size < size:
-            expansion = self._expansion = _Expansion(self._spreads, self._span, size)
+            expansion = self._expansion = _Expansion(self._spreads, size)
         return _wrap(state.space, expansion.run(keys, re, im, held))
 
 
@@ -637,7 +635,8 @@ class _Expansion:
 
     __slots__ = ("size", "span", "start", "steps", "blocks")
 
-    def __init__(self, spreads: list, span: list[int], size: int):
+    def __init__(self, spreads: list, size: int):
+        span = sorted({i for _, entries in spreads for i, _ in entries})
         r = len(span)
         self.size = size
         self.span = span
@@ -693,11 +692,11 @@ class _Expansion:
         targets by first touch over the (term, row) pairs, and sums each
         target's products in that order from 0.0: what a dict filled
         with ``nxt.get(key, 0) + x * c`` holds, -0.0 parts turned into
-        0.0 included.  CPython scales by the complex (s, 0.0), whose
-        extra products are signed zeros, and a term at p = 1 is not
-        scaled where the step scales it by 1.0; for finite parts either
-        changes the sign of a zero at most, which no later product or
-        sum from 0.0 can tell.
+        0.0 included.  Two differences change a finite part in the sign
+        of a zero at most, which no later product or sum from 0.0 can
+        tell: CPython scales by the complex (s, 0.0), whose extra
+        products are signed zeros, and the step scales a term at p = 1 by
+        1.0 when other terms of the step are at p > 1.
 
         A target is keyed by its code.  The rank is that of the
         combinatorial number system over the span, sum_{k < r-1}
@@ -722,9 +721,9 @@ class _Expansion:
                 f"more than the expansion numbers (2**53 occupations, 2**63 keys)"
             )
         base = np.array(keys, dtype=np.int64).T
-        xw = np.zeros((2 * r, terms), dtype=np.int64)
-        xw[:r] = base[span]
-        xw += start[:, None]
+        counts = np.zeros((2 * r, terms), dtype=np.int64)
+        counts[:r] = base[span]
+        counts += start[:, None]
         a = np.array([re, im])
         code = np.arange(0, terms * count, count, dtype=np.int64)
         need = np.array(held, dtype=np.int64).reshape(terms, -1)
@@ -741,39 +740,39 @@ class _Expansion:
             p = level + 1 - (block[:, :, None] * passed).sum(axis=1)
             scale = 1 / np.sqrt(p)
             scaled = (p > 1).any(axis=0).tolist()
+            width = hot.shape[1]
             waiting = []
             for s in range(len(level)):
                 if s in lasting:
                     # the input terms with s photons in the block are done
                     go = length.take(code // count) > s
-                    waiting.append((code[~go], xw[:, ~go], a[:, ~go]))
-                    code, xw, a = code[go], xw[:, go], a[:, go]
+                    waiting.append((code[~go], counts[:, ~go], a[:, ~go]))
+                    code, counts, a = code[go], counts[:, go], a[:, go]
                 term = code // count
                 if scaled[s]:
                     a = a * scale[:, s].take(term)
-                width = hot.shape[1]
                 # the (term, row) pairs, term by term
-                index = xw[rows].T + offset[:, s].take(term)[:, None]
+                index = counts[rows].T + offset[:, s].take(term)[:, None]
                 m = parts.take(index, axis=2).reshape(2, 2, -1)
                 m *= a.repeat(width, axis=1)[:, None]
                 prod = np.add(m[0], m[1], out=m[0])
-                key = (steps.take(xw[r:]).T @ up).astype(np.int64)
+                key = (steps.take(counts[r:]).T @ up).astype(np.int64)
                 key += code[:, None]
                 key = key.ravel()
                 first, slot, slots, touched = _first_touch(key, terms * count)
                 a = np.array([np.bincount(slot, prod[0], slots), np.bincount(slot, prod[1], slots)])
                 a = a.take(touched, axis=1)
                 src, row = np.divmod(first, width)
-                xw = xw.take(src, axis=1)
-                xw += hot.take(row, axis=1)
+                counts = counts.take(src, axis=1)
+                counts += hot.take(row, axis=1)
                 code = key.take(first)
             if waiting:
                 code = np.concatenate([code, *(c for c, _, _ in waiting)])
-                xw = np.concatenate([xw, *(x for _, x, _ in waiting)], axis=1)
+                counts = np.concatenate([counts, *(x for _, x, _ in waiting)], axis=1)
                 a = np.concatenate([a, *(z for _, _, z in waiting)], axis=1)
         term = code // count
         occ = base.take(term, axis=1)
-        occ[span] = xw[:r] - start[:r, None]
+        occ[span] = counts[:r] - start[:r, None]
         return _collect(occ, term, a, size)
 
 
