@@ -650,7 +650,8 @@ class _Expansion:
         up[r - 1:] = 0
         hot = np.hstack([np.eye(r, dtype=np.int64), up.T])
         # every spread column's coefficient on every span row
-        c = np.array([[dict(entries).get(i, 0) for i in span] for _, entries in spreads], dtype=complex).reshape(len(spreads), r)
+        c = np.array([[dict(entries).get(i, 0) for i in span] for _, entries in spreads], dtype=complex)
+        c = c.reshape(len(spreads), r)
         root = np.sqrt(np.arange(1, size + 1))
         re, im = c.real[..., None] * root, c.imag[..., None] * root
         parts = np.array([[re, im], [-im, re]]).reshape(2, 2, len(spreads), r * size)

@@ -547,7 +547,8 @@ def test_plan_equals_the_dict_expansion_on_brick_meshes(m):
     specs = []
     for depth in range(m):
         for i in range(depth % 2, m - 1, 2):
-            specs += [phase_shift(modes[i], rng.uniform(0, 2 * math.pi)), beam_splitter(modes[i], modes[i + 1], rng.uniform(0.2, 1.35))]
+            phi, kappa = rng.uniform(0, 2 * math.pi), rng.uniform(0.2, 1.35)
+            specs += [phase_shift(modes[i], phi), beam_splitter(modes[i], modes[i + 1], kappa)]
     sp = FockSpace(modes, n_max=m)
     plan = ModeMapPlan(composed_map(build_interferometer(specs), sp))
     state = basis_vector(sp, {mode: 1 for mode in modes})
