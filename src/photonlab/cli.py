@@ -2,7 +2,9 @@
 
 Reads one declarative YAML config per run, dispatches to the library,
 and writes one CSV per result table plus a JSON summary.  Configs are
-strict: unknown keys, values outside a parameter's declared domain
+strict: unknown keys, top-level values of the wrong type (an
+``experiment`` or ``out`` that is not a string, a ``schema_version``
+that is not the integer 1), values outside a parameter's declared domain
 (``photonlab list`` prints each one), non-finite floats, and missing or
 negative seeds are config errors (exit 2), found before anything is
 computed.  A config path that cannot be read, an output directory that
@@ -214,9 +216,9 @@ def _coerce(param: Param, value):
 def _validate_params(exp: Experiment, raw: dict) -> dict:
     """Coerce each parameter, then check every domain and every rule."""
     known = {p.name: p for p in exp.params}
-    unknown = sorted(set(raw) - set(known))
+    unknown = _unknown_keys(raw, known)
     if unknown:
-        raise ConfigError(f"unknown parameter(s) for {exp.name}: {', '.join(unknown)}")
+        raise ConfigError(f"unknown parameter(s) for {exp.name}: {unknown}")
     out = {}
     for p in exp.params:
         value = _coerce(p, raw[p.name]) if p.name in raw else p.default
@@ -541,6 +543,23 @@ EXPERIMENTS: dict[str, Experiment] = {
 # config handling and output
 
 
+def _unknown_keys(raw: dict, known) -> str:
+    """The keys of ``raw`` not in ``known``, sorted as text; YAML keys may
+    be numbers, bools, dates or null as well as strings."""
+    return ", ".join(sorted(str(k) for k in raw if k not in known))
+
+
+def _is_path_text(value) -> bool:
+    """Whether ``value`` is a string the file system takes as a path."""
+    if not isinstance(value, str) or "\0" in value:
+        return False
+    try:
+        os.fsencode(value)
+    except UnicodeEncodeError:  # a lone surrogate
+        return False
+    return True
+
+
 def load_config(path: Path) -> dict:
     try:
         raw = yaml.safe_load(path.read_text())
@@ -552,24 +571,29 @@ def load_config(path: Path) -> dict:
         raise ConfigError(f"config is not valid YAML: {exc}")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping")
-    allowed = {"schema_version", "experiment", "seed", "out", "params"}
-    unknown = sorted(set(raw) - allowed)
+    unknown = _unknown_keys(raw, {"schema_version", "experiment", "seed", "out", "params"})
     if unknown:
-        raise ConfigError(f"unknown top-level key(s): {', '.join(unknown)}")
-    if raw.get("schema_version") != SCHEMA_VERSION:
-        raise ConfigError(f"schema_version must be {SCHEMA_VERSION}")
+        raise ConfigError(f"unknown top-level key(s): {unknown}")
+    version = raw.get("schema_version")
+    if type(version) is not int or version != SCHEMA_VERSION:
+        raise ConfigError(f"schema_version must be the integer {SCHEMA_VERSION}, got {version!r}")
     name = raw.get("experiment")
-    if name not in EXPERIMENTS:
+    if not isinstance(name, str) or name not in EXPERIMENTS:
         raise ConfigError(
             f"unknown experiment {name!r}; choices: {', '.join(sorted(EXPERIMENTS))}"
         )
-    params = raw.get("params", {}) or {}
-    if not isinstance(params, dict):
+    params = raw.get("params")
+    if params is None:  # absent, or a bare "params:" line
+        params = {}
+    elif not isinstance(params, dict):
         raise ConfigError("params must be a mapping")
     seed = raw.get("seed")
     if seed is not None and (isinstance(seed, bool) or not isinstance(seed, int) or seed < 0):
         raise ConfigError("seed must be a nonnegative integer")
-    return {"experiment": name, "seed": seed, "out": raw.get("out"), "params": params}
+    out = raw.get("out")
+    if out is not None and not _is_path_text(out):
+        raise ConfigError(f"out must be a path string, got {out!r}")
+    return {"experiment": name, "seed": seed, "out": out, "params": params}
 
 
 def _format_cell(value) -> str:

@@ -362,10 +362,11 @@ class PulseSpectrum:
         object.__setattr__(self, "amplitude", a)
 
     @staticmethod
-    def gaussian(sigma_omega: float, n_bins: int = 2048, span: float = 8.0) -> "PulseSpectrum":
-        """Amplitude exp(-d^2 / (2 sigma^2)); sigma is the amplitude std."""
-        edge = span * sigma_omega
-        d = np.linspace(-edge, edge, n_bins, endpoint=False) + edge / n_bins
+    def gaussian(sigma_omega: float) -> "PulseSpectrum":
+        """Amplitude exp(-d^2 / (2 sigma^2)); sigma is the amplitude std.
+        The grid has 2048 bins over |d| <= 8 sigma."""
+        edge = 8.0 * sigma_omega
+        d = np.linspace(-edge, edge, 2048, endpoint=False) + edge / 2048
         return PulseSpectrum(d, np.exp(-(d ** 2) / (2 * sigma_omega ** 2)))
 
 
@@ -381,8 +382,9 @@ class PulseWidths:
         return self.width / self.transform_limit
 
 
-def _temporal_rms_width(detunings: np.ndarray, amplitude: np.ndarray, pad: int = 16) -> float:
-    n = detunings.size * pad
+def _temporal_rms_width(detunings: np.ndarray, amplitude: np.ndarray) -> float:
+    # zero-padded sixteenfold, to sample the pulse finely in time
+    n = detunings.size * 16
     step = detunings[1] - detunings[0]
     field_t = np.fft.fftshift(np.fft.fft(amplitude, n=n))
     t = np.fft.fftshift(np.fft.fftfreq(n, d=step / (2 * math.pi)))

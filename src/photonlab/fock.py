@@ -16,11 +16,12 @@ and builds the output one photon level at a time, each level one numpy
 step over the terms of every input term.  Its float operations, and the
 order of every sum, are those of a dict expansion with one update per
 (term, row); complex products are written in float parts because
-numpy's complex multiply rounds differently from CPython's.
-``ModeMapProgram`` replays that arithmetic, bit for bit, on a state
-whose support is fixed in advance, and ``PhaseStep`` does the same for
-a diagonal phase map whose phases are left free.  The plan and the
-program route photons through one move routine, ``_route``.
+numpy's complex multiply rounds differently from CPython's.  A map of
+phases only goes to ``PhaseStep``, which multiplies each term by its
+factor; a protocol builds one on its probe and leaves the phases free.
+``ModeMapProgram`` replays the plan's arithmetic, bit for bit, on a
+state whose support is fixed in advance.  The plan and the program
+route photons through one move routine, ``_route``.
 
 Conventions:
 
@@ -522,13 +523,13 @@ class ModeMapPlan:
     with each row's factor into the target term, starting from 0.0.
     The output sums each basis state's contributions from 0.0 in input
     order, prunes at ``PRUNE_EPS`` and sorts into canonical order
-    (``_collect``); a map of phases only keeps every term on its basis
-    state and skips the sort.  So the states are bit-stable, and for
-    finite amplitudes and coefficients they equal that dict expansion
-    bit for bit.
+    (``_collect``).  A map of phases only keeps every term on its basis
+    state, so it goes to ``PhaseStep``, which needs no sort.  So the
+    states are bit-stable, and for finite amplitudes and coefficients
+    they equal that dict expansion bit for bit.
     """
 
-    __slots__ = ("_moves", "_spreads", "_cleared", "_ordered", "_rows", "_expansion")
+    __slots__ = ("_moves", "_spreads", "_cleared", "_ordered", "_expansion")
 
     def __init__(self, columns: Mapping[int, Mapping[int, complex]]):
         moves: list[tuple[int, int, complex]] = []
@@ -546,42 +547,18 @@ class ModeMapPlan:
         self._cleared = [j for j, _, _ in moves] + [j for j, _ in spreads]
         # a map of phases only keeps the canonical order of the terms
         self._ordered = not spreads and all(i == j for j, i, _ in moves)
-        # (table size, spread rows) and the arrays for ``apply``, each
-        # replaced whole and never mutated, so a plan shared between
-        # threads stays consistent
-        self._rows: tuple[int, list] = (-1, [])
+        # the arrays for ``apply``, replaced whole and never mutated, so a
+        # plan shared between threads stays consistent
         self._expansion: _Expansion | None = None
-
-    def _spread_rows(self, photons: int) -> list:
-        """The spread columns as (j, [(i, [c * sqrt(k + 1) for k < size])]),
-        c * sqrt(k + 1) being the factor for a row already holding k
-        photons; the table grows to ``photons`` entries on demand."""
-        size, rows = self._rows
-        if size < photons:
-            rows = [
-                (j, [(i, [c * math.sqrt(k + 1) for k in range(photons)]) for i, c in entries])
-                for j, entries in self._spreads
-            ]
-            self._rows = (photons, rows)
-        return rows
 
     def apply(self, state: StateVector) -> StateVector:
         """The map on every basis state of ``state``."""
         moves = self._moves
         if not moves and not self._spreads:
             return state
-        cleared = self._cleared
         if self._ordered:
-            out: dict[Occupations, complex] = {}
-            for occ, amp in state._amp.items():
-                _, factor = _route(occ, cleared, moves)
-                if factor != 1:
-                    amp = amp * factor
-                # the sum from the integer 0 turns a -0.0 part into 0.0
-                a = 0 + amp
-                if abs(a) > PRUNE_EPS:
-                    out[occ] = a
-            return _wrap(state.space, out)
+            return PhaseStep(state, [j for j, _, _ in moves]).apply([c for _, _, c in moves])
+        cleared = self._cleared
         spread_cols = [j for j, _ in self._spreads]
         sinks = [j for j, entries in self._spreads if not entries]
         keys, re, im, held = [], [], [], []
@@ -815,7 +792,8 @@ def _collect(occ: np.ndarray, term: np.ndarray, a: np.ndarray, top: int) -> dict
     input term: occupations ``occ``, one column per term and none above
     ``top``, input term ``term`` and amplitude planes ``a``.  Each basis
     state sums its contributions from 0.0 in input order and is kept if
-    its ``abs`` (a hypot) is above ``PRUNE_EPS``."""
+    its ``abs`` (a hypot) is above ``PRUNE_EPS``.  A map of phases only
+    never gets here: ``ModeMapPlan.apply`` hands it to ``PhaseStep``."""
     # canonical order is the order of the (position, n) lists: at the
     # first position where two states differ, a count sorts before a
     # larger one, and a 0 sorts after any count when a photon follows
@@ -850,7 +828,8 @@ class ModeMapProgram:
     the occupation tuples of ``support`` alone.  Every intermediate term
     becomes an integer slot, and every expansion step an instruction:
     read a slot, scale it by the term's moves factor or by 1/sqrt(p),
-    and add x * cs[k] into the slots of the next photon; the last
+    and add x times c * sqrt(k + 1) into the slots of the next photon,
+    for each entry c of the column and a row already holding k; the last
     instructions add each term into its output slot.  ``apply`` replays
     the instructions on a state's amplitudes in CPython complex
     arithmetic, in the order of ``plan.apply``'s sums, each starting
@@ -868,7 +847,6 @@ class ModeMapProgram:
 
     def __init__(self, plan: ModeMapPlan, support: Sequence[Occupations]):
         support = [tuple(occ) for occ in support]
-        spreads = plan._spread_rows(max(map(sum, support), default=0)) if plan._spreads else []
         slots = len(support)
         spread_ops = []  # (source slot, multiplier or None, ((target slot, c), ...))
         gather_ops = []  # (source slot, multiplier or None, output slot)
@@ -877,19 +855,20 @@ class ModeMapProgram:
             key, factor = _route(occ, plan._cleared, plan._moves)
             # key -> (slot, multiplier still to apply when the slot is read)
             terms = {key: (s, factor if factor != 1 else None)}
-            for j, rows in spreads:
+            for j, entries in plan._spreads:
                 for p in range(1, occ[j] + 1):
                     scale = 1 / math.sqrt(p)
                     nxt: dict[Occupations, int] = {}
                     for t, (src, mul) in terms.items():
                         dsts = []
-                        for i, cs in rows:
+                        for i, c in entries:
                             k = t[i]
                             key = t[:i] + (k + 1,) + t[i + 1:]
                             if key not in nxt:
                                 nxt[key] = slots
                                 slots += 1
-                            dsts.append((nxt[key], cs[k]))
+                            # the factor for a row already holding k photons
+                            dsts.append((nxt[key], c * math.sqrt(k + 1)))
                         spread_ops.append((src, scale if p > 1 else mul, tuple(dsts)))
                     terms = {t: (slot, None) for t, slot in nxt.items()}
             for t, (src, mul) in terms.items():
@@ -935,10 +914,11 @@ class PhaseStep:
     The photon counts of each term of ``state`` are read once, with the
     q's sorted by mode position, the order in which ``ModeMapPlan``
     multiplies the factors of its columns.  ``apply(coeffs)`` forms only
-    the factor of each term, so it equals
-    ``ModeMapPlan({modes[q]: {modes[q]: coeffs[q]}}).apply(state)`` bit
-    for bit for nonzero coefficients.  The map keeps every term on its
-    basis state, so ``support_out`` is the support of ``state``.
+    the factor of each term; ``ModeMapPlan.apply`` hands its maps of
+    phases only here, so for nonzero coefficients it equals
+    ``ModeMapPlan({modes[q]: {modes[q]: coeffs[q]}}).apply(state)``.
+    The map keeps every term on its basis state, so ``support_out`` is
+    the support of ``state``.
     """
 
     __slots__ = ("_state", "_terms", "support_out")
@@ -1280,8 +1260,8 @@ def schmidt_values(
 def schmidt_rank(
     state: StateVector,
     partition: tuple[Sequence[ModeLabel], Sequence[ModeLabel]],
-    tol: float = SCHMIDT_TOL,
 ) -> tuple[int, np.ndarray]:
-    """Schmidt rank and singular values; rank 1 iff separable."""
+    """Schmidt rank (values above ``SCHMIDT_TOL``) and singular values;
+    rank 1 iff separable."""
     svals = schmidt_values(state, partition)
-    return int(np.sum(svals > tol)), svals
+    return int(np.sum(svals > SCHMIDT_TOL)), svals

@@ -148,12 +148,9 @@ def observable_B(space: FockSpace, mode_a: ModeLabel, mode_b: ModeLabel, n: int)
     return dyad_sum(space, [(n0, on, 1.0), (on, n0, 1.0)])
 
 
-def observable_R(
-    space: FockSpace,
-    l: int,
-    detector_channels: tuple[int, int] = (0, 1),
-) -> Observable:
-    """Opposite-charge coincidence projector for detectors (a, b).
+def observable_R(space: FockSpace, l: int) -> Observable:
+    """Opposite-charge coincidence projector for the signal and idler
+    detectors.
 
     Projects onto the two events where charge +l arrives at one detector
     and -l at the other.  It is a projector, so its second moment equals
@@ -161,7 +158,7 @@ def observable_R(
     """
     if l == 0:
         raise ValueError("need l != 0")
-    ch_a, ch_b = detector_channels
+    ch_a, ch_b = sources.SIGNAL_CHANNEL, sources.IDLER_CHANNEL
     ev1 = space.basis_state({oam(l, ch_a): 1, oam(-l, ch_b): 1})
     ev2 = space.basis_state({oam(-l, ch_a): 1, oam(l, ch_b): 1})
     return dyad_sum(space, [(ev1, ev1, 1.0), (ev2, ev2, 1.0)])
@@ -176,7 +173,6 @@ def propagate_uncertainty(
     spread: Callable[[float], float],
     at: float,
     dmean: Callable[[float], float] | None = None,
-    floor: float = DERIVATIVE_FLOOR,
 ) -> float:
     """Delta x = Delta O / |d<O>/dx| at the working point.
 
@@ -187,9 +183,9 @@ def propagate_uncertainty(
     so sweeps cannot be silently poisoned.
     """
     slope = dmean(at) if dmean is not None else (mean(at + FD_STEP) - mean(at - FD_STEP)) / (2 * FD_STEP)
-    if abs(slope) < floor:
+    if abs(slope) < DERIVATIVE_FLOOR:
         raise StationaryPointError(
-            f"|d<O>/dx| = {abs(slope):.2e} < {floor:.0e} at x = {at}"
+            f"|d<O>/dx| = {abs(slope):.2e} < {DERIVATIVE_FLOOR:.0e} at x = {at}"
         )
     return abs(spread(at)) / abs(slope)
 

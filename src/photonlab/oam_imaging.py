@@ -31,10 +31,9 @@ from __future__ import annotations
 
 import cmath
 import functools
-import io
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, TextIO
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -271,40 +270,6 @@ class ObjectProfile:
             np.sum(np.abs(self.samples) ** 2 * (wr * r)[:, None]) * self.grid.dtheta
         )
 
-    # -- plain-text import/export ------------------------------------------
-
-    def to_text(self, stream: TextIO) -> None:
-        """Header ``n_r n_theta r_max`` then one ``re,im`` row per sample."""
-        stream.write(f"{self.grid.n_r} {self.grid.n_theta} {float(self.grid.r_max)!r}\n")
-        for row in self.samples:
-            for v in row:
-                stream.write(f"{float(v.real)!r},{float(v.imag)!r}\n")
-
-    def to_text_str(self) -> str:
-        buf = io.StringIO()
-        self.to_text(buf)
-        return buf.getvalue()
-
-    @staticmethod
-    def from_text(stream: TextIO) -> "ObjectProfile":
-        header = stream.readline().split()
-        if len(header) != 3:
-            raise ValueError("header must be 'n_r n_theta r_max'")
-        n_r, n_theta, r_max = int(header[0]), int(header[1]), float(header[2])
-        grid = PolarGrid(n_r, n_theta, r_max)
-        flat = np.empty(n_r * n_theta, dtype=complex)
-        for i in range(flat.size):
-            line = stream.readline()
-            if not line:
-                raise ValueError(f"expected {flat.size} sample rows, got {i}")
-            re_s, im_s = line.strip().split(",")
-            flat[i] = complex(float(re_s), float(im_s))
-        return ObjectProfile(grid, flat.reshape(n_r, n_theta))
-
-    @staticmethod
-    def from_text_str(text: str) -> "ObjectProfile":
-        return ObjectProfile.from_text(io.StringIO(text))
-
 
 def default_grid(w0: float, n_r: int = DEFAULT_N_RADIAL, n_theta: int = DEFAULT_N_ANGULAR) -> PolarGrid:
     return PolarGrid(n_r, n_theta, DEFAULT_RMAX_WAISTS * w0)
@@ -313,12 +278,10 @@ def default_grid(w0: float, n_r: int = DEFAULT_N_RADIAL, n_theta: int = DEFAULT_
 # -- synthetic objects -------------------------------------------------------
 
 
-def disk_object(grid: PolarGrid, radius: float, transmission: complex = 1.0) -> ObjectProfile:
-    """Uniform disk: circularly symmetric, so only l = 0 carries power."""
-    if abs(transmission) > 1:
-        raise ValueError("|transmission| <= 1")
+def disk_object(grid: PolarGrid, radius: float) -> ObjectProfile:
+    """Uniform open disk: circularly symmetric, so only l = 0 carries power."""
     return ObjectProfile.from_function(
-        grid, lambda r, t: np.where(r <= radius, transmission, 0.0)
+        grid, lambda r, t: np.where(r <= radius, 1.0, 0.0)
     )
 
 
@@ -473,37 +436,31 @@ def correlated_phases(
     p_max: int,
     wavelength: float = 1.0,
     z: float = 0.0,
-    reference: Mapping[tuple[int, int], complex] | complex = 1.0,
-    flag_floor: float = 1e-12,
 ) -> tuple[SpiralSpectrum, tuple[tuple[int, int], ...]]:
     """Phase-resolved spiral spectrum from simulated interference.
 
     Intensity-only spiral imaging fixes |a_{lp}| but not arg(a_{lp}).
-    Here each channel is interfered with a known reference amplitude in
-    a two-port arrangement; detector intensities at four phase offsets
+    Here each channel is interfered with the unit reference amplitude
+    ref = 1 in a two-port arrangement; detector intensities at four
+    phase offsets
 
         I(d) = |a + e^{i d} ref|^2,   d in {0, pi/2, pi, 3pi/2}
 
     give Re and Im of a conj(ref) as intensity differences, from which
     the phase is reconstructed.  The magnitude comes from the direct
     (reference-blocked) intensity |a|^2.  Channels whose direct
-    intensity falls below ``flag_floor`` times the object power carry no
-    defined phase; they are zeroed and reported in the flagged list.
+    intensity falls below 1e-12 times the object power carry no defined
+    phase; they are zeroed and reported in the flagged list.
     """
     direct = project_object(profile, w0, l_max, p_max, wavelength, z)
     total = max(profile.power(), 1e-300)
-    refs: dict[tuple[int, int], complex] = {}
-    for key in direct.coefficients:
-        refs[key] = complex(reference[key] if isinstance(reference, Mapping) else reference)
-        if refs[key] == 0:
-            raise ValueError(f"zero reference amplitude on channel {key}")
+    ref = complex(1.0)
     recovered: dict[tuple[int, int], complex] = {}
     flagged: list[tuple[int, int]] = []
     for key, a in direct.coefficients.items():
-        ref = refs[key]
         intensities = [abs(a + cmath.exp(1j * d) * ref) ** 2 for d in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)]
         direct_intensity = abs(a) ** 2
-        if direct_intensity < flag_floor * total:
+        if direct_intensity < 1e-12 * total:
             recovered[key] = 0j
             flagged.append(key)
             continue
@@ -520,20 +477,18 @@ def correlated_phases(
     return spectrum, tuple(sorted(flagged))
 
 
-def detect_rotational_symmetry(
-    spectrum: SpiralSpectrum, power_floor: float = SYMMETRY_POWER_FLOOR
-) -> int:
+def detect_rotational_symmetry(spectrum: SpiralSpectrum) -> int:
     """Largest q with all significant charge weight on multiples of q.
 
-    Channels below ``power_floor`` of the total spectral power are
-    ignored.  Returns 0 when only l = 0 carries weight (a circularly
+    Channels below ``SYMMETRY_POWER_FLOOR`` of the total spectral power
+    are ignored.  Returns 0 when only l = 0 carries weight (a circularly
     symmetric object satisfies every q); a generic object returns 1.
     """
     total = spectrum.total_power()
     if total == 0:
         return 0
     significant = [
-        l for l in spectrum.charges() if spectrum.charge_power(l) > power_floor * total
+        l for l in spectrum.charges() if spectrum.charge_power(l) > SYMMETRY_POWER_FLOOR * total
     ]
     nonzero = [abs(l) for l in significant if l != 0]
     if not nonzero:

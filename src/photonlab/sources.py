@@ -56,10 +56,10 @@ def poisson_tail(alpha: complex, n_max: int) -> float:
     return max(0.0, 1.0 - cdf)
 
 
-def required_nmax(alpha: complex, tol: float = COHERENT_TAIL_TOL) -> int:
-    """Smallest truncation whose Poisson tail is below ``tol``."""
+def required_nmax(alpha: complex) -> int:
+    """Smallest truncation whose Poisson tail is below ``COHERENT_TAIL_TOL``."""
     n = max(1, int(abs(alpha) ** 2))
-    while poisson_tail(alpha, n) >= tol:
+    while poisson_tail(alpha, n) >= COHERENT_TAIL_TOL:
         n += 1
     return n
 
@@ -159,10 +159,11 @@ class SpdcOamSpectrum:
         )
 
 
-def spdc_space(l_max: int, n_max: int = 2) -> FockSpace:
-    """Two-channel OAM space for signal/idler charges |l| <= l_max."""
+def spdc_space(l_max: int) -> FockSpace:
+    """Two-channel OAM space for signal/idler charges |l| <= l_max,
+    truncated at the pair's two photons."""
     modes = [oam(l, ch) for l in range(-l_max, l_max + 1) for ch in (SIGNAL_CHANNEL, IDLER_CHANNEL)]
-    return FockSpace(modes, n_max)
+    return FockSpace(modes, n_max=2)
 
 
 def spdc_oam_pair(space: FockSpace, spectrum: SpdcOamSpectrum) -> StateVector:
@@ -228,8 +229,9 @@ class BiphotonSpectrum:
     def power(self) -> float:
         return float(np.sum(np.abs(self.amplitude) ** 2) * (self.detunings[1] - self.detunings[0]))
 
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        return bool(np.allclose(self.amplitude, self.amplitude[::-1], rtol=0.0, atol=tol))
+    def is_symmetric(self) -> bool:
+        """Whether the amplitude is even in detuning, to 1e-9."""
+        return bool(np.allclose(self.amplitude, self.amplitude[::-1], rtol=0.0, atol=1e-9))
 
     def with_amplitude(self, amplitude: np.ndarray) -> "BiphotonSpectrum":
         return BiphotonSpectrum(self.omega0, self.detunings, amplitude)
@@ -239,13 +241,9 @@ class BiphotonSpectrum:
         return self.omega0 + self.detunings, np.abs(self.amplitude) ** 2
 
     @staticmethod
-    def gaussian(
-        omega0: float,
-        sigma: float,
-        n_bins: int = 1024,
-        span: float = 4.0,
-    ) -> "BiphotonSpectrum":
-        """Gaussian envelope whose marginal intensity has std ``sigma``.
+    def gaussian(omega0: float, sigma: float, n_bins: int = 1024) -> "BiphotonSpectrum":
+        """Gaussian envelope whose marginal intensity has std ``sigma``,
+        on a grid over |d| <= 4 sigma.
 
         Bin centers avoid the exact zero detuning (even ``n_bins``), so
         signal and idler frequencies never coincide on the grid.
@@ -254,7 +252,7 @@ class BiphotonSpectrum:
             raise ValueError(f"n_bins must be >= 1, got {n_bins}")
         if n_bins % 2:
             raise ValueError("n_bins must be even to keep the grid symmetric")
-        edge = span * sigma
+        edge = 4.0 * sigma
         step = 2 * edge / n_bins
         d = -edge + step * (np.arange(n_bins) + 0.5)
         a = np.exp(-(d ** 2) / (4 * sigma ** 2))
@@ -287,7 +285,7 @@ def frequency_entangled_pair(spectrum: BiphotonSpectrum) -> StateVector:
     amplitude; swapping the signal and idler labels then reproduces the
     same state.
     """
-    if not spectrum.is_symmetric(tol=1e-9):
+    if not spectrum.is_symmetric():
         raise AsymmetricGridError("entangled-pair amplitude must be symmetric in detuning")
     space = biphoton_space(spectrum)
     n = spectrum.detunings.size

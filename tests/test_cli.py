@@ -161,6 +161,42 @@ def test_unknown_experiment_rejected(tmp_path):
     assert main(["run", str(cfg)]) == EXIT_CONFIG
 
 
+def _never_run(params, seed):
+    raise AssertionError("the runner ran on a malformed config")
+
+
+@pytest.mark.parametrize(
+    "entries, named",
+    [
+        ({"experiment": ["ramsey"]}, "unknown experiment ['ramsey']"),
+        ({"experiment": {"ramsey": 1}}, "unknown experiment {'ramsey': 1}"),
+        ({7: "x"}, "unknown top-level key(s): 7"),
+        ({"params": {1: 2}}, "unknown parameter(s) for ramsey: 1"),
+        ({"params": False}, "params must be a mapping"),
+        ({"out": 5}, "out must be a path string, got 5"),
+        ({"out": ["a"]}, "out must be a path string, got ['a']"),
+        ({"out": True}, "out must be a path string, got True"),
+        ({"out": "a\0b"}, "out must be a path string"),
+        ({"out": "a\ud800"}, "out must be a path string"),
+        ({"schema_version": True}, "schema_version must be the integer 1, got True"),
+        ({"schema_version": 1.0}, "schema_version must be the integer 1, got 1.0"),
+    ],
+    ids=[
+        "experiment-list", "experiment-mapping", "int-key", "int-param-key", "params-false",
+        "out-int", "out-list", "out-bool", "out-nul", "out-surrogate", "schema-bool", "schema-float",
+    ],
+)
+def test_malformed_top_level_value_exits_2_before_any_compute(tmp_path, capsys, monkeypatch, entries, named):
+    monkeypatch.setitem(EXPERIMENTS, "ramsey", dataclasses.replace(EXPERIMENTS["ramsey"], runner=_never_run))
+    monkeypatch.setenv("PHOTONLAB_OUT", str(tmp_path / "runs"))
+    monkeypatch.chdir(tmp_path)
+    cfg = tmp_path / "config.yaml"
+    cfg.write_text(yaml.safe_dump({"schema_version": 1, "experiment": "ramsey", **entries}, sort_keys=False))
+    assert main(["run", str(cfg)]) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
+
+
 def test_malformed_yaml_leaves_no_output(tmp_path, monkeypatch):
     monkeypatch.setenv("PHOTONLAB_OUT", str(tmp_path / "runs"))
     cfg = tmp_path / "bad.yaml"

@@ -2,7 +2,8 @@
 outside them, end in exit 0, 2 or 3 and never leave a broken run.
 
 Exit 0 means every CSV cell is a finite number and summary.json is
-strict JSON; exit 2 or 3 means no output directory was created.
+strict JSON; exit 2 or 3 means no output directory was created.  Any
+YAML value in a top-level key ends in exit 0 or 2, never a traceback.
 """
 
 import contextlib
@@ -10,8 +11,10 @@ import csv
 import io
 import json
 import math
+import os
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import yaml
 from hypothesis import HealthCheck, given, settings
@@ -95,3 +98,53 @@ def test_drawn_configs_end_in_a_known_exit(data):
             assert rows
             assert all(math.isfinite(float(cell)) for row in rows for cell in row)
         strict((out / "summary.json").read_text())
+
+
+# every YAML scalar type PyYAML's safe loader builds, and its collections;
+# strings stay relative names of a few characters (no "/" or "."), so an
+# accepted ``out`` lands inside the run's directory, with a NUL and a
+# lone surrogate among them
+YAML_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.dates() | st.binary(max_size=3)
+    | st.text(alphabet="ab1_- \0\ud800", max_size=4)
+)
+YAML_VALUES = st.recursive(
+    YAML_SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(YAML_SCALARS, inner, max_size=3)
+    | st.sets(st.integers() | st.text(alphabet="ab", max_size=2), max_size=3),
+    max_leaves=6,
+)
+TOP_LEVEL = {
+    "schema_version": st.just(1),
+    "experiment": st.sampled_from(sorted(EXPERIMENTS)),
+    "seed": st.none() | st.integers(0, 2 ** 31),
+    "out": st.text(alphabet="ab1_-", max_size=4),
+}
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(data=st.data())
+def test_any_yaml_value_at_the_top_level_ends_in_exit_0_or_2(data):
+    doc = {}
+    for key, valid in TOP_LEVEL.items():
+        how = data.draw(st.sampled_from(["absent", "valid", "valid", "any"]), label=key)
+        if how != "absent":
+            doc[key] = data.draw(valid if how == "valid" else YAML_VALUES, label=key)
+    with tempfile.TemporaryDirectory() as tmp, contextlib.chdir(tmp):
+        cfg = Path(tmp) / "config.yaml"
+        cfg.write_text(yaml.safe_dump(doc, sort_keys=False))
+        with mock.patch.dict(os.environ, {"PHOTONLAB_OUT": str(Path(tmp) / "runs")}):
+            with contextlib.redirect_stderr(io.StringIO()):
+                code = main(["run", str(cfg), "--quiet"])
+        assert code in (EXIT_OK, EXIT_CONFIG)
+        written = sorted(p.name for p in Path(tmp).iterdir())
+        if code == EXIT_CONFIG:
+            assert written == ["config.yaml"]
+        else:
+            assert len(written) == 2

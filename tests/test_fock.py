@@ -434,7 +434,7 @@ def test_phase_step_equals_the_plan(case):
     step = fock.PhaseStep(state, modes)
     assert step.support_out == list(state._amp)
     for coeffs in coeff_sets:
-        want = ModeMapPlan({m: {m: c} for m, c in zip(modes, coeffs)}).apply(state)
+        want = reference_apply(ModeMapPlan({m: {m: c} for m, c in zip(modes, coeffs)}), state)
         assert same_items(step.apply(coeffs), want)
 
 
@@ -504,7 +504,12 @@ def reference_apply(plan, state):
     moves = plan._moves
     if not moves and not plan._spreads:
         return state
-    spreads = plan._spread_rows(max(map(sum, state._amp), default=0)) if plan._spreads else []
+    # c * sqrt(k + 1), the factor of entry c for a row already holding k
+    size = max(map(sum, state._amp), default=0)
+    spreads = [
+        (j, [(i, [c * math.sqrt(k + 1) for k in range(size)]) for i, c in entries])
+        for j, entries in plan._spreads
+    ]
     cleared = plan._cleared
     out = {}
     for occ, amp in state._amp.items():

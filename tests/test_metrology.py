@@ -464,7 +464,7 @@ def test_compiled_state_equals_element_rebuild_bit_for_bit(proto, rebuild, point
 
 
 def test_sweeps_never_fall_back_to_the_generic_plan(monkeypatch):
-    # every point of these sweeps must go through the compiled move step
+    # every point of these sweeps must go through the compiled phase step
     # and programs; the fringe zeros at the odd k pi / (4 l) prune the
     # last program's output, which no later program reads
     angular = [AngularDisplacementProtocol(l) for l in range(1, 5)]

@@ -480,30 +480,10 @@ def test_beat_linear_in_charge_and_rate():
 
 
 # ---------------------------------------------------------------------------
-# text interchange
-
-
-def test_profile_text_roundtrip():
-    grid = PolarGrid(12, 16, 4.5)
-    obj = ObjectProfile.from_function(
-        grid, lambda r, t: 0.8 * np.exp(-(r ** 2)) * np.exp(1j * t)
-    )
-    text = obj.to_text_str()
-    back = ObjectProfile.from_text_str(text)
-    assert back.grid == obj.grid
-    assert np.max(np.abs(back.samples - obj.samples)) == 0.0
+# object profiles
 
 
 def test_profile_rejects_active_object():
     grid = PolarGrid(8, 8, 2.0)
     with pytest.raises(ValueError):
         ObjectProfile.from_function(grid, lambda r, t: 1.5 * np.ones_like(r))
-
-
-def test_text_rejects_truncated_payload():
-    grid = PolarGrid(4, 4, 1.0)
-    obj = ObjectProfile.from_function(grid, lambda r, t: np.zeros_like(r))
-    text = obj.to_text_str()
-    clipped = "\n".join(text.splitlines()[:-2]) + "\n"
-    with pytest.raises(ValueError):
-        ObjectProfile.from_text_str(clipped)
