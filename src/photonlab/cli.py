@@ -6,8 +6,9 @@ strict: unknown keys, top-level values of the wrong type (an
 ``experiment`` or ``out`` that is not a string, ``params`` that is not
 a mapping, a ``schema_version`` that is not the integer 1), values
 outside a parameter's declared domain (``photonlab list`` prints each
-one), non-finite floats, and missing or negative seeds are config
-errors (exit 2), found before anything is computed.  A config path
+one), non-finite floats, missing or negative seeds, and an empty
+``out`` or ``--out`` are config errors (exit 2), found before anything
+is computed.  A config path
 that cannot be read, an output directory that cannot be created and an
 output file name taken by something other than a regular file are
 config errors too; numerical failures exit 3, and so, as a last
@@ -594,6 +595,8 @@ def load_config(path: Path) -> dict:
     out = raw.get("out")
     if out is not None and not _is_path_text(out):
         raise ConfigError(f"out must be a path string, got {out!r}")
+    if out == "":
+        raise ConfigError("out is empty; name an output directory or leave the key out")
     return {"experiment": name, "seed": seed, "out": out, "params": params}
 
 
@@ -695,12 +698,15 @@ def run_experiment(config: dict, seed_override: int | None = None, out_override:
     params = _validate_params(exp, config["params"])
     if seed is None and exp.needs_seed(params):
         raise ConfigError(f"experiment {exp.name!r} draws random numbers here; a seed is mandatory")
-    bundle = exp.runner(params, seed)
-    out_root = out_override or config["out"] or os.environ.get(ENV_OUT, "runs")
-    out_dir = Path(out_root)
-    if out_override is None and config["out"] is None:
-        out_dir = out_dir / exp.name
-    return bundle, out_dir
+    if out_override == "":
+        raise ConfigError("--out is empty; name an output directory or leave the option out")
+    if out_override is not None:
+        out_dir = Path(out_override)
+    elif config["out"] is not None:
+        out_dir = Path(config["out"])
+    else:
+        out_dir = Path(os.environ.get(ENV_OUT, "runs")) / exp.name
+    return exp.runner(params, seed), out_dir
 
 
 def list_experiments() -> str:

@@ -10,8 +10,9 @@ a_j^dag -> sum_i U_ij a_i^dag, on the modes of the space:
 * swap: a permutation of two modes.
 
 An ``Interferometer`` composes the maps of its elements into one M x M
-unitary per call and applies it with ``fock.ModeMapPlan``; each
-single-element function is that call with one element.  Each map is
+unitary and its ``fock.ModeMapPlan`` once per mode set, and applies that
+plan to every state on those modes; each single-element function is a
+fresh interferometer of one element.  Each map is
 written once: the beam splitter's in ``element_map``, and every other
 element's, a set of moves, in ``parametric_moves``, as fixed
 (column, row) pairs plus a function forming their coefficients at a
@@ -47,7 +48,6 @@ from .fock import (
     ModeLabel,
     ModeMapPlan,
     StateVector,
-    number_expectation,
 )
 
 # column j -> {row i: U_ij}, on positions in FockSpace.modes; absent
@@ -226,7 +226,7 @@ def require_mirrors(state: StateVector, missing: Mapping[int, ModeLabel], u: Mod
     if not missing:
         return
     space = state.space
-    populated = [j for j, m in enumerate(space.modes) if number_expectation(state, m) > 0]
+    populated = [j for j in range(len(space.modes)) if any(occ[j] for occ in state._amp)]
     u = u or {}
     for f, target in missing.items():
         if any(abs(_column(u, j).get(f, 0)) > PRUNE_EPS for j in populated):
@@ -292,22 +292,44 @@ class Interferometer:
     """Reusable composite transform: sequential element application.
 
     Immutable and shareable across concurrent sweep workers.  ``apply``
-    composes the element maps into one unitary on the state's modes and
-    applies it once; it preserves the norm of any input state to 1e-12.
+    composes the element maps into one unitary on the state's modes,
+    builds its plan once per mode set, and applies it to the state; it
+    preserves the norm of any input state to 1e-12.  Only the check
+    that no photon reaches a flipped arm mode without its mirror
+    (``require_mirrors``) depends on the state, so it runs on every
+    call.
     """
 
     elements: tuple[ElementSpec, ...] = field(default_factory=tuple)
+    # (modes, plan, flips) for the last mode set applied to: each flip is
+    # a charge flip's missing mirror modes and the map applied before it.
+    # Replaced whole and never mutated, so a shared instance stays
+    # consistent; the truncation does not enter the map, so it is keyed
+    # on the modes alone.
+    _compiled: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def _compile(self, space: FockSpace) -> tuple:
+        u: ModeMap = {}
+        flips = []
+        for spec in self.elements:
+            step, missing = element_map(space, spec)
+            if missing:
+                flips.append((missing, u))
+            u = _compose(step, u) if u else step
+        compiled = (space.modes, ModeMapPlan(u), tuple(flips))
+        object.__setattr__(self, "_compiled", compiled)
+        return compiled
 
     def apply(self, state: StateVector) -> StateVector:
         if not self.elements:
             return state
-        space = state.space
-        u: ModeMap = {}
-        for spec in self.elements:
-            step, missing = element_map(space, spec)
+        compiled = self._compiled
+        if compiled is None or compiled[0] != state.space.modes:
+            compiled = self._compile(state.space)
+        _, plan, flips = compiled
+        for missing, u in flips:
             require_mirrors(state, missing, u)
-            u = _compose(step, u) if u else step
-        return ModeMapPlan(u).apply(state)
+        return plan.apply(state)
 
 
 def build_interferometer(elements: Sequence[ElementSpec]) -> Interferometer:

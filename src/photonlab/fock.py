@@ -448,9 +448,17 @@ def annihilate(state: StateVector, mode: ModeLabel) -> StateVector:
 
 
 def number_expectation(state: StateVector, mode: ModeLabel) -> float:
-    """<N_mode> for a normalized state."""
+    """<N_mode> for a normalized state.
+
+    One array operation over the terms: the mode's counts times |a|^2,
+    summed pairwise by numpy, so the value does not depend on the BLAS
+    or its threads.
+    """
     i = state.space.index(mode)
-    return sum(occ[i] * abs(a) ** 2 for occ, a in state._amp.items())
+    amp = state._amp
+    counts = np.fromiter(map(operator.itemgetter(i), amp), float, len(amp))
+    weights = np.abs(np.fromiter(amp.values(), complex, len(amp))) ** 2
+    return float((counts * weights).sum())
 
 
 def total_number_expectation(state: StateVector) -> float:
@@ -1225,17 +1233,19 @@ def schmidt_values(
     # the occupations on each side, as a tuple (or a bare int for one mode)
     key_a = operator.itemgetter(*sorted(space.index(m) for m in side_a))
     key_b = operator.itemgetter(*sorted(space.index(m) for m in side_b))
-    rows: dict = {}
-    cols: dict = {}
-    coords = []
-    for occ, a in state._amp.items():
-        i = rows.setdefault(key_a(occ), len(rows))
-        j = cols.setdefault(key_b(occ), len(cols))
-        coords.append((i, j, a))
+    amp = state._amp
+    if not amp:
+        return np.zeros(0)
+    # rows and columns in order of first appearance over the terms
+    keys_a, keys_b = list(map(key_a, amp)), list(map(key_b, amp))
+    rows = {k: i for i, k in enumerate(dict.fromkeys(keys_a))}
+    cols = {k: j for j, k in enumerate(dict.fromkeys(keys_b))}
+    i = np.fromiter(map(rows.__getitem__, keys_a), np.intp, len(amp))
+    j = np.fromiter(map(cols.__getitem__, keys_b), np.intp, len(amp))
     m = np.zeros((len(rows), len(cols)), dtype=complex)
-    for i, j, a in coords:
-        m[i, j] = a
-    # a union-find over the labels ("a", n_a) and ("b", n_b)
+    m[i, j] = np.fromiter(amp.values(), complex, len(amp))
+    # a union-find over the labels ("a", n_a) and ("b", n_b), joined by
+    # the (n_a, n_b) pairs the terms hold
     root: dict = {}
 
     def find(label):
@@ -1243,15 +1253,19 @@ def schmidt_values(
             label = root[label]
         return label
 
-    row_n = [sum(k) if isinstance(k, tuple) else k for k in rows]
-    col_n = [sum(k) if isinstance(k, tuple) else k for k in cols]
-    for n_a, n_b in {(row_n[i], col_n[j]) for i, j, _ in coords}:
+    row_n = np.array([sum(k) if isinstance(k, tuple) else k for k in rows])
+    col_n = np.array([sum(k) if isinstance(k, tuple) else k for k in cols])
+    base = int(col_n.max()) + 1
+    for pair in np.unique(row_n.take(i) * base + col_n.take(j)).tolist():
+        n_a, n_b = divmod(pair, base)
         root[find(("a", n_a))] = find(("b", n_b))
+    block_a = {n: find(("a", n)) for n in set(row_n.tolist())}
+    block_b = {n: find(("b", n)) for n in set(col_n.tolist())}
     blocks: dict = {}
-    for i, n in enumerate(row_n):
-        blocks.setdefault(find(("a", n)), ([], []))[0].append(i)
-    for j, n in enumerate(col_n):
-        blocks[find(("b", n))][1].append(j)
+    for r, n in enumerate(row_n.tolist()):
+        blocks.setdefault(block_a[n], ([], []))[0].append(r)
+    for c, n in enumerate(col_n.tolist()):
+        blocks[block_b[n]][1].append(c)
     values = [np.linalg.svd(m[np.ix_(r, c)], compute_uv=False) for r, c in blocks.values()]
     values.append(np.zeros(min(m.shape) - sum(v.size for v in values)))
     return np.sort(np.concatenate(values))[::-1]

@@ -219,6 +219,13 @@ class BiphotonSpectrum:
         object.__setattr__(self, "detunings", d)
         object.__setattr__(self, "amplitude", a)
         total = self.power()
+        if not math.isfinite(total):
+            # a width whose square under- or overflows float64 makes the
+            # Gaussian envelope 0/0 or inf/inf
+            raise ValueError(
+                f"spectrum power {total} is not finite: a spectrum of width "
+                f"{float(d[-1] - d[0])!r} (detuning span) is outside the range float64 can hold"
+            )
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"spectrum power {total} != 1; normalize first")
 

@@ -197,6 +197,24 @@ def test_malformed_top_level_value_exits_2_before_any_compute(tmp_path, capsys, 
     assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
 
 
+@pytest.mark.parametrize("spelling", ["config", "flag"])
+def test_empty_output_path_exits_2_before_any_compute(tmp_path, capsys, monkeypatch, spelling):
+    # an empty path once wrote the bundle straight into the output root
+    monkeypatch.setitem(EXPERIMENTS, "ramsey", dataclasses.replace(EXPERIMENTS["ramsey"], runner=_never_run))
+    monkeypatch.setenv("PHOTONLAB_OUT", str(tmp_path / "runs"))
+    monkeypatch.chdir(tmp_path)
+    doc = {"schema_version": 1, "experiment": "ramsey"}
+    if spelling == "config":
+        cfg = write_config(tmp_path, {**doc, "out": ""})
+        assert main(["run", str(cfg)]) == EXIT_CONFIG
+        assert "out is empty" in capsys.readouterr().err
+    else:
+        cfg = write_config(tmp_path, doc)
+        assert main(["run", str(cfg), "--out", ""]) == EXIT_CONFIG
+        assert "--out is empty" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
+
+
 def test_malformed_yaml_leaves_no_output(tmp_path, monkeypatch):
     monkeypatch.setenv("PHOTONLAB_OUT", str(tmp_path / "runs"))
     cfg = tmp_path / "bad.yaml"
@@ -509,6 +527,23 @@ def test_unresolved_delay_scan_fails_before_writing(tmp_path, capsys):
     cfg = write_config(tmp_path, base_config("dispersion", out, tau_span=1e-208))
     assert main(["run", str(cfg)]) == EXIT_NUMERICAL
     assert "zero-width envelope" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_spectrum_width_past_float_range_fails_before_any_interferogram(tmp_path, capsys, monkeypatch):
+    # sigma**2 and d**2 underflow to 0, so the Gaussian envelope is 0/0
+    def computed(*args, **kwargs):
+        raise AssertionError("computed an interferogram on a degenerate spectrum")
+
+    for kernel in ("hom_interferogram", "skc_interferogram", "franson_interferogram"):
+        monkeypatch.setattr(photonlab.dispersion, kernel, computed)
+    out = tmp_path / "disp"
+    cfg = write_config(tmp_path, base_config("dispersion", out, sigma=1.0e-200))
+    assert main(["run", str(cfg)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert "spectrum power nan is not finite: a spectrum of width" in err
+    assert "rate[1]" not in err
     assert not out.exists()
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from photonlab import elements
 from photonlab.elements import (
     ElementKind,
     ElementSpec,
@@ -384,6 +385,66 @@ def test_swap_and_prism_on_multiphoton_terms():
     assert abs(out.amplitude(sp.basis_state({oam(-1): 2, oam(0): 1})) - expected) < 1e-15
     swapped = apply_swap(st, oam(0), oam(1))
     assert abs(swapped.amplitude(sp.basis_state({oam(0): 2, oam(1): 1})) - 1.0) < 1e-15
+
+
+# ---------------------------------------------------------------------------
+# the composed map and its plan, built once per mode set
+
+
+def same_items(a, b):
+    return repr(list(a._amp.items())) == repr(list(b._amp.items()))
+
+
+def test_one_interferometer_on_two_mode_sets_equals_a_fresh_one_each_time():
+    rng = np.random.default_rng(16)
+    chain = [beam_splitter(A, B, 0.3), phase_shift(B, 0.7), beam_splitter(B, path(2), 1.1), swap(A, path(2))]
+    small = FockSpace([A, B, path(2)], n_max=3)
+    # path(-1) sorts first, so every mode of the chain sits one position later
+    large = FockSpace([path(-1), A, B, path(2)], n_max=3)
+    reused = build_interferometer(chain)
+    for sp in (small, large, small, FockSpace(small.modes, n_max=5), large):
+        st = random_state(sp, rng, terms=6)
+        assert same_items(reused.apply(st), build_interferometer(chain).apply(st))
+        assert reused._compiled[0] == sp.modes
+
+
+def test_reused_prism_still_refuses_a_photon_without_its_mirror():
+    # oam(1) in channel 1 has no mirror charge, and nothing feeds it from channel 0
+    sp = FockSpace([oam(-1, 0), oam(1, 0), oam(1, 1)], n_max=1)
+    circuit = build_interferometer([beam_splitter(oam(-1, 0), oam(1, 0)), dove_prism([oam(1, 1)], 0.4)])
+    fed = basis_vector(sp, {oam(-1, 0): 1})
+    first = circuit.apply(fed)
+    with pytest.raises(MissingMirrorModeError):
+        circuit.apply(basis_vector(sp, {oam(1, 1): 1}))
+    assert same_items(circuit.apply(fed), first)
+
+
+def test_equality_hash_and_repr_ignore_the_compiled_map():
+    chain = [beam_splitter(A, B, 0.3), phase_shift(A, 1.2)]
+    used, fresh = build_interferometer(chain), build_interferometer(chain)
+    before = (repr(used), hash(used))
+    used.apply(basis_vector(two_path_space(), {A: 1}))
+    assert used._compiled is not None and fresh._compiled is None
+    assert used == fresh and hash(used) == hash(fresh) == before[1]
+    assert repr(used) == repr(fresh) == before[0]
+
+
+def test_repeated_applies_compose_only_once(monkeypatch):
+    calls = []
+    compose = elements._compose
+
+    def counted(step, u):
+        calls.append(step)
+        return compose(step, u)
+
+    monkeypatch.setattr(elements, "_compose", counted)
+    circuit = mach_zehnder(A, B, 0.3)
+    st = noon_state(two_path_space(4), A, B, 4)
+    first = circuit.apply(st)
+    assert len(calls) == 2
+    for _ in range(3):
+        assert same_items(circuit.apply(st), first)
+    assert len(calls) == 2
 
 
 # ---------------------------------------------------------------------------

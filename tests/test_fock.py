@@ -1,5 +1,6 @@
 import cmath
 import math
+import operator
 
 import numpy as np
 import pytest
@@ -555,11 +556,16 @@ def test_plan_equals_the_dict_expansion_on_brick_meshes(m):
             phi, kappa = rng.uniform(0, 2 * math.pi), rng.uniform(0.2, 1.35)
             specs += [phase_shift(modes[i], phi), beam_splitter(modes[i], modes[i + 1], kappa)]
     sp = FockSpace(modes, n_max=m)
-    plan = ModeMapPlan(composed_map(build_interferometer(specs), sp))
+    interferometer = build_interferometer(specs)
+    plan = ModeMapPlan(composed_map(interferometer, sp))
     state = basis_vector(sp, {mode: 1 for mode in modes})
     out = plan.apply(state)
     assert out.num_terms == math.comb(2 * m - 1, m)
-    assert same_items(out, reference_apply(plan, state))
+    want = reference_apply(plan, state)
+    assert same_items(out, want)
+    # the interferometer's own plan, built on the first apply and reused
+    for _ in range(2):
+        assert same_items(interferometer.apply(state), want)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 10, 20, 40])
@@ -568,8 +574,12 @@ def test_plan_equals_the_dict_expansion_on_noon_states(n):
     sp = FockSpace([a, b], n_max=n)
     state = noon_state(sp, a, b, n)
     for phi in (0.0, 1.234, math.pi):
-        plan = ModeMapPlan(composed_map(mach_zehnder(a, b, phi), sp))
-        assert same_items(plan.apply(state), reference_apply(plan, state))
+        interferometer = mach_zehnder(a, b, phi)
+        plan = ModeMapPlan(composed_map(interferometer, sp))
+        want = reference_apply(plan, state)
+        assert same_items(plan.apply(state), want)
+        for _ in range(2):
+            assert same_items(interferometer.apply(state), want)
 
 
 @st.composite
@@ -770,6 +780,85 @@ def test_schmidt_blocks_match_the_full_matrix_svd():
     ranks = {name: schmidt_rank(st, partition)[0] for name, st, partition in _schmidt_cases()}
     assert (ranks["noon"], ranks["product"]) == (2, 1)
     assert ranks["mesh"] > 1
+
+
+def reference_number_expectation(state, mode):
+    """``number_expectation`` as a dict loop, as it was before the array
+    readout, kept verbatim as the oracle."""
+    i = state.space.index(mode)
+    return sum(occ[i] * abs(a) ** 2 for occ, a in state._amp.items())
+
+
+def reference_schmidt_values(state, partition):
+    """``schmidt_values`` with its dict loops, as it was before the array
+    readout, kept verbatim as the oracle (partition checks dropped)."""
+    side_a, side_b = (frozenset(p) for p in partition)
+    space = state.space
+    key_a = operator.itemgetter(*sorted(space.index(m) for m in side_a))
+    key_b = operator.itemgetter(*sorted(space.index(m) for m in side_b))
+    rows: dict = {}
+    cols: dict = {}
+    coords = []
+    for occ, a in state._amp.items():
+        i = rows.setdefault(key_a(occ), len(rows))
+        j = cols.setdefault(key_b(occ), len(cols))
+        coords.append((i, j, a))
+    m = np.zeros((len(rows), len(cols)), dtype=complex)
+    for i, j, a in coords:
+        m[i, j] = a
+    root: dict = {}
+
+    def find(label):
+        while root.setdefault(label, label) != label:
+            label = root[label]
+        return label
+
+    row_n = [sum(k) if isinstance(k, tuple) else k for k in rows]
+    col_n = [sum(k) if isinstance(k, tuple) else k for k in cols]
+    for n_a, n_b in {(row_n[i], col_n[j]) for i, j, _ in coords}:
+        root[find(("a", n_a))] = find(("b", n_b))
+    blocks: dict = {}
+    for i, n in enumerate(row_n):
+        blocks.setdefault(find(("a", n)), ([], []))[0].append(i)
+    for j, n in enumerate(col_n):
+        blocks[find(("b", n))][1].append(j)
+    values = [np.linalg.svd(m[np.ix_(r, c)], compute_uv=False) for r, c in blocks.values()]
+    values.append(np.zeros(min(m.shape) - sum(v.size for v in values)))
+    return np.sort(np.concatenate(values))[::-1]
+
+
+def _readout_cases():
+    """Brick-mesh outputs, M = 3..7 with one photon per mode, and NOON
+    states through a Mach-Zehnder, N = 10, 20 and 40, with the splits the
+    benchmark reads them under; then the Schmidt cases above."""
+    rng = np.random.default_rng(16)
+    for m in range(3, 8):
+        modes = [path(i) for i in range(m)]
+        mesh = build_interferometer([
+            spec
+            for depth in range(m)
+            for i in range(depth % 2, m - 1, 2)
+            for spec in (phase_shift(modes[i], rng.uniform(0, 2 * math.pi)), beam_splitter(modes[i], modes[i + 1], rng.uniform(0.2, 1.35)))
+        ])
+        out = mesh.apply(basis_vector(FockSpace(modes, n_max=m), {mode: 1 for mode in modes}))
+        yield f"mesh_m{m}", out, (modes[: m // 2], modes[m // 2:])
+    a, b = path(0), path(1)
+    for n in (10, 20, 40):
+        sp = FockSpace([a, b], n_max=n)
+        yield f"noon_mz_n{n}", mach_zehnder(a, b, rng.uniform(0, 2 * math.pi)).apply(noon_state(sp, a, b, n)), ([a], [b])
+    yield from _schmidt_cases()
+
+
+def test_array_readouts_equal_the_dict_loops():
+    for name, st, partition in _readout_cases():
+        for mode in st.space.modes:
+            want = reference_number_expectation(st, mode)
+            assert math.isclose(number_expectation(st, mode), want, rel_tol=1e-14, abs_tol=1e-14), (name, mode)
+        # the same matrix and blocks, so the same SVDs
+        assert np.array_equal(fock.schmidt_values(st, partition), reference_schmidt_values(st, partition)), name
+    empty = StateVector(two_mode_space(), {})
+    assert number_expectation(empty, path(0)) == 0
+    assert fock.schmidt_values(empty, ([path(0)], [path(1)])).size == 0
 
 
 def test_spdc_uniform_rank_counts_terms():

@@ -252,6 +252,12 @@ def test_prepared_states_are_normalized():
         assert abs(st.norm() - 1.0) < 1e-12
 
 
+@pytest.mark.parametrize("amplitude", [np.full(4, np.nan), np.array([np.inf, 1.0, 1.0, np.inf])], ids=["nan", "inf"])
+def test_spectrum_with_non_finite_power_rejected(amplitude):
+    with pytest.raises(ValueError, match="spectrum power .* is not finite: a spectrum of width 3.0"):
+        BiphotonSpectrum(0.0, np.array([-1.5, -0.5, 0.5, 1.5]), amplitude)
+
+
 def test_sources_prune_after_normalizing():
     # the middle pair terms sit a hair above PRUNE_EPS and the spectrum
     # power 9e-10 above 1, inside its tolerance: dividing by the norm
