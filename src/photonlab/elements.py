@@ -10,15 +10,14 @@ a_j^dag -> sum_i U_ij a_i^dag, on the modes of the space:
 * swap: a permutation of two modes.
 
 An ``Interferometer`` composes the maps of its elements into one M x M
-unitary and its ``fock.ModeMapPlan`` once per mode set, and applies that
-plan to every state on those modes; each single-element function is a
-fresh interferometer of one element.  Each map is
-written once: the beam splitter's in ``element_map``, and every other
-element's, a set of moves, in ``parametric_moves``, as fixed
-(column, row) pairs plus a function forming their coefficients at a
-parameter value.  ``element_map`` builds its map from those, and a
-compiled protocol hands the coefficients to ``fock.PhaseStep`` per
-point.
+unitary and builds its ``fock.ModeMapPlan`` once per mode set, then
+applies that plan to every state on those modes; each single-element
+function is a fresh interferometer of one element.  Each map is written
+once: the beam splitter's in ``element_map``, and every other element's,
+a set of moves, in ``parametric_moves``, as fixed (column, row) pairs
+plus a function forming their coefficients at a parameter value.
+``element_map`` builds its map from those, and a compiled protocol hands
+the coefficients to ``fock.PhaseStep`` per point.
 
 Beam splitter convention (symmetric, i on reflection):
 

@@ -1256,7 +1256,7 @@ def schmidt_values(
     row_n = np.array([sum(k) if isinstance(k, tuple) else k for k in rows])
     col_n = np.array([sum(k) if isinstance(k, tuple) else k for k in cols])
     base = int(col_n.max()) + 1
-    for pair in np.unique(row_n.take(i) * base + col_n.take(j)).tolist():
+    for pair in set((row_n.take(i) * base + col_n.take(j)).tolist()):
         n_a, n_b = divmod(pair, base)
         root[find(("a", n_a))] = find(("b", n_b))
     block_a = {n: find(("a", n)) for n in set(row_n.tolist())}

@@ -1,5 +1,7 @@
 import cmath
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -427,6 +429,40 @@ def test_equality_hash_and_repr_ignore_the_compiled_map():
     assert used._compiled is not None and fresh._compiled is None
     assert used == fresh and hash(used) == hash(fresh) == before[1]
     assert repr(used) == repr(fresh) == before[0]
+
+
+def test_threads_sharing_one_interferometer_across_mode_sets_agree_with_fresh_ones():
+    # more threads than cores and a short switch interval, so a thread
+    # often resumes after another has replaced the compiled map
+    rng = np.random.default_rng(17)
+    chain = [beam_splitter(A, B, 0.3), phase_shift(B, 0.7), beam_splitter(B, path(2), 1.1)]
+    spaces = [FockSpace([A, B, path(2)], n_max=3), FockSpace([path(-1), A, B, path(2)], n_max=3)]
+    states = [random_state(sp, rng, terms=6) for sp in spaces]
+    want = [repr(list(build_interferometer(chain).apply(st)._amp.items())) for st in states]
+    shared = build_interferometer(chain)
+    wrong = []
+
+    def worker(k):
+        try:
+            for n in range(500):
+                i = (n + k) % 2
+                if repr(list(shared.apply(states[i])._amp.items())) != want[i]:
+                    wrong.append((k, n))
+        except Exception as exc:  # a plan applied to the other mode set
+            wrong.append((k, repr(exc)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(6)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
 
 
 def test_repeated_applies_compose_only_once(monkeypatch):
