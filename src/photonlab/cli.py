@@ -8,11 +8,10 @@ a mapping, a ``schema_version`` that is not the integer 1), values
 outside a parameter's declared domain (``photonlab list`` prints each
 one), non-finite floats, missing or negative seeds, and an empty
 ``out`` or ``--out`` are config errors (exit 2), found before anything
-is computed.  A config path
-that cannot be read, an output directory that cannot be created and an
-output file name taken by something other than a regular file are
-config errors too; numerical failures exit 3, and so, as a last
-resort, does a run that runs out of memory.
+is computed.  A config path that cannot be read, an output directory
+that cannot be created and an output file name taken by something
+other than a regular file are config errors too; numerical failures
+exit 3, and so, as a last resort, does a run that runs out of memory.
 Identical (config, seed) pairs reproduce the CSV tables and the summary
 byte for byte.  Outputs are staged under temporary names and renamed
 only after every file has been written, so failures leave no partial
