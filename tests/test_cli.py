@@ -178,12 +178,13 @@ def _never_run(params, seed):
         ({"out": True}, "out must be a path string, got True"),
         ({"out": "a\0b"}, "out must be a path string"),
         ({"out": "a\ud800"}, "out must be a path string"),
+        ({"out": ""}, "out is empty"),
         ({"schema_version": True}, "schema_version must be the integer 1, got True"),
         ({"schema_version": 1.0}, "schema_version must be the integer 1, got 1.0"),
     ],
     ids=[
         "experiment-list", "experiment-mapping", "int-key", "int-param-key", "params-false",
-        "out-int", "out-list", "out-bool", "out-nul", "out-surrogate", "schema-bool", "schema-float",
+        "out-int", "out-list", "out-bool", "out-nul", "out-surrogate", "out-empty", "schema-bool", "schema-float",
     ],
 )
 def test_malformed_top_level_value_exits_2_before_any_compute(tmp_path, capsys, monkeypatch, entries, named):
@@ -197,21 +198,14 @@ def test_malformed_top_level_value_exits_2_before_any_compute(tmp_path, capsys, 
     assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
 
 
-@pytest.mark.parametrize("spelling", ["config", "flag"])
-def test_empty_output_path_exits_2_before_any_compute(tmp_path, capsys, monkeypatch, spelling):
-    # an empty path once wrote the bundle straight into the output root
+def test_empty_out_option_exits_2_before_any_compute(tmp_path, capsys, monkeypatch):
+    # the config spelling, out: "", is a case of the test above
     monkeypatch.setitem(EXPERIMENTS, "ramsey", dataclasses.replace(EXPERIMENTS["ramsey"], runner=_never_run))
     monkeypatch.setenv("PHOTONLAB_OUT", str(tmp_path / "runs"))
     monkeypatch.chdir(tmp_path)
-    doc = {"schema_version": 1, "experiment": "ramsey"}
-    if spelling == "config":
-        cfg = write_config(tmp_path, {**doc, "out": ""})
-        assert main(["run", str(cfg)]) == EXIT_CONFIG
-        assert "out is empty" in capsys.readouterr().err
-    else:
-        cfg = write_config(tmp_path, doc)
-        assert main(["run", str(cfg), "--out", ""]) == EXIT_CONFIG
-        assert "--out is empty" in capsys.readouterr().err
+    cfg = write_config(tmp_path, {"schema_version": 1, "experiment": "ramsey"})
+    assert main(["run", str(cfg), "--out", ""]) == EXIT_CONFIG
+    assert "--out is empty" in capsys.readouterr().err
     assert [p.name for p in tmp_path.iterdir()] == ["config.yaml"]
 
 
