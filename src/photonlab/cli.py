@@ -377,6 +377,8 @@ def _run_dispersion(params: dict, seed: int | None) -> ResultBundle:
     spectrum = BiphotonSpectrum.gaussian(
         params["omega0"], params["sigma"], n_bins=params["n_bins"]
     )
+    # built before any interferogram, so a width it cannot hold stops the run first
+    pulse = dispersion.PulseSpectrum.gaussian(params["sigma"])
     taus = np.linspace(-params["tau_span"], params["tau_span"], params["tau_points"])
     medium = dispersion.DispersionProfile(tuple(params["beta"]), params["length"])
     config = params["configuration"]
@@ -389,7 +391,7 @@ def _run_dispersion(params: dict, seed: int | None) -> ResultBundle:
     table = Table("interferogram", ("tau[fs]", "rate[1]", "envelope[1]"), rows)
     beta2 = params["beta"][2] * params["length"]
     baseline = dispersion.classical_baseline(
-        dispersion.PulseSpectrum.gaussian(params["sigma"]),
+        pulse,
         dispersion.DispersionProfile((0.0, 0.0, params["beta"][2], 0.0), params["length"]),
     )
     summary = {

@@ -29,7 +29,7 @@ import numpy as np
 
 from .fock import FockError
 from .oam_imaging import ResolutionError, _phasors
-from .sources import BiphotonSpectrum
+from .sources import BiphotonSpectrum, _require_squarable_width
 
 
 class FitError(FockError):
@@ -130,19 +130,81 @@ def _fourier_sum(delays: np.ndarray, detunings: np.ndarray, weights: np.ndarray,
     """sum_k w_k e^{i scale d_k tau_j} for every delay tau_j.
 
     The detuning grid is uniform (at least two points), d_k = d_0 + k h,
-    so with block length B = isqrt(n) and k = a B + b the phase factors
+    with h taken from the grid ends, (d_{n-1} - d_0) / (n - 1).  A delay
+    grid counts as uniform by the same rule: every tau_j lies within 4 ulp
+    (of the larger end) of tau_0 + j dtau, with dtau from the grid ends,
+    as ``np.linspace`` builds it.  Then the sum is a chirp-z transform
+    and runs through ``_chirp_sum``; any other delay grid runs through
+    the block factorization ``_block_sum``.
+    """
+    m = delays.size
+    if m >= 2:
+        line = delays[0] + (delays[-1] - delays[0]) / (m - 1) * np.arange(m)
+        if np.all(np.abs(delays - line) <= 4 * np.spacing(max(abs(delays[0]), abs(delays[-1])))):
+            return _chirp_sum(delays, detunings, weights, scale)
+    return _block_sum(delays, detunings, weights, scale)
+
+
+def _chirp_sum(delays: np.ndarray, detunings: np.ndarray, weights: np.ndarray, scale: float) -> np.ndarray:
+    """``_fourier_sum`` on a uniform delay grid, as a tiled chirp-z transform.
+
+    The (delay x detuning) plane is cut into tiles of side t = min(n, m);
+    the weights are zero-padded, and the delays extended, to whole tiles.
+    Inside a tile with centres D (detuning) and T (delay) and centred
+    indices k', j' (d = D + k' h, tau = T + j' dtau), with
+    alpha = scale h dtau and Bluestein's k'j' = (k'^2 + j'^2 - (j' - k')^2) / 2,
+
+        e^{i s d tau} = e^{i s D tau} e^{i alpha j'^2 / 2}
+                        e^{i s h T k'} e^{i alpha k'^2 / 2} e^{-i alpha (j' - k')^2 / 2},
+
+    so each tile is one linear convolution of the pre-chirped weights
+    with the chirp e^{-i alpha r^2 / 2}, |r| < t, done for all tiles in
+    one batched FFT of length 2^ceil(log2(2t - 1)).  The post-chirp
+    carries e^{i s D tau} at the actual delays, and the tiles of one
+    delay row are summed.  The tile side bounds every chirp phase by
+    about |alpha| t^2 / 2 <= |scale| n h max|tau|, the largest phase
+    ``_block_sum`` forms; one tile over the whole plane would reach
+    alpha (n + m)^2 / 8 and lose accuracy on long, narrow planes.
+    """
+    n, m = detunings.size, delays.size
+    side = min(n, m)
+    h = (detunings[-1] - detunings[0]) / (n - 1)
+    dtau = (delays[-1] - delays[0]) / (m - 1)
+    alpha = scale * h * dtau
+    rows, cols = -(-m // side), -(-n // side)
+    centred = np.arange(side) - 0.5 * (side - 1)
+    half_chirp = np.exp(0.5j * alpha * centred ** 2)
+    tau_centres = delays[0] + dtau * (side * np.arange(rows) + 0.5 * (side - 1))
+    d_centres = detunings[0] + h * (side * np.arange(cols) + 0.5 * (side - 1))
+    padded = np.zeros(cols * side, dtype=complex)
+    padded[:n] = weights
+    shift = np.exp(1j * scale * h * np.outer(tau_centres, centred))
+    pre = (padded.reshape(cols, side) * half_chirp)[None, :, :] * shift[:, None, :]
+    length = 1 << (2 * side - 2).bit_length()
+    lags = np.fft.fftfreq(length, 1.0 / length)
+    chirp = np.fft.fft(np.exp(-0.5j * alpha * lags ** 2))
+    tiles = np.fft.ifft(np.fft.fft(pre, length) * chirp)[..., :side]
+    taus = np.zeros(rows * side)
+    taus[:m] = delays
+    post = np.exp(1j * scale * np.outer(d_centres, taus)).reshape(cols, rows, side)
+    return (np.einsum("crj,rcj->rj", post, tiles) * half_chirp).reshape(-1)[:m]
+
+
+def _block_sum(delays: np.ndarray, detunings: np.ndarray, weights: np.ndarray, scale: float) -> np.ndarray:
+    """``_fourier_sum`` on any delay grid, by a block factorization.
+
+    With block length B = isqrt(n) and k = a B + b the phase factors
     into a coarse and a fine part,
 
         e^{i s d_k tau} = [e^{i s d_0 tau} e^{i s a B h tau}] e^{i s b h tau},
 
     and the sum becomes one (n_delays x B) @ (B x n_blocks) product,
     dotted row by row with the (n_delays x n_blocks) coarse factors.
-    The weights are zero-padded to whole blocks.  h is taken from the
-    grid ends, (d_{n-1} - d_0) / (n - 1), which keeps the phases within
-    round-off of the grid values.  Both tables come from ``_phasors``,
-    so a delay costs about 4 n^{1/4} cos/sin pairs and the one complex
-    exponential e^{i s d_0 tau} (33 in all at 4096 bins), not 2 sqrt(n)
-    complex exponentials.
+    The weights are zero-padded to whole blocks.  Taking h from the grid
+    ends keeps the phases within round-off of the grid values.  Both
+    tables come from ``_phasors``, so a delay costs about 4 n^{1/4}
+    cos/sin pairs and the one complex exponential e^{i s d_0 tau} (33 in
+    all at 4096 bins), not 2 sqrt(n) complex exponentials.
     """
     n = detunings.size
     block = math.isqrt(n)
@@ -193,7 +255,8 @@ def hom_rates(
     medium in one arm contributes its odd orders doubled, and equal
     media in both arms drop out entirely.  Coincidence plus bunching is
     exactly 1.  The sum runs on the uniform grid d = d_0 + k h through
-    the factored ``_fourier_sum``, never as a delay x detuning matrix.
+    ``_fourier_sum``, never as a delay x detuning matrix: as one chirp-z
+    FFT on a uniform delay grid, by blocks on any other.
     """
     prop = propagate(spectrum, signal=signal, idler=idler)
     a = prop.amplitude
@@ -250,8 +313,8 @@ def skc_rates(
     odd-order part of the medium phase, which is the even-order
     cancellation.  With ``include_fringes=False`` the fringe term is
     averaged away (rates then sit on the envelope alone).  K is summed
-    on the uniform grid d = d_0 + k h through the factored
-    ``_fourier_sum``.
+    on the uniform grid d = d_0 + k h through ``_fourier_sum``: as one
+    chirp-z FFT on a uniform delay grid, by blocks on any other.
     """
     d = spectrum.detunings
     intensity = np.abs(spectrum.amplitude) ** 2 * spectrum.step
@@ -301,7 +364,8 @@ def correlation_envelope(spectrum: BiphotonSpectrum, delays: np.ndarray) -> Inte
     psi is the Fourier transform of the joint amplitude along the
     detuning axis; its squared magnitude is the coincidence envelope a
     start-stop correlator records.  The transform is summed on the
-    uniform grid d = d_0 + k h through the factored ``_fourier_sum``.
+    uniform grid d = d_0 + k h through ``_fourier_sum``: as one chirp-z
+    FFT on a uniform delay grid, by blocks on any other.
     """
     delays = _require_delay_resolution(spectrum, np.asarray(delays, dtype=float), float(spectrum.detunings[-1]))
     psi = _fourier_sum(delays, spectrum.detunings, spectrum.amplitude * spectrum.step, -1.0)
@@ -358,6 +422,16 @@ class PulseSpectrum:
             raise ValueError("need matching 1-D arrays with >= 8 bins")
         if not np.allclose(np.diff(d), d[1] - d[0], rtol=1e-9):
             raise ValueError("detuning grid must be uniform")
+        # a medium phase squares the detunings, and classical_baseline weighs
+        # squared times, up to the conjugate span 2 pi / step, by the pulse
+        # intensity, which stays below (sum |a|)^2
+        reach, step = float(np.max(np.abs(d))), float(d[1] - d[0])
+        moment = 2 * math.pi / abs(step) * float(np.sum(np.abs(a))) if step else math.inf
+        if not (math.isfinite(reach * reach) and math.isfinite(moment * moment)):
+            raise ValueError(
+                f"pulse moments are not finite: a spectrum of width {float(d[-1] - d[0])!r} "
+                "(detuning span) is outside the range float64 can hold"
+            )
         object.__setattr__(self, "detunings", d)
         object.__setattr__(self, "amplitude", a)
 
@@ -366,6 +440,7 @@ class PulseSpectrum:
         """Amplitude exp(-d^2 / (2 sigma^2)); sigma is the amplitude std.
         The grid has 2048 bins over |d| <= 8 sigma."""
         edge = 8.0 * sigma_omega
+        _require_squarable_width(sigma_omega, edge)
         d = np.linspace(-edge, edge, 2048, endpoint=False) + edge / 2048
         return PulseSpectrum(d, np.exp(-(d ** 2) / (2 * sigma_omega ** 2)))
 

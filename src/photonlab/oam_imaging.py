@@ -540,6 +540,16 @@ def _hann(n: int) -> np.ndarray:
     return window
 
 
+def _beat_record(per_sample: float, n: int) -> np.ndarray:
+    """|e^{i theta m} + e^{-i theta m}|^2 over m = 0 .. n - 1, from one row.
+
+    The -theta row of ``_phasors`` is the conjugate of the +theta row bit
+    for bit (cos is even and sin odd), so the sum is 2 Re exactly and
+    its squared magnitude is (2 Re)^2.
+    """
+    return (2.0 * _phasors(np.array([per_sample]), n)[0].real) ** 2
+
+
 def rotational_doppler_beat(
     l: int,
     rotation_rate: float,
@@ -580,9 +590,7 @@ def rotational_doppler_beat(
     n = int(round(duration * sample_rate))
     if n < 2:
         raise ResolutionError(f"a record of {n} sample(s) has no spectrum to search: need >= 2")
-    per_sample = l * rotation_rate / sample_rate
-    field = _phasors(np.array([per_sample, -per_sample]), n).sum(axis=0)
-    intensity = np.abs(field) ** 2
+    intensity = _beat_record(l * rotation_rate / sample_rate, n)
     spectrum = np.abs(np.fft.rfft((intensity - intensity.mean()) * _hann(n)))
     bin_width = 2.0 * math.pi * sample_rate / n
     peak = int(np.argmax(spectrum[1:]) + 1)

@@ -260,6 +260,7 @@ class BiphotonSpectrum:
         if n_bins % 2:
             raise ValueError("n_bins must be even to keep the grid symmetric")
         edge = 4.0 * sigma
+        _require_squarable_width(sigma, edge)
         step = 2 * edge / n_bins
         d = -edge + step * (np.arange(n_bins) + 0.5)
         a = np.exp(-(d ** 2) / (4 * sigma ** 2))
@@ -275,6 +276,18 @@ class BiphotonSpectrum:
         step = 2 * delta
         a = np.full(2, 1 / math.sqrt(2 * step), dtype=complex)
         return BiphotonSpectrum(omega0, d, a)
+
+
+def _require_squarable_width(sigma: float, edge: float) -> None:
+    """Refuse a Gaussian width whose grid, out to |d| = edge, float64
+    cannot square.
+
+    The Gaussian constructors divide d^2 by a multiple of sigma^2.  Past
+    about 1e154 those squares overflow: the outer bins would read 0, or
+    ``sigma ** 2`` raises an OverflowError that names no parameter.
+    """
+    if not math.isfinite(edge * edge):
+        raise ValueError(f"a spectrum of width {sigma!r} (sigma) is outside the range float64 can hold")
 
 
 def biphoton_space(spectrum: BiphotonSpectrum) -> FockSpace:

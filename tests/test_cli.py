@@ -541,6 +541,24 @@ def test_spectrum_width_past_float_range_fails_before_any_interferogram(tmp_path
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("sigma, named", [(1.0e-160, "(detuning span)"), (1.0e200, "(sigma)")])
+def test_pulse_width_past_float_range_fails_before_any_interferogram(tmp_path, capsys, monkeypatch, sigma, named):
+    # 1e-160: the pair spectrum holds, but the classical pulse's conjugate
+    # times overflow when squared; 1e200: sigma ** 2 overflows
+    def computed(*args, **kwargs):
+        raise AssertionError("computed an interferogram on a spectrum float64 cannot hold")
+
+    for kernel in ("hom_interferogram", "skc_interferogram", "franson_interferogram"):
+        monkeypatch.setattr(photonlab.dispersion, kernel, computed)
+    out = tmp_path / "disp"
+    cfg = write_config(tmp_path, base_config("dispersion", out, sigma=sigma))
+    assert main(["run", str(cfg)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert f"{named} is outside the range float64 can hold" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("params", [dict(l_max=171, n_angular=688), dict(p_max=170)], ids=["l_max", "p_max"])
 def test_spiral_family_past_the_factorial_range_is_a_config_error(tmp_path, capsys, monkeypatch, params):
     # the mode normalization holds (p + |l|)!, and 171! overflows a float

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import OptimizeWarning, curve_fit
 
+from photonlab import dispersion
 from photonlab.dispersion import (
     _fourier_sum,
     DelayFit,
@@ -295,6 +296,25 @@ def test_doubling_length_follows_closed_form():
     assert abs(double.broadening - math.sqrt(1 + 16)) < 0.02
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize(
+    "sigma, named",
+    [(1.0e-160, "(detuning span)"), (1.0e-200, "(detuning span)"), (1.0e200, "(sigma)"), (1.7e153, "(sigma)")],
+)
+def test_pulse_width_past_float_range_rejected(sigma, named):
+    # too narrow: the conjugate times squared overflow the baseline's moments;
+    # too wide: the squared detunings overflow
+    with pytest.raises(ValueError, match="is outside the range float64 can hold") as info:
+        PulseSpectrum.gaussian(sigma)
+    assert named in str(info.value)
+
+
+def test_pulse_with_non_finite_amplitude_rejected():
+    d = np.linspace(-1.0, 1.0, 8)
+    with pytest.raises(ValueError, match="pulse moments are not finite: a spectrum of width 2.0"):
+        PulseSpectrum(d, np.full(8, np.nan))
+
+
 def test_quantum_beats_classical_for_same_medium():
     spec = gaussian_pair()
     plain = hom_interferogram(spec, TAUS)
@@ -430,24 +450,64 @@ def test_delay_fit_reports_visibility():
 
 
 # ---------------------------------------------------------------------------
-# factored Fourier sum
+# Fourier sum: chirp-z on uniform delay grids, blocks on any other
+
+
+def _moved_delay_grid():
+    delays = np.linspace(-12.0, 12.0, 601)
+    delays[300] += 1e-9
+    return delays
 
 
 @pytest.mark.parametrize(
-    "spectrum",
-    [gaussian_pair(512), gaussian_pair(4096), gaussian_pair(510), BiphotonSpectrum.two_bin(OMEGA0, 0.2)],
-    ids=["512", "4096", "510-padded", "two-bin"],
+    "spectrum, delay_grids",
+    [
+        pytest.param(gaussian_pair(512), None, id="512"),
+        pytest.param(gaussian_pair(4096), None, id="4096"),
+        pytest.param(gaussian_pair(510), None, id="510-padded"),
+        pytest.param(BiphotonSpectrum.two_bin(OMEGA0, 0.2), None, id="two-bin"),
+        # one tile over the plane would reach chirp phases of about 1e4 rad here
+        pytest.param(BiphotonSpectrum.two_bin(OMEGA0, 0.2), (np.linspace(-12.0, 12.0, 2001),), id="two-bin-2001-delays"),
+        pytest.param(
+            gaussian_pair(4096),
+            tuple(np.linspace(-12.0, 12.0, m) for m in (2, 3, 4097)),
+            id="4096-2-3-4097-delays",
+        ),
+        pytest.param(gaussian_pair(512), (_moved_delay_grid(),), id="512-one-delay-moved"),
+    ],
 )
 @pytest.mark.parametrize("scale", [-2.0, 2.0, -1.0])
-def test_fourier_sum_matches_direct_product(spectrum, scale):
+def test_fourier_sum_matches_direct_product(spectrum, delay_grids, scale):
     rng = np.random.default_rng(7)
     d = spectrum.detunings
     weights = spectrum.amplitude * spectrum.step * np.exp(1j * rng.uniform(0.0, 2 * math.pi, d.size))
-    for delays in (np.linspace(-12.0, 12.0, 601), np.sort(rng.uniform(-12.0, 12.0, 300))):
+    if delay_grids is None:
+        delay_grids = (np.linspace(-12.0, 12.0, 601), np.sort(rng.uniform(-12.0, 12.0, 300)))
+    for delays in delay_grids:
         direct = np.exp(1j * scale * np.outer(delays, d)) @ weights
         got = _fourier_sum(delays, d, weights, scale)
         assert got.shape == delays.shape
         assert np.max(np.abs(got - direct)) <= 1e-13 * np.sum(np.abs(weights))
+
+
+def test_uniform_delay_grids_take_the_chirp_path(monkeypatch):
+    block_sum = dispersion._block_sum
+
+    def refused(*args):
+        raise AssertionError("took the path this delay grid must not take")
+
+    monkeypatch.setattr(dispersion, "_block_sum", refused)
+    medium = beta(3.0, 22.0, 4.0)
+    for spec in (gaussian_pair(512), gaussian_pair(4096)):
+        for taus in (TAUS, np.linspace(-12.0, 12.0, 2001)):
+            hom_rates(spec, taus, signal=medium)
+            skc_rates(spec, medium, taus)
+            correlation_envelope(spec, taus)
+    monkeypatch.setattr(dispersion, "_block_sum", block_sum)
+    monkeypatch.setattr(dispersion, "_chirp_sum", refused)
+    hom_rates(gaussian_pair(512), _moved_delay_grid(), signal=medium)
+    with pytest.raises(AssertionError, match="must not take"):
+        hom_rates(gaussian_pair(512), TAUS, signal=medium)
 
 
 def _peak_bytes(fn):

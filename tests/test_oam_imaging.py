@@ -8,6 +8,7 @@ import pytest
 from scipy.special import eval_genlaguerre
 
 from photonlab.oam_imaging import (
+    _beat_record,
     _genlaguerre,
     _hann,
     _legendre,
@@ -413,6 +414,17 @@ def test_beat_frequency_value():
 def test_zero_rotation_flagged():
     meas = rotational_doppler_beat(5, 0.0, omega=100.0, duration=10.0, sample_rate=50.0)
     assert meas == BeatMeasurement(beat=0.0, resolution=meas.resolution, detected=False)
+
+
+@pytest.mark.parametrize("sample_rate", [40.0, 60.0, 200.0])
+def test_beat_record_equals_the_two_row_sum(sample_rate):
+    # the oracle sums the two counter-rotating beams as the record once did
+    n = 4096
+    for rate in (0.1, 0.3, 0.5, 0.8, -1.3):
+        for l in range(1, 101):
+            theta = l * rate / sample_rate
+            two_rows = np.abs(_phasors(np.array([theta, -theta]), n).sum(axis=0)) ** 2
+            assert np.array_equal(_beat_record(theta, n), two_rows), (l, rate)
 
 
 def test_large_charge_amplifies_beat():

@@ -258,6 +258,12 @@ def test_spectrum_with_non_finite_power_rejected(amplitude):
         BiphotonSpectrum(0.0, np.array([-1.5, -0.5, 0.5, 1.5]), amplitude)
 
 
+def test_gaussian_width_past_float_range_rejected():
+    # sigma ** 2 overflows, which raised an OverflowError naming no parameter
+    with pytest.raises(ValueError, match=r"width 1e\+200 \(sigma\) is outside the range float64 can hold"):
+        BiphotonSpectrum.gaussian(2.35, 1.0e200, n_bins=16)
+
+
 def test_sources_prune_after_normalizing():
     # the middle pair terms sit a hair above PRUNE_EPS and the spectrum
     # power 9e-10 above 1, inside its tolerance: dividing by the norm
