@@ -158,10 +158,10 @@ def _chirp_sum(delays: np.ndarray, detunings: np.ndarray, weights: np.ndarray, s
                         e^{i s h T k'} e^{i alpha k'^2 / 2} e^{-i alpha (j' - k')^2 / 2},
 
     so each tile is one linear convolution of the pre-chirped weights
-    with the chirp e^{-i alpha r^2 / 2}, |r| < t, done for all tiles in
-    one batched FFT of length 2^ceil(log2(2t - 1)).  The post-chirp
-    carries e^{i s D tau} at the actual delays, and the tiles of one
-    delay row are summed.  The tile side bounds every chirp phase by
+    with the chirp e^{-i alpha r^2 / 2}, |r| < t, done for all tiles as
+    one batched FFT convolution of length 2^ceil(log2(2t - 1)).  The
+    post-chirp carries e^{i s D tau} at the actual delays, and the tiles
+    of one delay row are summed.  The tile side bounds every chirp phase by
     about |alpha| t^2 / 2 <= |scale| n h max|tau|, the largest phase
     ``_block_sum`` forms; one tile over the whole plane would reach
     alpha (n + m)^2 / 8 and lose accuracy on long, narrow planes.
