@@ -28,7 +28,7 @@ from typing import Sequence
 import numpy as np
 
 from .fock import FockError
-from .oam_imaging import ResolutionError, _phasors
+from .oam_imaging import ResolutionError
 from .sources import BiphotonSpectrum, _require_squarable_width
 
 
@@ -127,28 +127,13 @@ class Interferogram:
 
 
 def _fourier_sum(delays: np.ndarray, detunings: np.ndarray, weights: np.ndarray, scale: float) -> np.ndarray:
-    """sum_k w_k e^{i scale d_k tau_j} for every delay tau_j.
+    """sum_k w_k e^{i scale d_k tau_j} for every delay tau_j, as a tiled
+    chirp-z transform.
 
-    The detuning grid is uniform (at least two points), d_k = d_0 + k h,
-    with h taken from the grid ends, (d_{n-1} - d_0) / (n - 1).  A delay
-    grid counts as uniform by the same rule: every tau_j lies within 4 ulp
-    (of the larger end) of tau_0 + j dtau, with dtau from the grid ends,
-    as ``np.linspace`` builds it.  Then the sum is a chirp-z transform
-    and runs through ``_chirp_sum``; any other delay grid runs through
-    the block factorization ``_block_sum``.
-    """
-    m = delays.size
-    if m >= 2:
-        line = delays[0] + (delays[-1] - delays[0]) / (m - 1) * np.arange(m)
-        if np.all(np.abs(delays - line) <= 4 * np.spacing(max(abs(delays[0]), abs(delays[-1])))):
-            return _chirp_sum(delays, detunings, weights, scale)
-    return _block_sum(delays, detunings, weights, scale)
-
-
-def _chirp_sum(delays: np.ndarray, detunings: np.ndarray, weights: np.ndarray, scale: float) -> np.ndarray:
-    """``_fourier_sum`` on a uniform delay grid, as a tiled chirp-z transform.
-
-    The (delay x detuning) plane is cut into tiles of side t = min(n, m);
+    Both grids are uniform with at least two points, d_k = d_0 + k h and
+    tau_j = tau_0 + j dtau, with h and dtau taken from the grid ends
+    (``_require_delay_resolution`` refuses any other delay grid).  The
+    (delay x detuning) plane is cut into tiles of side t = min(n, m);
     the weights are zero-padded, and the delays extended, to whole tiles.
     Inside a tile with centres D (detuning) and T (delay) and centred
     indices k', j' (d = D + k' h, tau = T + j' dtau), with
@@ -162,9 +147,9 @@ def _chirp_sum(delays: np.ndarray, detunings: np.ndarray, weights: np.ndarray, s
     one batched FFT convolution of length 2^ceil(log2(2t - 1)).  The
     post-chirp carries e^{i s D tau} at the actual delays, and the tiles
     of one delay row are summed.  The tile side bounds every chirp phase by
-    about |alpha| t^2 / 2 <= |scale| n h max|tau|, the largest phase
-    ``_block_sum`` forms; one tile over the whole plane would reach
-    alpha (n + m)^2 / 8 and lose accuracy on long, narrow planes.
+    about |alpha| t^2 / 2 <= |scale| n h max|tau|; one tile over the whole
+    plane would reach alpha (n + m)^2 / 8 and lose accuracy on long,
+    narrow planes.
     """
     n, m = detunings.size, delays.size
     side = min(n, m)
@@ -190,33 +175,6 @@ def _chirp_sum(delays: np.ndarray, detunings: np.ndarray, weights: np.ndarray, s
     return (np.einsum("crj,rcj->rj", post, tiles) * half_chirp).reshape(-1)[:m]
 
 
-def _block_sum(delays: np.ndarray, detunings: np.ndarray, weights: np.ndarray, scale: float) -> np.ndarray:
-    """``_fourier_sum`` on any delay grid, by a block factorization.
-
-    With block length B = isqrt(n) and k = a B + b the phase factors
-    into a coarse and a fine part,
-
-        e^{i s d_k tau} = [e^{i s d_0 tau} e^{i s a B h tau}] e^{i s b h tau},
-
-    and the sum becomes one (n_delays x B) @ (B x n_blocks) product,
-    dotted row by row with the (n_delays x n_blocks) coarse factors.
-    The weights are zero-padded to whole blocks.  Taking h from the grid
-    ends keeps the phases within round-off of the grid values.  Both
-    tables come from ``_phasors``, so a delay costs about 4 n^{1/4}
-    cos/sin pairs and the one complex exponential e^{i s d_0 tau} (33 in
-    all at 4096 bins), not 2 sqrt(n) complex exponentials.
-    """
-    n = detunings.size
-    block = math.isqrt(n)
-    n_blocks = -(-n // block)
-    step = (detunings[-1] - detunings[0]) / (n - 1)
-    padded = np.zeros(n_blocks * block, dtype=complex)
-    padded[:n] = weights
-    fine = _phasors(scale * step * delays, block)
-    coarse = _phasors(scale * step * block * delays, n_blocks) * np.exp(1j * scale * detunings[0] * delays)[:, None]
-    return np.einsum("ja,ja->j", coarse, fine @ padded.reshape(n_blocks, block).T)
-
-
 def _require_delay_resolution(spectrum: BiphotonSpectrum, delays: np.ndarray, rate_max: float):
     delays = np.asarray(delays, dtype=float)
     if delays.ndim != 1 or delays.size < 2:
@@ -224,6 +182,11 @@ def _require_delay_resolution(spectrum: BiphotonSpectrum, delays: np.ndarray, ra
     dtau = np.min(np.diff(delays))
     if dtau <= 0:
         raise ValueError("delay grid must be strictly increasing")
+    # uniform as np.linspace builds it: every delay within 4 ulp (of the
+    # larger end) of the line through the grid ends
+    line = delays[0] + (delays[-1] - delays[0]) / (delays.size - 1) * np.arange(delays.size)
+    if not np.all(np.abs(delays - line) <= 4 * np.spacing(max(abs(delays[0]), abs(delays[-1])))):
+        raise ValueError("delay grid must be uniform: every delay within 4 ulp of the line through its ends")
     if dtau * rate_max >= math.pi:
         raise ResolutionError(
             f"delay step {dtau:.3g} cannot sample oscillations at {rate_max:.3g} rad/unit"
@@ -254,9 +217,9 @@ def hom_rates(
     so only the part of the joint phase that is odd in d survives: a
     medium in one arm contributes its odd orders doubled, and equal
     media in both arms drop out entirely.  Coincidence plus bunching is
-    exactly 1.  The sum runs on the uniform grid d = d_0 + k h through
-    ``_fourier_sum``, never as a delay x detuning matrix: as one chirp-z
-    FFT on a uniform delay grid, by blocks on any other.
+    exactly 1.  The sum runs on the uniform grids of detunings and
+    delays through ``_fourier_sum``, as one chirp-z FFT, never as a delay
+    x detuning matrix; a delay grid that is not uniform is refused.
     """
     prop = propagate(spectrum, signal=signal, idler=idler)
     a = prop.amplitude
@@ -313,8 +276,8 @@ def skc_rates(
     odd-order part of the medium phase, which is the even-order
     cancellation.  With ``include_fringes=False`` the fringe term is
     averaged away (rates then sit on the envelope alone).  K is summed
-    on the uniform grid d = d_0 + k h through ``_fourier_sum``: as one
-    chirp-z FFT on a uniform delay grid, by blocks on any other.
+    on the uniform grids of detunings and delays through ``_fourier_sum``,
+    as one chirp-z FFT; a delay grid that is not uniform is refused.
     """
     d = spectrum.detunings
     intensity = np.abs(spectrum.amplitude) ** 2 * spectrum.step
@@ -364,8 +327,8 @@ def correlation_envelope(spectrum: BiphotonSpectrum, delays: np.ndarray) -> Inte
     psi is the Fourier transform of the joint amplitude along the
     detuning axis; its squared magnitude is the coincidence envelope a
     start-stop correlator records.  The transform is summed on the
-    uniform grid d = d_0 + k h through ``_fourier_sum``: as one chirp-z
-    FFT on a uniform delay grid, by blocks on any other.
+    uniform grids of detunings and delays through ``_fourier_sum``, as
+    one chirp-z FFT; a delay grid that is not uniform is refused.
     """
     delays = _require_delay_resolution(spectrum, np.asarray(delays, dtype=float), float(spectrum.detunings[-1]))
     psi = _fourier_sum(delays, spectrum.detunings, spectrum.amplitude * spectrum.step, -1.0)

@@ -100,6 +100,14 @@ def phase_shift(mode: ModeLabel, phi: float) -> ElementSpec:
 
 
 def dove_prism(arm_modes: Iterable[ModeLabel], theta: float) -> ElementSpec:
+    """Dove prism rotated by theta on the OAM modes of one arm.
+
+    Amplitude on charge l moves to charge -l with phase e^{i 2 l theta}
+    per photon.  The arm must hold both charges of every pair present in
+    the space, and the mirror mode -l must exist in the space for every
+    populated charge.  Applying the prism twice at the same angle is the
+    identity.
+    """
     return ElementSpec(ElementKind.DOVE_PRISM, tuple(sorted(arm_modes)), theta)
 
 
@@ -253,37 +261,6 @@ def apply_beam_splitter(
     Total photon number is conserved, so truncation cannot overflow.
     """
     return apply_element(state, beam_splitter(mode_a, mode_b, kappa))
-
-
-def apply_phase_shift(state: StateVector, mode: ModeLabel, phi: float) -> StateVector:
-    """Each basis state gains e^{i n phi}, n the occupation of ``mode``."""
-    return apply_element(state, phase_shift(mode, phi))
-
-
-def apply_dove_prism(
-    state: StateVector,
-    arm_modes: Iterable[ModeLabel],
-    theta: float,
-) -> StateVector:
-    """Dove prism rotated by theta on the OAM modes of one arm.
-
-    Amplitude on charge l moves to charge -l with phase e^{i 2 l theta}
-    per photon.  The arm must hold both charges of every pair present in
-    the space, and the mirror mode -l must exist in the space for every
-    populated charge.  Applying the prism twice at the same angle is the
-    identity.
-    """
-    return apply_element(state, dove_prism(arm_modes, theta))
-
-
-def apply_mirror(state: StateVector, arm_modes: Iterable[ModeLabel]) -> StateVector:
-    """Plane-mirror reflection: the phase-free charge flip l -> -l."""
-    return apply_element(state, mirror(arm_modes))
-
-
-def apply_swap(state: StateVector, mode_a: ModeLabel, mode_b: ModeLabel) -> StateVector:
-    """Exchange the occupations of two modes."""
-    return apply_element(state, swap(mode_a, mode_b))
 
 
 @dataclass(frozen=True)

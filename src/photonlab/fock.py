@@ -35,7 +35,6 @@ Conventions:
 
 from __future__ import annotations
 
-import cmath
 import math
 import operator
 from dataclasses import dataclass
@@ -233,12 +232,6 @@ class FockSpace:
     def __hash__(self) -> int:
         return hash((self.modes, self.n_max))
 
-    @property
-    def dimension(self) -> int:
-        # number of occupation lists with total <= n_max over M modes
-        m = len(self.modes)
-        return math.comb(self.n_max + m, m)
-
     def index(self, mode: ModeLabel) -> int:
         """Position of ``mode`` in ``modes``."""
         try:
@@ -355,9 +348,6 @@ class StateVector:
             return sum(a[occ].conjugate() * amp for occ, amp in b.items() if occ in a)
         return sum(amp.conjugate() * b[occ] for occ, amp in a.items() if occ in b)
 
-    def fidelity(self, other: "StateVector") -> float:
-        return abs(self.inner(other))
-
     def __add__(self, other: "StateVector") -> "StateVector":
         if other.space != self.space:
             raise ValueError("states live in different spaces")
@@ -401,10 +391,6 @@ def _canonical(amp: Mapping[Occupations, complex]) -> dict[Occupations, complex]
 
 def basis_vector(space: FockSpace, occupations: Mapping[ModeLabel, int]) -> StateVector:
     return StateVector(space, {space.basis_state(occupations): 1.0})
-
-
-def vacuum_state(space: FockSpace) -> StateVector:
-    return StateVector(space, {VACUUM: 1.0})
 
 
 # ---------------------------------------------------------------------------
@@ -459,10 +445,6 @@ def number_expectation(state: StateVector, mode: ModeLabel) -> float:
     counts = np.fromiter(map(operator.itemgetter(i), amp), float, len(amp))
     weights = np.abs(np.fromiter(amp.values(), complex, len(amp))) ** 2
     return float((counts * weights).sum())
-
-
-def total_number_expectation(state: StateVector) -> float:
-    return sum(sum(occ) * abs(a) ** 2 for occ, a in state._amp.items())
 
 
 # ---------------------------------------------------------------------------
@@ -1047,13 +1029,6 @@ class Observable:
     def matrix(self, basis: Sequence[BasisState]) -> np.ndarray:
         return self._matrix([self.space.occupations(bs) for bs in basis])
 
-    def max_hermiticity_defect(self) -> float:
-        ent = {(bra, ket): v for bra, ket, v in self._entries()}
-        defect = 0.0
-        for (bra, ket), v in ent.items():
-            defect = max(defect, abs(v - ent.get((ket, bra), 0j).conjugate()))
-        return defect
-
     def eigensystem(self, state: StateVector) -> tuple[np.ndarray, np.ndarray]:
         """Eigenvalues and Born probabilities of measuring on ``state``.
 
@@ -1074,10 +1049,6 @@ class Observable:
         if total > 0:
             probs = probs / total
         return evals, probs
-
-
-def identity_observable(space: FockSpace, basis: Iterable[BasisState]) -> Observable:
-    return Observable(space, {(bs, bs): 1.0 for bs in basis})
 
 
 def dyad_sum(
@@ -1167,35 +1138,6 @@ def susskind_glogower(space: FockSpace) -> tuple[Observable, Observable]:
         a_ent[(levels[n + 1], levels[n])] = 1.0
     a = Observable(space, a_ent, hermitian=True)
     return s, a
-
-
-def number_observable(space: FockSpace, mode: ModeLabel) -> Observable:
-    """N_mode as a diagonal sparse observable (small spaces only)."""
-    space.require(mode)
-    ent = {}
-    for bs in space.enumerate_basis():
-        n = bs.n(mode)
-        if n:
-            ent[(bs, bs)] = float(n)
-    return Observable(space, ent)
-
-
-def truncated_phase_state(space: FockSpace, phi: float) -> StateVector:
-    """Normalized partial sum sum_{n<=n_max} e^{i n phi} |n> / sqrt(n_max+1).
-
-    Phase states are non-normalizable; only truncated partial sums are
-    representable.  S acts on the partial sum as e^{i phi} times the
-    same state up to a truncation tail of norm 1/sqrt(n_max+1).
-    """
-    if len(space.modes) != 1:
-        raise ValueError("phase states are single-mode")
-    mode = space.modes[0]
-    k = space.n_max
-    amp = {
-        space.basis_state({mode: n} if n else {}): cmath.exp(1j * n * phi) / math.sqrt(k + 1)
-        for n in range(k + 1)
-    }
-    return StateVector(space, amp)
 
 
 # ---------------------------------------------------------------------------

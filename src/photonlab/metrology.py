@@ -51,7 +51,6 @@ from .fock import (
 )
 
 DERIVATIVE_FLOOR = 1e-8
-FD_STEP = 1e-6
 
 
 class StationaryPointError(FockError):
@@ -168,26 +167,19 @@ def observable_R(space: FockSpace, l: int) -> Observable:
 # uncertainty propagation
 
 
-def propagate_uncertainty(
-    mean: Callable[[float], float],
-    spread: Callable[[float], float],
-    at: float,
-    dmean: Callable[[float], float] | None = None,
-) -> float:
-    """Delta x = Delta O / |d<O>/dx| at the working point.
+def propagate_uncertainty(slope: float, spread: float, at: float) -> float:
+    """Delta x = Delta O / |d<O>/dx| at the working point ``at``, from the
+    spread Delta O and the analytic slope d<O>/dx there.
 
-    The derivative is taken from ``dmean`` when the curve has a known
-    analytic form, otherwise from a central difference with step 1e-6.
     Below the derivative floor the working point is stationary and the
     formula is singular; that raises instead of returning a huge value,
     so sweeps cannot be silently poisoned.
     """
-    slope = dmean(at) if dmean is not None else (mean(at + FD_STEP) - mean(at - FD_STEP)) / (2 * FD_STEP)
     if abs(slope) < DERIVATIVE_FLOOR:
         raise StationaryPointError(
             f"|d<O>/dx| = {abs(slope):.2e} < {DERIVATIVE_FLOOR:.0e} at x = {at}"
         )
-    return abs(spread(at)) / abs(slope)
+    return abs(spread) / abs(slope)
 
 
 # ---------------------------------------------------------------------------
@@ -285,9 +277,7 @@ class Protocol:
         if trials < 1:
             raise ValueError("need trials >= 1")
         root = math.sqrt(trials)
-        return propagate_uncertainty(
-            self.mean, lambda t: self.spread(t) / root, x, dmean=self.dmean
-        )
+        return propagate_uncertainty(self.dmean(x), self.spread(x) / root, x)
 
 
 class SinglePhotonPhaseProtocol(Protocol):
@@ -410,13 +400,6 @@ class AngularDisplacementProtocol(Protocol):
         flip, missing = elements.element_map(space, elements.mirror(upper + lower))
         elements.require_mirrors(probe, missing)
         self._compile(ModeMapPlan(flip).apply(probe), [i for _, i in prism_pairs], prism, splitters)
-
-
-def angular_sql_uncertainty(l: int, n_photons: int) -> float:
-    """Shot-noise angular bound 1/(2 sqrt(N) l) for N independent photons."""
-    proto = AngularDisplacementProtocol(l, n_photons=1)
-    theta = math.pi / (8 * abs(l))
-    return proto.analytic_uncertainty(theta, trials=n_photons)
 
 
 # ---------------------------------------------------------------------------

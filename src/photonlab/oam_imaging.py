@@ -141,12 +141,6 @@ def _laguerre_family(n_max: int, alpha: int, x: np.ndarray) -> Iterator[np.ndarr
         yield _binom(k + 1 + alpha, k + 1) * p
 
 
-def _genlaguerre(n: int, alpha: int, x: np.ndarray) -> np.ndarray:
-    """Generalized Laguerre polynomial L_n^alpha(x) for integers n, alpha >= 0."""
-    *_, last = _laguerre_family(n, alpha, np.asarray(x, dtype=float))
-    return last
-
-
 def _radial_families(
     w0: float, wavelength: float, z: float, r: np.ndarray, charges: Iterable[int], p_max: int
 ) -> list[list[np.ndarray]]:

@@ -30,7 +30,7 @@ from photonlab.dispersion import (
     skc_interferogram,
     skc_rates,
 )
-from photonlab.elements import apply_beam_splitter, apply_phase_shift
+from photonlab.elements import apply_beam_splitter, apply_element, phase_shift
 from photonlab.fock import FockSpace, StateVector, freq_bin
 from photonlab.oam_imaging import ResolutionError
 from photonlab.sources import BiphotonSpectrum, frequency_entangled_pair
@@ -98,12 +98,8 @@ def test_dip_oracle_from_fock_machinery():
     for tau in (-1.0, 0.0, 0.7, 2.0):
         st = frequency_entangled_pair(spec)
         for j in range(n):
-            st = apply_phase_shift(
-                st, freq_bin(j, 0), float(medium.phase(spec.detunings[j]))
-            )
-            st = apply_phase_shift(
-                st, freq_bin(j, 1), float((spec.omega0 + spec.detunings[j]) * tau)
-            )
+            st = apply_element(st, phase_shift(freq_bin(j, 0), float(medium.phase(spec.detunings[j]))))
+            st = apply_element(st, phase_shift(freq_bin(j, 1), float((spec.omega0 + spec.detunings[j]) * tau)))
         for j in range(n):
             st = apply_beam_splitter(st, freq_bin(j, 0), freq_bin(j, 1))
         coincidence = 0.0
@@ -203,7 +199,7 @@ def test_skc_oracle_from_fock_machinery():
             st = apply_beam_splitter(st, freq_bin(j, 0), freq_bin(j, 1))
         for j in range(n):
             phase = float(omegas[j] * tau + medium.phase(spec.detunings[j]))
-            st = apply_phase_shift(st, freq_bin(j, 0), phase)
+            st = apply_element(st, phase_shift(freq_bin(j, 0), phase))
         for j in range(n):
             st = apply_beam_splitter(st, freq_bin(j, 0), freq_bin(j, 1))
         coincidence = 0.0
@@ -450,13 +446,7 @@ def test_delay_fit_reports_visibility():
 
 
 # ---------------------------------------------------------------------------
-# Fourier sum: chirp-z on uniform delay grids, blocks on any other
-
-
-def _moved_delay_grid():
-    delays = np.linspace(-12.0, 12.0, 601)
-    delays[300] += 1e-9
-    return delays
+# Fourier sum: one chirp-z transform, on uniform delay grids only
 
 
 @pytest.mark.parametrize(
@@ -473,7 +463,6 @@ def _moved_delay_grid():
             tuple(np.linspace(-12.0, 12.0, m) for m in (2, 3, 4097)),
             id="4096-2-3-4097-delays",
         ),
-        pytest.param(gaussian_pair(512), (_moved_delay_grid(),), id="512-one-delay-moved"),
     ],
 )
 @pytest.mark.parametrize("scale", [-2.0, 2.0, -1.0])
@@ -482,7 +471,7 @@ def test_fourier_sum_matches_direct_product(spectrum, delay_grids, scale):
     d = spectrum.detunings
     weights = spectrum.amplitude * spectrum.step * np.exp(1j * rng.uniform(0.0, 2 * math.pi, d.size))
     if delay_grids is None:
-        delay_grids = (np.linspace(-12.0, 12.0, 601), np.sort(rng.uniform(-12.0, 12.0, 300)))
+        delay_grids = (np.linspace(-12.0, 12.0, 601), np.linspace(-3.0, 11.0, 300))
     for delays in delay_grids:
         direct = np.exp(1j * scale * np.outer(delays, d)) @ weights
         got = _fourier_sum(delays, d, weights, scale)
@@ -490,24 +479,33 @@ def test_fourier_sum_matches_direct_product(spectrum, delay_grids, scale):
         assert np.max(np.abs(got - direct)) <= 1e-13 * np.sum(np.abs(weights))
 
 
-def test_uniform_delay_grids_take_the_chirp_path(monkeypatch):
-    block_sum = dispersion._block_sum
+def _moved_delay_grid():
+    delays = np.linspace(-12.0, 12.0, 601)
+    delays[300] += 1e-9
+    return delays
 
+
+@pytest.mark.parametrize(
+    "taus",
+    [
+        pytest.param(np.sort(np.random.default_rng(7).uniform(-12.0, 12.0, 300)), id="sorted-random"),
+        pytest.param(_moved_delay_grid(), id="one-delay-moved"),
+    ],
+)
+def test_non_uniform_delay_grid_refused_before_any_sum(monkeypatch, taus):
     def refused(*args):
-        raise AssertionError("took the path this delay grid must not take")
+        raise AssertionError("the Fourier sum ran on a non-uniform delay grid")
 
-    monkeypatch.setattr(dispersion, "_block_sum", refused)
-    medium = beta(3.0, 22.0, 4.0)
-    for spec in (gaussian_pair(512), gaussian_pair(4096)):
-        for taus in (TAUS, np.linspace(-12.0, 12.0, 2001)):
-            hom_rates(spec, taus, signal=medium)
-            skc_rates(spec, medium, taus)
-            correlation_envelope(spec, taus)
-    monkeypatch.setattr(dispersion, "_block_sum", block_sum)
-    monkeypatch.setattr(dispersion, "_chirp_sum", refused)
-    hom_rates(gaussian_pair(512), _moved_delay_grid(), signal=medium)
-    with pytest.raises(AssertionError, match="must not take"):
-        hom_rates(gaussian_pair(512), TAUS, signal=medium)
+    monkeypatch.setattr(dispersion, "_fourier_sum", refused)
+    spec, medium = gaussian_pair(512), beta(3.0, 22.0, 4.0)
+    for kernel in (
+        lambda: hom_rates(spec, taus, signal=medium),
+        lambda: skc_rates(spec, medium, taus),
+        lambda: correlation_envelope(spec, taus),
+        lambda: franson_interferogram(spec, medium, taus),
+    ):
+        with pytest.raises(ValueError, match="uniform"):
+            kernel()
 
 
 def _peak_bytes(fn):
@@ -529,8 +527,8 @@ def _peak_bytes(fn):
     ids=["hom", "skc", "franson"],
 )
 def test_interferogram_kernels_hold_no_phase_matrix(kernel):
-    # a 2001 x 4096 complex phase matrix alone is 125 MiB; the factored
-    # sum holds a few 2001 x 64 blocks
+    # a 2001 x 4096 complex phase matrix alone is 125 MiB; the chirp-z
+    # sum holds three tiles of 4096 FFT points
     spec = gaussian_pair(4096)
     taus = np.linspace(-12.0, 12.0, 2001)
     assert _peak_bytes(lambda: kernel(spec, taus)) < 32 * 2 ** 20

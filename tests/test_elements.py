@@ -14,11 +14,7 @@ from photonlab.elements import (
     ElementSpec,
     MissingMirrorModeError,
     apply_beam_splitter,
-    apply_dove_prism,
     apply_element,
-    apply_mirror,
-    apply_phase_shift,
-    apply_swap,
     beam_splitter,
     build_interferometer,
     dove_prism,
@@ -32,13 +28,17 @@ from photonlab.fock import (
     ModeKind,
     StateVector,
     basis_vector,
+    number_expectation,
     oam,
     path,
-    total_number_expectation,
 )
 from photonlab.sources import noon_state
 
 A, B = path(0), path(1)
+
+
+def total_photons(state):
+    return sum(number_expectation(state, m) for m in state.space.modes)
 
 
 def two_path_space(n_max=2):
@@ -97,7 +97,7 @@ def test_beam_splitter_preserves_norm_and_photon_number():
         st = StateVector(sp, dict(zip(basis, amps))).normalized()
         out = apply_beam_splitter(st, A, B, kappa=rng.uniform(0, math.pi))
         assert abs(out.norm() - 1.0) < 1e-12
-        assert abs(total_number_expectation(out) - total_number_expectation(st)) < 1e-12
+        assert abs(total_photons(out) - total_photons(st)) < 1e-12
 
 
 def test_inner_products_preserved():
@@ -130,7 +130,7 @@ def test_phase_shift_on_upper_mode():
         },
     )
     phi = 0.9
-    out = apply_phase_shift(st, A, phi)
+    out = apply_element(st, phase_shift(A, phi))
     assert abs(out.amplitude(sp.basis_state({B: 1})) - 1 / math.sqrt(2)) < 1e-15
     assert abs(
         out.amplitude(sp.basis_state({A: 1})) - cmath.exp(1j * phi) / math.sqrt(2)
@@ -140,7 +140,7 @@ def test_phase_shift_on_upper_mode():
 def test_collective_phase_of_four_photons():
     sp = two_path_space(n_max=4)
     st = basis_vector(sp, {A: 4})
-    out = apply_phase_shift(st, A, math.pi / 4)
+    out = apply_element(st, phase_shift(A, math.pi / 4))
     # four photons each gain pi/4: total phase pi
     assert abs(out.amplitude(sp.basis_state({A: 4})) - (-1.0)) < 1e-12
 
@@ -148,7 +148,7 @@ def test_collective_phase_of_four_photons():
 def test_zero_phase_is_identity():
     sp = two_path_space()
     st = basis_vector(sp, {A: 1})
-    assert apply_phase_shift(st, A, 0.0) is st
+    assert apply_element(st, phase_shift(A, 0.0)) is st
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +158,7 @@ def test_zero_phase_is_identity():
 def test_prism_flips_charge_with_rotation_phase():
     sp = oam_space(2)
     theta = 0.3
-    out = apply_dove_prism(basis_vector(sp, {oam(2): 1}), [oam(2), oam(-2)], theta)
+    out = apply_element(basis_vector(sp, {oam(2): 1}), dove_prism([oam(2), oam(-2)], theta))
     expected = cmath.exp(4j * theta)
     assert abs(out.amplitude(sp.basis_state({oam(-2): 1})) - expected) < 1e-15
 
@@ -166,7 +166,7 @@ def test_prism_flips_charge_with_rotation_phase():
 def test_prism_leaves_zero_charge_alone():
     sp = oam_space(0)
     st = basis_vector(sp, {oam(0): 1})
-    out = apply_dove_prism(st, [oam(0)], 1.2345)
+    out = apply_element(st, dove_prism([oam(0)], 1.2345))
     assert (out + st.scaled(-1)).norm() < 1e-15
 
 
@@ -179,8 +179,8 @@ def test_prism_at_zero_angle_is_plain_flip():
             sp.basis_state({oam(-3): 1}): 1 / math.sqrt(2),
         },
     )
-    out = apply_dove_prism(st, [oam(3), oam(-3)], 0.0)
-    assert out.fidelity(st) > 1 - 1e-15
+    out = apply_element(st, dove_prism([oam(3), oam(-3)], 0.0))
+    assert abs(out.inner(st)) > 1 - 1e-15
 
 
 def test_prism_is_involution():
@@ -190,25 +190,25 @@ def test_prism_is_involution():
     amps = rng.normal(size=len(basis)) + 1j * rng.normal(size=len(basis))
     st = StateVector(sp, dict(zip(basis, amps))).normalized()
     arm = [oam(2), oam(-2)]
-    twice = apply_dove_prism(apply_dove_prism(st, arm, 0.7), arm, 0.7)
-    assert abs(twice.fidelity(st) - 1.0) < 1e-12
+    twice = apply_element(apply_element(st, dove_prism(arm, 0.7)), dove_prism(arm, 0.7))
+    assert abs(abs(twice.inner(st)) - 1.0) < 1e-12
 
 
 def test_prism_missing_mirror_mode():
     sp = FockSpace([oam(1)], n_max=1)
     with pytest.raises(MissingMirrorModeError):
-        apply_dove_prism(basis_vector(sp, {oam(1): 1}), [oam(1)], 0.1)
+        apply_element(basis_vector(sp, {oam(1): 1}), dove_prism([oam(1)], 0.1))
 
 
 def test_mirror_is_phase_free_flip():
     sp = oam_space(1)
-    out = apply_mirror(basis_vector(sp, {oam(1): 1}), [oam(1), oam(-1)])
+    out = apply_element(basis_vector(sp, {oam(1): 1}), mirror([oam(1), oam(-1)]))
     assert abs(out.amplitude(sp.basis_state({oam(-1): 1})) - 1.0) < 1e-15
 
 
 def test_swap_exchanges_occupations():
     sp = two_path_space(n_max=3)
-    out = apply_swap(basis_vector(sp, {A: 2, B: 1}), A, B)
+    out = apply_element(basis_vector(sp, {A: 2, B: 1}), swap(A, B))
     assert abs(out.amplitude(sp.basis_state({A: 1, B: 2})) - 1.0) < 1e-15
 
 
@@ -367,25 +367,25 @@ def test_missing_mirror_ignored_when_no_photon_can_reach_the_arm_mode():
     assert abs(out.amplitude(sp.basis_state({oam(-1, 0): 1})) - 1.0) < 1e-15
     # a populated arm mode raises, an empty one does not
     with pytest.raises(MissingMirrorModeError):
-        apply_mirror(basis_vector(sp, {oam(1, 1): 1}), [oam(1, 1)])
-    assert apply_mirror(st, [oam(1, 1)]).fidelity(st) > 1 - 1e-15
+        apply_element(basis_vector(sp, {oam(1, 1): 1}), mirror([oam(1, 1)]))
+    assert abs(apply_element(st, mirror([oam(1, 1)])).inner(st)) > 1 - 1e-15
 
 
 def test_arm_without_its_mirror_charge_rejected():
     # oam(-1) exists in the same channel, so an arm holding only oam(1) is not a flip
     sp = oam_space(1)
     with pytest.raises(ValueError):
-        apply_dove_prism(basis_vector(sp, {oam(1): 1}), [oam(1)], 0.3)
+        apply_element(basis_vector(sp, {oam(1): 1}), dove_prism([oam(1)], 0.3))
 
 
 def test_swap_and_prism_on_multiphoton_terms():
     sp = FockSpace([oam(-1), oam(0), oam(1)], n_max=3)
     st = basis_vector(sp, {oam(1): 2, oam(0): 1})
-    out = apply_dove_prism(st, [oam(-1), oam(0), oam(1)], 0.2)
+    out = apply_element(st, dove_prism([oam(-1), oam(0), oam(1)], 0.2))
     # two photons at charge 1 each gain e^{i 0.4}; the charge-0 photon stays
     expected = cmath.exp(2j * 0.4)
     assert abs(out.amplitude(sp.basis_state({oam(-1): 2, oam(0): 1})) - expected) < 1e-15
-    swapped = apply_swap(st, oam(0), oam(1))
+    swapped = apply_element(st, swap(oam(0), oam(1)))
     assert abs(swapped.amplitude(sp.basis_state({oam(0): 2, oam(1): 1})) - 1.0) < 1e-15
 
 
@@ -519,5 +519,5 @@ def test_prism_twice_at_one_angle_is_the_identity(seed, sp, theta):
     rng = np.random.default_rng(seed)
     state = random_state(sp, rng, terms=12)
     arm = [m for m in sp.modes if m.channel == sp.modes[0].channel]
-    twice = apply_dove_prism(apply_dove_prism(state, arm, theta), arm, theta)
+    twice = apply_element(apply_element(state, dove_prism(arm, theta)), dove_prism(arm, theta))
     assert (twice + state.scaled(-1)).norm() <= 1e-12

@@ -16,11 +16,13 @@ from hypothesis import strategies as st
 
 from photonlab.fock import expectation, variance_and_uncertainty
 from photonlab.metrology import (
-    FD_STEP,
     AngularDisplacementProtocol,
     NoonPhaseProtocol,
     SinglePhotonPhaseProtocol,
 )
+
+# central-difference step for the slope check
+FD_STEP = 1e-6
 
 PROTOCOLS = (
     [SinglePhotonPhaseProtocol()]

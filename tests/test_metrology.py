@@ -3,11 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from photonlab.elements import apply_beam_splitter, apply_dove_prism, apply_mirror, apply_phase_shift
+from photonlab.elements import apply_beam_splitter, apply_element, dove_prism, mirror, phase_shift
 from photonlab.fock import (
     FockSpace,
     ModeMapPlan,
     StateVector,
+    basis_vector,
     expectation,
     level,
     oam,
@@ -21,7 +22,6 @@ from photonlab.metrology import (
     NoonPhaseProtocol,
     SinglePhotonPhaseProtocol,
     StationaryPointError,
-    angular_sql_uncertainty,
     fit_loglog,
     observable_A,
     observable_B,
@@ -64,9 +64,7 @@ def test_observable_B_fringe_and_projector():
 def test_observable_B_vanishes_outside_noon_subspace():
     sp = FockSpace([A, B], n_max=2)
     obs = observable_B(sp, A, B, 2)
-    from photonlab.fock import vacuum_state
-
-    assert expectation(vacuum_state(sp), obs) == 0.0
+    assert expectation(basis_vector(sp, {}), obs) == 0.0
 
 
 def test_angular_fringe_through_apparatus():
@@ -86,8 +84,8 @@ def test_angular_fringe_equals_per_call_construction():
             st = spdc_oam_pair(proto.space, SpdcOamSpectrum.filtered_pair(l, relative_phase=math.pi))
             for m in (l, -l):
                 st = apply_beam_splitter(st, oam(m, 0), oam(m, 1))
-            st = apply_dove_prism(st, [oam(l, 0), oam(-l, 0)], float(theta))
-            st = apply_mirror(st, [oam(l, 1), oam(-l, 1)])
+            st = apply_element(st, dove_prism([oam(l, 0), oam(-l, 0)], float(theta)))
+            st = apply_element(st, mirror([oam(l, 1), oam(-l, 1)]))
             for m in (l, -l):
                 st = apply_beam_splitter(st, oam(m, 0), oam(m, 1))
             assert repr(expectation(proto.state(float(theta)), proto.observable)) == repr(expectation(st, obs))
@@ -170,7 +168,9 @@ def test_angular_uncertainty_law():
 
 
 def test_angular_sql_scaling():
-    assert abs(angular_sql_uncertainty(2, 9) - 1 / (2 * 3 * 2)) < 1e-10
+    # N = 9 independent photons, each a one-photon angular probe: 1 / (2 sqrt(N) l)
+    proto = AngularDisplacementProtocol(2, n_photons=1)
+    assert abs(proto.analytic_uncertainty(math.pi / 16, trials=9) - 1 / (2 * 3 * 2)) < 1e-10
 
 
 def test_uncertainty_independent_of_working_point():
@@ -186,9 +186,10 @@ def test_stationary_point_raises():
         proto.analytic_uncertainty(0.0)
 
 
-def test_numeric_derivative_fallback():
-    got = propagate_uncertainty(math.cos, lambda x: abs(math.sin(x)), 1.1)
-    assert abs(got - 1.0) < 1e-6
+def test_propagated_uncertainty_is_spread_over_slope():
+    assert propagate_uncertainty(-2.0 * math.sin(1.1), math.sin(1.1), 1.1) == 0.5
+    with pytest.raises(StationaryPointError):
+        propagate_uncertainty(1e-9, 1.0, 0.3)
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +361,7 @@ def test_ramsey_fringe_equals_per_point_construction():
                 space.basis_state({level(0): 1}): 1 / math.sqrt(2),
             },
         )
-        st = apply_phase_shift(ground, level(0), 1.3 * float(t))
+        st = apply_element(ground, phase_shift(level(0), 1.3 * float(t)))
         assert repr(ramsey_fringe(1.3, float(t))) == repr(expectation(st, observable_A(space)))
 
 
@@ -423,12 +424,12 @@ def one_photon_ground(space, mode):
 
 def rebuilt_single_photon(mode, phi):
     space = FockSpace([mode], n_max=1)
-    return apply_phase_shift(one_photon_ground(space, mode), mode, phi), observable_A(space)
+    return apply_element(one_photon_ground(space, mode), phase_shift(mode, phi)), observable_A(space)
 
 
 def rebuilt_noon(n, phi):
     space = FockSpace([A, B], n_max=n)
-    return apply_phase_shift(noon_state(space, A, B, n), A, phi), observable_B(space, A, B, n)
+    return apply_element(noon_state(space, A, B, n), phase_shift(A, phi)), observable_B(space, A, B, n)
 
 
 def rebuilt_angular(l, theta):
@@ -436,8 +437,8 @@ def rebuilt_angular(l, theta):
     st = spdc_oam_pair(space, SpdcOamSpectrum.filtered_pair(l, relative_phase=math.pi))
     for m in (l, -l):
         st = apply_beam_splitter(st, oam(m, 0), oam(m, 1))
-    st = apply_dove_prism(st, [oam(l, 0), oam(-l, 0)], theta)
-    st = apply_mirror(st, [oam(l, 1), oam(-l, 1)])
+    st = apply_element(st, dove_prism([oam(l, 0), oam(-l, 0)], theta))
+    st = apply_element(st, mirror([oam(l, 1), oam(-l, 1)]))
     for m in (l, -l):
         st = apply_beam_splitter(st, oam(m, 0), oam(m, 1))
     return st, observable_R(space, l)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from photonlab.elements import apply_phase_shift
+from photonlab.elements import apply_element, phase_shift
 from photonlab.fock import (
     PRUNE_EPS,
     FockSpace,
@@ -113,7 +113,7 @@ def test_noon_schmidt_rank_two():
 def test_noon_collective_phase():
     n, phi = 3, 0.77
     sp = FockSpace([path(0), path(1)], n_max=n)
-    st = apply_phase_shift(noon_state(sp, path(0), path(1), n), path(0), phi)
+    st = apply_element(noon_state(sp, path(0), path(1), n), phase_shift(path(0), phi))
     got = st.amplitude(sp.basis_state({path(0): n}))
     assert abs(got - np.exp(1j * n * phi) / math.sqrt(2)) < 1e-12
     assert abs(st.amplitude(sp.basis_state({path(1): n})) - 1 / math.sqrt(2)) < 1e-12
