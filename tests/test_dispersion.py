@@ -449,6 +449,16 @@ def test_delay_fit_reports_visibility():
 # Fourier sum: one chirp-z transform, on uniform delay grids only
 
 
+def _moved_delay_grid(shift):
+    delays = np.linspace(-12.0, 12.0, 601)
+    delays[300] += shift
+    return delays
+
+
+# the most the uniformity rule admits: 4 ulp of the larger grid end
+ADMITTED_SHIFT = 4 * np.spacing(12.0)
+
+
 @pytest.mark.parametrize(
     "spectrum, delay_grids",
     [
@@ -463,6 +473,7 @@ def test_delay_fit_reports_visibility():
             tuple(np.linspace(-12.0, 12.0, m) for m in (2, 3, 4097)),
             id="4096-2-3-4097-delays",
         ),
+        pytest.param(gaussian_pair(512), (_moved_delay_grid(ADMITTED_SHIFT),), id="512-one-delay-moved"),
     ],
 )
 @pytest.mark.parametrize("scale", [-2.0, 2.0, -1.0])
@@ -479,17 +490,11 @@ def test_fourier_sum_matches_direct_product(spectrum, delay_grids, scale):
         assert np.max(np.abs(got - direct)) <= 1e-13 * np.sum(np.abs(weights))
 
 
-def _moved_delay_grid():
-    delays = np.linspace(-12.0, 12.0, 601)
-    delays[300] += 1e-9
-    return delays
-
-
 @pytest.mark.parametrize(
     "taus",
     [
         pytest.param(np.sort(np.random.default_rng(7).uniform(-12.0, 12.0, 300)), id="sorted-random"),
-        pytest.param(_moved_delay_grid(), id="one-delay-moved"),
+        pytest.param(_moved_delay_grid(1e-9), id="one-delay-moved"),
     ],
 )
 def test_non_uniform_delay_grid_refused_before_any_sum(monkeypatch, taus):
@@ -506,6 +511,18 @@ def test_non_uniform_delay_grid_refused_before_any_sum(monkeypatch, taus):
     ):
         with pytest.raises(ValueError, match="uniform"):
             kernel()
+
+
+def test_delay_grid_within_four_ulp_accepted():
+    spec, medium = gaussian_pair(512), beta(3.0, 22.0, 4.0)
+    exact, moved = np.linspace(-12.0, 12.0, 601), _moved_delay_grid(ADMITTED_SHIFT)
+    for kernel in (
+        lambda taus: hom_rates(spec, taus, signal=medium)[0],
+        lambda taus: skc_rates(spec, medium, taus)[0],
+        lambda taus: correlation_envelope(spec, taus).rates,
+        lambda taus: franson_interferogram(spec, medium, taus).rates,
+    ):
+        assert np.max(np.abs(kernel(moved) - kernel(exact))) <= 1e-12
 
 
 def _peak_bytes(fn):
