@@ -22,8 +22,7 @@ time unit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,11 +35,18 @@ class FitError(FockError):
     """The interferogram has no feature the model can be fitted to."""
 
 
+# half the float64 range: two arm phases within it always add to a finite one
+_PHASE_LIMIT = np.finfo(float).max / 2
+
+
 @dataclass(frozen=True)
 class DispersionProfile:
     """Taylor coefficients beta_0..beta_3 of k(omega) and a length.
 
     The accumulated phase at detuning d is L sum_n beta_n d^n / n!.
+    Every medium phase is formed here.  A phase is refused where its
+    magnitude passes half the float64 range on the given detunings, so
+    that the sum or difference of two arm phases stays finite.
     """
 
     beta: tuple[float, float, float, float] = (0.0, 0.0, 0.0, 0.0)
@@ -55,10 +61,19 @@ class DispersionProfile:
     def phase(self, detuning: np.ndarray) -> np.ndarray:
         d = np.asarray(detuning, dtype=float)
         acc = np.zeros_like(d)
-        for n, b in enumerate(self.beta):
-            if b != 0.0:
-                acc = acc + b * d ** n / math.factorial(n)
-        return self.length * acc
+        with np.errstate(over="ignore", invalid="ignore"):
+            for n, b in enumerate(self.beta):
+                if b != 0.0:
+                    acc = acc + b * d ** n / math.factorial(n)
+            phase = self.length * acc
+        # NaN fails the comparison too
+        if not np.all(np.abs(phase) <= _PHASE_LIMIT):
+            raise ValueError(
+                f"the phase of the medium with beta {self.beta} and length {self.length!r} "
+                f"passes {_PHASE_LIMIT:.4g} rad on this detuning grid: a sum of two such "
+                "phases is outside the range float64 can hold"
+            )
+        return phase
 
 
 VACUUM_PROFILE = DispersionProfile()
@@ -69,19 +84,10 @@ def opposite_dispersion(profile: DispersionProfile) -> DispersionProfile:
     return DispersionProfile(tuple(-b for b in profile.beta), profile.length)
 
 
-def _total_phase(profiles, detuning: np.ndarray) -> np.ndarray:
-    if isinstance(profiles, DispersionProfile):
-        profiles = (profiles,)
-    acc = np.zeros_like(np.asarray(detuning, dtype=float))
-    for p in profiles:
-        acc = acc + p.phase(detuning)
-    return acc
-
-
 def propagate(
     spectrum: BiphotonSpectrum,
-    signal: DispersionProfile | Sequence[DispersionProfile] = VACUUM_PROFILE,
-    idler: DispersionProfile | Sequence[DispersionProfile] = VACUUM_PROFILE,
+    signal: DispersionProfile = VACUUM_PROFILE,
+    idler: DispersionProfile = VACUUM_PROFILE,
 ) -> BiphotonSpectrum:
     """Send the pair through per-arm media.
 
@@ -93,7 +99,7 @@ def propagate(
     (and every even) order, since (-d)^2 = d^2.
     """
     d = spectrum.detunings
-    joint = _total_phase(signal, d) + _total_phase(idler, -d)
+    joint = signal.phase(d) + idler.phase(-d)
     return spectrum.with_amplitude(spectrum.amplitude * np.exp(1j * joint))
 
 
@@ -119,7 +125,8 @@ class Interferogram:
             raise ValueError("scan and rates must be matching 1-D arrays")
         if np.any(np.diff(scan) <= 0):
             raise ValueError("scan grid must be strictly increasing")
-        if rates.min() < -1e-9 or rates.max() > 1 + 1e-9:
+        # written so that a NaN rate fails it
+        if not (rates.min() >= -1e-9 and rates.max() <= 1 + 1e-9):
             raise ValueError("rates must lie in [0, 1]")
         object.__setattr__(self, "scan", scan)
         object.__setattr__(self, "rates", np.clip(rates, 0.0, 1.0))
@@ -200,13 +207,14 @@ def _require_delay_resolution(spectrum: BiphotonSpectrum, delays: np.ndarray, ra
     return delays
 
 
-def hom_rates(
+def hom_interferogram(
     spectrum: BiphotonSpectrum,
     delays: np.ndarray,
-    signal: DispersionProfile | Sequence[DispersionProfile] = VACUUM_PROFILE,
-    idler: DispersionProfile | Sequence[DispersionProfile] = VACUUM_PROFILE,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(coincidence, bunched, kernel) for the two-input mixing geometry.
+    signal: DispersionProfile = VACUUM_PROFILE,
+    idler: DispersionProfile = VACUUM_PROFILE,
+) -> Interferogram:
+    """Coincidence dip of the two-input mixing geometry against the
+    idler-arm delay.
 
     Signal and idler arms, carrying their media, meet on a 50:50
     splitter; the scanned delay sits in the idler arm.  The coincidence
@@ -216,51 +224,37 @@ def hom_rates(
 
     so only the part of the joint phase that is odd in d survives: a
     medium in one arm contributes its odd orders doubled, and equal
-    media in both arms drop out entirely.  Coincidence plus bunching is
-    exactly 1.  The sum runs on the uniform grids of detunings and
-    delays through ``_fourier_sum``, as one chirp-z FFT, never as a delay
-    x detuning matrix; a delay grid that is not uniform is refused.
+    media in both arms drop out entirely.  For the symmetric entangled
+    source the dip reaches zero at the balance point; a beta_1-only
+    medium in the signal arm moves the dip center to +beta_1 L, and
+    beta_2 leaves the dip untouched whether it sits in one arm or both.
+    ``extras["bunched"]`` holds the bunching rate (1 + Re K)/2, so
+    coincidence plus bunching is exactly 1.  The sum runs on the uniform
+    grids of detunings and delays through ``_fourier_sum``, as one
+    chirp-z FFT, never as a delay x detuning matrix; a delay grid that
+    is not uniform is refused.
     """
     prop = propagate(spectrum, signal=signal, idler=idler)
     a = prop.amplitude
     weights = a * np.conj(a[::-1]) * prop.step
-    delays = _require_delay_resolution(prop, np.asarray(delays, dtype=float), 2 * float(prop.detunings[-1]))
+    delays = _require_delay_resolution(prop, delays, 2 * float(prop.detunings[-1]))
     kernel = _fourier_sum(delays, prop.detunings, weights, -2.0)
-    coincidence = 0.5 * (1.0 - kernel.real)
-    bunched = 0.5 * (1.0 + kernel.real)
-    return coincidence, bunched, kernel
-
-
-def hom_interferogram(
-    spectrum: BiphotonSpectrum,
-    delays: np.ndarray,
-    signal: DispersionProfile | Sequence[DispersionProfile] = VACUUM_PROFILE,
-    idler: DispersionProfile | Sequence[DispersionProfile] = VACUUM_PROFILE,
-) -> Interferogram:
-    """Coincidence dip against the idler-arm delay.
-
-    For the symmetric entangled source the dip reaches zero at the
-    balance point; a beta_1-only medium in the signal arm moves the dip
-    center to +beta_1 L, and beta_2 leaves the dip untouched whether it
-    sits in one arm or both.
-    """
-    coincidence, bunched, kernel = hom_rates(spectrum, delays, signal, idler)
     return Interferogram(
-        scan=np.asarray(delays, dtype=float),
-        rates=coincidence,
+        scan=delays,
+        rates=0.5 * (1.0 - kernel.real),
         kernel=kernel,
         configuration="hom",
-        extras={"bunched": bunched},
+        extras={"bunched": 0.5 * (1.0 + kernel.real)},
     )
 
 
-def skc_rates(
+def skc_interferogram(
     spectrum: BiphotonSpectrum,
-    medium: DispersionProfile | Sequence[DispersionProfile],
+    medium: DispersionProfile,
     delays: np.ndarray,
     include_fringes: bool = True,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """(coincidence, bunched_sum, envelope kernel, fringe kernel).
+) -> Interferogram:
+    """Two-port coincidence rate of the one-port-fed interferometer.
 
     Both photons of the pair enter one input port of a balanced
     two-splitter interferometer whose scanned arm also holds the medium;
@@ -274,16 +268,20 @@ def skc_rates(
     with < . > the average over |a(d)|^2.  The fringes S oscillate at
     twice the center frequency; the coincidence envelope K sees only the
     odd-order part of the medium phase, which is the even-order
-    cancellation.  With ``include_fringes=False`` the fringe term is
-    averaged away (rates then sit on the envelope alone).  K is summed
-    on the uniform grids of detunings and delays through ``_fourier_sum``,
-    as one chirp-z FFT; a delay grid that is not uniform is refused.
+    cancellation.  With an empty medium this is the textbook coincidence
+    fringe pattern under a bandwidth-limited envelope; a beta_2-only
+    medium chirps the fringes but leaves the envelope width untouched,
+    while beta_3 reshapes the envelope.  With ``include_fringes=False``
+    the fringe term is averaged away (rates then sit on the envelope
+    alone).  ``extras`` holds the bunching rate 1 - P_cd as
+    ``"bunched"`` and S as ``"fringe"``.  K is summed on the uniform
+    grids of detunings and delays through ``_fourier_sum``, as one
+    chirp-z FFT; a delay grid that is not uniform is refused.
     """
     d = spectrum.detunings
     intensity = np.abs(spectrum.amplitude) ** 2 * spectrum.step
-    phi_plus = _total_phase(medium, d)
-    phi_minus = _total_phase(medium, -d)
-    delays = np.asarray(delays, dtype=float)
+    phi_plus = medium.phase(d)
+    phi_minus = medium.phase(-d)
     rate_max = 2.0 * (abs(spectrum.omega0) + float(d[-1])) if include_fringes else 2.0 * float(d[-1])
     delays = _require_delay_resolution(spectrum, delays, rate_max)
     envelope_weights = intensity * np.exp(1j * (phi_plus - phi_minus))
@@ -294,30 +292,12 @@ def skc_rates(
     else:
         fringe = np.zeros_like(kernel)
     coincidence = 0.5 - 0.25 * fringe.real - 0.25 * kernel.real
-    bunched = 1.0 - coincidence
-    return coincidence, bunched, kernel, fringe
-
-
-def skc_interferogram(
-    spectrum: BiphotonSpectrum,
-    medium: DispersionProfile | Sequence[DispersionProfile],
-    delays: np.ndarray,
-    include_fringes: bool = True,
-) -> Interferogram:
-    """Two-port coincidence rate of the one-port-fed interferometer.
-
-    With an empty medium this is the textbook coincidence fringe pattern
-    at twice the center frequency under a bandwidth-limited envelope;
-    inserting a beta_2-only medium chirps the fringes but leaves the
-    envelope width untouched, while beta_3 reshapes the envelope.
-    """
-    coincidence, bunched, kernel, fringe = skc_rates(spectrum, medium, delays, include_fringes)
     return Interferogram(
-        scan=np.asarray(delays, dtype=float),
+        scan=delays,
         rates=coincidence,
         kernel=kernel,
         configuration="skc",
-        extras={"bunched": bunched, "fringe": fringe},
+        extras={"bunched": 1.0 - coincidence, "fringe": fringe},
     )
 
 
@@ -330,7 +310,7 @@ def correlation_envelope(spectrum: BiphotonSpectrum, delays: np.ndarray) -> Inte
     uniform grids of detunings and delays through ``_fourier_sum``, as
     one chirp-z FFT; a delay grid that is not uniform is refused.
     """
-    delays = _require_delay_resolution(spectrum, np.asarray(delays, dtype=float), float(spectrum.detunings[-1]))
+    delays = _require_delay_resolution(spectrum, delays, float(spectrum.detunings[-1]))
     psi = _fourier_sum(delays, spectrum.detunings, spectrum.amplitude * spectrum.step, -1.0)
     intensity = np.abs(psi) ** 2
     peak = intensity.max()
@@ -346,7 +326,7 @@ def correlation_envelope(spectrum: BiphotonSpectrum, delays: np.ndarray) -> Inte
 
 def franson_interferogram(
     spectrum: BiphotonSpectrum,
-    medium: DispersionProfile | Sequence[DispersionProfile],
+    medium: DispersionProfile,
     delays: np.ndarray,
 ) -> Interferogram:
     """Coincidence envelope with opposite-dispersion media in the arms.
@@ -356,15 +336,8 @@ def franson_interferogram(
     even-order joint phase cancels between the arms and the correlation
     envelope keeps its width; odd orders add instead.
     """
-    meds = (medium,) if isinstance(medium, DispersionProfile) else tuple(medium)
-    prop = propagate(spectrum, signal=meds, idler=tuple(opposite_dispersion(m) for m in meds))
-    gram = correlation_envelope(prop, delays)
-    return Interferogram(
-        scan=gram.scan,
-        rates=gram.rates,
-        kernel=gram.kernel,
-        configuration="franson",
-    )
+    prop = propagate(spectrum, signal=medium, idler=opposite_dispersion(medium))
+    return replace(correlation_envelope(prop, delays), configuration="franson")
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +407,7 @@ def _temporal_rms_width(detunings: np.ndarray, amplitude: np.ndarray) -> float:
 
 def classical_baseline(
     pulse: PulseSpectrum,
-    medium: DispersionProfile | Sequence[DispersionProfile],
+    medium: DispersionProfile,
 ) -> PulseWidths:
     """Temporal RMS width of a classical pulse after the medium.
 
@@ -443,7 +416,7 @@ def classical_baseline(
     sigma the width grows by sqrt(1 + (beta_2 L sigma^2)^2).  Computed
     by Fourier synthesis on a zero-padded grid.
     """
-    phase = _total_phase(medium, pulse.detunings)
+    phase = medium.phase(pulse.detunings)
     width = _temporal_rms_width(pulse.detunings, pulse.amplitude * np.exp(1j * phase))
     limit = _temporal_rms_width(pulse.detunings, np.abs(pulse.amplitude).astype(complex))
     return PulseWidths(width=width, transform_limit=limit)

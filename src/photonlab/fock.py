@@ -16,9 +16,10 @@ and builds the output one photon level at a time, each level one numpy
 step over the terms of every input term.  Its float operations, and the
 order of every sum, are those of a dict expansion with one update per
 (term, row); complex products are written in float parts because
-numpy's complex multiply rounds differently from CPython's.  A map of
-phases only goes to ``PhaseStep``, which multiplies each term by its
-factor; a protocol builds one on its probe and leaves the phases free.
+numpy's complex multiply rounds differently from CPython's.
+``PhaseStep`` multiplies each term of a fixed state by the factor of a
+diagonal phase map; a protocol builds one on its probe and leaves the
+phases free.
 ``ModeMapProgram`` replays the plan's arithmetic, bit for bit, on a
 state whose support is fixed in advance.  The plan and the program
 route photons through one move routine, ``_route``.
@@ -513,13 +514,12 @@ class ModeMapPlan:
     with each row's factor into the target term, starting from 0.0.
     The output sums each basis state's contributions from 0.0 in input
     order, prunes at ``PRUNE_EPS`` and sorts into canonical order
-    (``_collect``).  A map of phases only keeps every term on its basis
-    state, so it goes to ``PhaseStep``, which needs no sort.  So the
-    states are bit-stable, and for finite amplitudes and coefficients
-    they equal that dict expansion bit for bit.
+    (``_collect``).  So the states are bit-stable, and for finite
+    amplitudes and coefficients they equal that dict expansion bit for
+    bit.
     """
 
-    __slots__ = ("_moves", "_spreads", "_cleared", "_ordered", "_expansion")
+    __slots__ = ("_moves", "_spreads", "_cleared", "_expansion")
 
     def __init__(self, columns: Mapping[int, Mapping[int, complex]]):
         moves: list[tuple[int, int, complex]] = []
@@ -535,8 +535,6 @@ class ModeMapPlan:
         self._moves = moves
         self._spreads = spreads
         self._cleared = [j for j, _, _ in moves] + [j for j, _ in spreads]
-        # a map of phases only keeps the canonical order of the terms
-        self._ordered = not spreads and all(i == j for j, i, _ in moves)
         # the arrays for ``apply``, replaced whole and never mutated, so a
         # plan shared between threads stays consistent
         self._expansion: _Expansion | None = None
@@ -546,8 +544,6 @@ class ModeMapPlan:
         moves = self._moves
         if not moves and not self._spreads:
             return state
-        if self._ordered:
-            return PhaseStep(state, [j for j, _, _ in moves]).apply([c for _, _, c in moves])
         cleared = self._cleared
         spread_cols = [j for j, _ in self._spreads]
         sinks = [j for j, entries in self._spreads if not entries]
@@ -782,8 +778,7 @@ def _collect(occ: np.ndarray, term: np.ndarray, a: np.ndarray, top: int) -> dict
     input term: occupations ``occ``, one column per term and none above
     ``top``, input term ``term`` and amplitude planes ``a``.  Each basis
     state sums its contributions from 0.0 in input order and is kept if
-    its ``abs`` (a hypot) is above ``PRUNE_EPS``.  A map of phases only
-    never gets here: ``ModeMapPlan.apply`` hands it to ``PhaseStep``."""
+    its ``abs`` (a hypot) is above ``PRUNE_EPS``."""
     # canonical order is the order of the (position, n) lists: at the
     # first position where two states differ, a count sorts before a
     # larger one, and a 0 sorts after any count when a photon follows
@@ -866,7 +861,7 @@ class ModeMapProgram:
                     out[t] = slots
                     slots += 1
                 gather_ops.append((src, mul, out[t]))
-        keys = list(out) if plan._ordered else sorted(out, key=_order)
+        keys = sorted(out, key=_order)
         self._plan = plan
         self._support = support
         self._zeros = [0] * (slots - len(support))
@@ -904,9 +899,9 @@ class PhaseStep:
     The photon counts of each term of ``state`` are read once, with the
     q's sorted by mode position, the order in which ``ModeMapPlan``
     multiplies the factors of its columns.  ``apply(coeffs)`` forms only
-    the factor of each term; ``ModeMapPlan.apply`` hands its maps of
-    phases only here, so for nonzero coefficients it equals
-    ``ModeMapPlan({modes[q]: {modes[q]: coeffs[q]}}).apply(state)``.
+    the factor of each term, and for nonzero coefficients it equals
+    ``ModeMapPlan({modes[q]: {modes[q]: coeffs[q]}}).apply(state)`` bit
+    for bit.
     The map keeps every term on its basis state, so ``support_out`` is
     the support of ``state``.
     """

@@ -85,10 +85,6 @@ class LGModeSpec:
     def rayleigh_range(self) -> float:
         return math.pi * self.w0 ** 2 / self.wavelength
 
-    @property
-    def normalization(self) -> float:
-        return _normalization(self.p, abs(self.l))
-
 
 def _normalization(p: int, la: int) -> float:
     """C = sqrt(2 p! / (pi (p + |l|)!)); (p + |l|)! must fit a float, so

@@ -141,13 +141,6 @@ class SpdcOamSpectrum:
         return SpdcOamSpectrum({l: w for l in range(-l_max, l_max + 1)}, l_max)
 
     @staticmethod
-    def gaussian(sigma_l: float, l_max: int) -> "SpdcOamSpectrum":
-        """Gaussian-weighted charges, renormalized after the cutoff."""
-        raw = {l: math.exp(-(l ** 2) / (2 * sigma_l ** 2)) for l in range(-l_max, l_max + 1)}
-        norm = math.sqrt(sum(v ** 2 for v in raw.values()))
-        return SpdcOamSpectrum({l: v / norm for l, v in raw.items()}, l_max)
-
-    @staticmethod
     def filtered_pair(l: int, relative_phase: float = 0.0) -> "SpdcOamSpectrum":
         """Only the +/-l terms survive the filters: (|l,-l> + e^{i phi}|-l,l>)/sqrt(2)."""
         if l == 0:
@@ -242,10 +235,6 @@ class BiphotonSpectrum:
 
     def with_amplitude(self, amplitude: np.ndarray) -> "BiphotonSpectrum":
         return BiphotonSpectrum(self.omega0, self.detunings, amplitude)
-
-    def marginal(self) -> tuple[np.ndarray, np.ndarray]:
-        """Single-photon spectral intensity |a(d)|^2 over omega0 + d."""
-        return self.omega0 + self.detunings, np.abs(self.amplitude) ** 2
 
     @staticmethod
     def gaussian(omega0: float, sigma: float, n_bins: int = 1024) -> "BiphotonSpectrum":

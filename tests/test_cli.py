@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -336,6 +337,66 @@ def test_one_config_and_seed_write_identical_bytes(tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
+# sha256 of every file a run writes, recorded under numpy 2.4.6 (Python
+# 3.11).  A change that moves these bytes on purpose records new digests
+# here and says why in CHANGES.md.
+_GOLDEN_DIGESTS = {
+    "angular": {
+        "fringe.csv": "a3f48741cdd40b264b309fabfff0c47a39ed19304e67d051dc5aa7febdff656e",
+        "summary.json": "0eb62faba390f9faeab4f9502b9d5fc2dcfb46ab0f72b774c9bc26b4b7ab2573",
+    },
+    "dispersion-skc": {
+        "interferogram.csv": "12434989bae463b06fabc566c65845932c614c117890f13be8258f34a9febff6",
+        "summary.json": "3ce2bb2d338af5d4ca2894428085091a9ae960ea45c4ba9578a41c538c7ac3c3",
+    },
+    "heisenberg-scaling": {
+        "scaling.csv": "3aa35374eb9eaf97d2d25627a0a86fcfe1a448c6ca1169b32a61d81cb17b277b",
+        "summary.json": "01814a8c2f819514bc87e463e88a9b0ec21ea65ae9dc520087af91efa59d0f67",
+    },
+    "spiral": {
+        "spectrum.csv": "b48d6e218059f7e93fea7b884c170417747de23af340500abc71343d4b1e35cc",
+        "summary.json": "f90c374f5e81f43fb66c572e169ea178bac9536f3d10cb627d95412aa77554e4",
+    },
+    "sql-scaling": {
+        "scaling.csv": "6c82f2cbea51e731b19190d476e668732a0d2f2cc2b4b4f9a945ed8bcf2b35e5",
+        "summary.json": "b0f7b115b4bae9bce47aa3bd05b833540e54050e0441358f0a9ecde54777fbd4",
+    },
+    "ramsey": {
+        "fringe.csv": "b4460c64a351b438383a00d0baa4a9615156e9e57cf4a25215b2cb925fffb25e",
+        "summary.json": "f70f312b982f1813b4caa3a0d3562fb6abc2d424be55d166649271b9b1c2c0c8",
+    },
+    "doppler": {
+        "beats.csv": "c2fdd820134221edc19f33dd03dc47acdc42a80733cbd0cef7bd010476694e65",
+        "summary.json": "d6675722fa81da4feaab8428ea5eb1db252c31fd3cb06f0ef427d0abffd661fb",
+    },
+    "dispersion-hom": {
+        "interferogram.csv": "78cfbb4a16c43b87aad1a23ea181a07ebe3416711a0564d20ac2d6b0ceaf4952",
+        "summary.json": "29b140c5c77075e3045ceb2135e10456bf29e113ba89db67705da72d001b62fb",
+    },
+    "dispersion-franson": {
+        "interferogram.csv": "312fd3e07101297f7145ee438d4e8ca78de0e34b8a7cdb0474f3a57ac0df2ab3",
+        "summary.json": "118e80dc38ccd418fea71ceb9f65db84360cac431c8cd4c4bc636ac5cedd3661",
+    },
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GOLDEN_DIGESTS))
+def test_runs_write_the_recorded_bytes(tmp_path, name):
+    # the shipped configs at their own seed; ramsey, doppler and two
+    # dispersion configurations at their defaults
+    shipped = Path(__file__).resolve().parents[1] / "configs" / f"{name}.yaml"
+    if shipped.exists():
+        cfg = shipped
+    else:
+        experiment, _, configuration = name.partition("-")
+        params = {"configuration": configuration} if configuration else {}
+        cfg = write_config(tmp_path, {"schema_version": 1, "experiment": experiment, "params": params})
+    out = tmp_path / "out"
+    assert main(["run", str(cfg), "--quiet", "--out", str(out)]) == EXIT_OK
+    written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert written == _GOLDEN_DIGESTS[name]
+
+
 def test_seed_override_changes_tables(tmp_path):
     out_a, out_b = tmp_path / "a", tmp_path / "b"
     params = dict(trial_grid=[16, 32, 64, 128], repetitions=40)
@@ -556,6 +617,32 @@ def test_pulse_width_past_float_range_fails_before_any_interferogram(tmp_path, c
     assert main(["run", str(cfg)]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
     assert f"{named} is outside the range float64 can hold" in err
+    assert not out.exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "params",
+    [
+        dict(configuration="hom", beta=[0.0, 0.0, 22.0, 0.0], length=1.0e308),
+        dict(configuration="skc", beta=[1.0e308, 0.0, 0.0, 0.0], length=10.0),
+        dict(configuration="franson", beta=[0.0, 0.0, 1.0e308, 0.0], length=10.0),
+        # each arm's phase is finite, but their difference is not
+        dict(configuration="franson", beta=[0.0, 8.0e307, 0.0, 0.0], length=1.0),
+    ],
+    ids=["hom", "skc", "franson", "franson-joint"],
+)
+def test_medium_phase_past_float_range_fails_before_any_fourier_sum(tmp_path, capsys, monkeypatch, params):
+    def computed(*args, **kwargs):
+        raise AssertionError("summed an interferogram through a medium float64 cannot hold")
+
+    monkeypatch.setattr(photonlab.dispersion, "_fourier_sum", computed)
+    out = tmp_path / "disp"
+    cfg = write_config(tmp_path, base_config("dispersion", out, **params))
+    assert main(["run", str(cfg)]) == EXIT_NUMERICAL
+    err = capsys.readouterr().err
+    assert f"medium with beta {tuple(params['beta'])} and length {params['length']!r}" in err
+    assert "outside the range float64 can hold" in err
     assert not out.exists()
 
 

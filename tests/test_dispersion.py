@@ -1,4 +1,5 @@
 import math
+import re
 import tracemalloc
 import warnings
 
@@ -24,11 +25,9 @@ from photonlab.dispersion import (
     franson_interferogram,
     fringe_visibility,
     hom_interferogram,
-    hom_rates,
     opposite_dispersion,
     propagate,
     skc_interferogram,
-    skc_rates,
 )
 from photonlab.elements import apply_beam_splitter, apply_element, phase_shift
 from photonlab.fock import FockSpace, StateVector, freq_bin
@@ -63,7 +62,7 @@ def test_beta1_is_a_pure_delay():
     spec = gaussian_pair()
     shift = 3.0
     moved = hom_interferogram(spec, TAUS, signal=beta(b1=shift))
-    plain_kernel = hom_rates(spec, TAUS - shift)[2]
+    plain_kernel = hom_interferogram(spec, TAUS - shift).kernel
     assert np.max(np.abs(moved.kernel - plain_kernel)) < 1e-12
 
 
@@ -107,7 +106,7 @@ def test_dip_oracle_from_fock_machinery():
             channels = sorted(m.channel for m, cnt in bs.occ for _ in range(cnt))
             if channels == [0, 1]:
                 coincidence += abs(amp) ** 2
-        vectorized = hom_rates(spec, np.array([tau, tau + 1.0]), signal=medium)[0][0]
+        vectorized = hom_interferogram(spec, np.array([tau, tau + 1.0]), signal=medium).rates[0]
         assert abs(coincidence - vectorized) < 1e-10
 
 
@@ -142,8 +141,8 @@ def test_interferogram_symmetric_under_delay_reversal():
 
 def test_outcome_probabilities_sum_to_one():
     spec = gaussian_pair()
-    coincidence, bunched, _ = hom_rates(spec, TAUS, signal=beta(b1=1.0, b2=9.0))
-    assert np.max(np.abs(coincidence + bunched - 1.0)) < 1e-10
+    gram = hom_interferogram(spec, TAUS, signal=beta(b1=1.0, b2=9.0))
+    assert np.max(np.abs(gram.rates + gram.extras["bunched"] - 1.0)) < 1e-10
 
 
 def test_beta1_centers_within_one_grid_step():
@@ -207,7 +206,7 @@ def test_skc_oracle_from_fock_machinery():
             channels = sorted(m.channel for m, cnt in bs.occ for _ in range(cnt))
             if channels == [0, 1]:
                 coincidence += abs(a) ** 2
-        vectorized = skc_rates(spec, medium, np.array([tau, tau + 0.05]))[0][0]
+        vectorized = skc_interferogram(spec, medium, np.array([tau, tau + 0.05])).rates[0]
         assert abs(coincidence - vectorized) < 1e-10
 
 
@@ -229,8 +228,8 @@ def test_skc_envelope_reshaped_by_third_order():
 
 def test_skc_outcomes_complete():
     spec = gaussian_pair()
-    coincidence, bunched, _, _ = skc_rates(spec, beta(b2=9.0), TAUS, include_fringes=False)
-    assert np.max(np.abs(coincidence + bunched - 1.0)) < 1e-10
+    gram = skc_interferogram(spec, beta(b2=9.0), TAUS, include_fringes=False)
+    assert np.max(np.abs(gram.rates + gram.extras["bunched"] - 1.0)) < 1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -504,8 +503,8 @@ def test_non_uniform_delay_grid_refused_before_any_sum(monkeypatch, taus):
     monkeypatch.setattr(dispersion, "_fourier_sum", refused)
     spec, medium = gaussian_pair(512), beta(3.0, 22.0, 4.0)
     for kernel in (
-        lambda: hom_rates(spec, taus, signal=medium),
-        lambda: skc_rates(spec, medium, taus),
+        lambda: hom_interferogram(spec, taus, signal=medium),
+        lambda: skc_interferogram(spec, medium, taus),
         lambda: correlation_envelope(spec, taus),
         lambda: franson_interferogram(spec, medium, taus),
     ):
@@ -517,8 +516,8 @@ def test_delay_grid_within_four_ulp_accepted():
     spec, medium = gaussian_pair(512), beta(3.0, 22.0, 4.0)
     exact, moved = np.linspace(-12.0, 12.0, 601), _moved_delay_grid(ADMITTED_SHIFT)
     for kernel in (
-        lambda taus: hom_rates(spec, taus, signal=medium)[0],
-        lambda taus: skc_rates(spec, medium, taus)[0],
+        lambda taus: hom_interferogram(spec, taus, signal=medium).rates,
+        lambda taus: skc_interferogram(spec, medium, taus).rates,
         lambda taus: correlation_envelope(spec, taus).rates,
         lambda taus: franson_interferogram(spec, medium, taus).rates,
     ):
@@ -537,8 +536,8 @@ def _peak_bytes(fn):
 @pytest.mark.parametrize(
     "kernel",
     [
-        lambda spec, taus: hom_rates(spec, taus, signal=beta(3.0, 22.0, 4.0)),
-        lambda spec, taus: skc_rates(spec, beta(3.0, 22.0, 4.0), taus),
+        lambda spec, taus: hom_interferogram(spec, taus, signal=beta(3.0, 22.0, 4.0)),
+        lambda spec, taus: skc_interferogram(spec, beta(3.0, 22.0, 4.0), taus),
         lambda spec, taus: franson_interferogram(spec, beta(3.0, 22.0, 4.0), taus),
     ],
     ids=["hom", "skc", "franson"],
@@ -565,6 +564,37 @@ def test_excessive_delay_range_rejected():
     spec = gaussian_pair(32)  # coarse detuning grid
     with pytest.raises(ResolutionError):
         hom_interferogram(spec, np.linspace(-400.0, 400.0, 100001))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_medium_phase_past_half_the_float_range_refused():
+    # the limit sits at half the float64 range, so that two arm phases add
+    # to a finite joint phase; the classical baseline forms its phase the
+    # same way
+    spec, pulse = gaussian_pair(64), PulseSpectrum.gaussian(SIGMA)
+    reaches = [float(np.max(np.abs(d))) for d in (spec.detunings, pulse.detunings)]
+    limit = np.finfo(float).max / 2
+    assert np.all(np.isfinite(beta(b1=0.99 * limit / max(reaches)).phase(spec.detunings)))
+    too_large = (
+        beta(b1=float(1.01 * limit / min(reaches))),
+        beta(b2=1e308, length=10.0),
+        DispersionProfile((1e308, 0.0, 0.0, 0.0), 10.0),
+    )
+    for medium in too_large:
+        for build in (
+            lambda: medium.phase(spec.detunings),
+            lambda: propagate(spec, idler=medium),
+            lambda: classical_baseline(pulse, medium),
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"medium with beta {medium.beta} and length {medium.length!r}")):
+                build()
+
+
+def test_interferogram_refuses_rates_outside_the_unit_interval():
+    kernel = np.zeros(2, dtype=complex)
+    for rates in ([math.nan, 0.5], [0.5, math.nan], [-0.1, 0.5], [0.5, 1.1]):
+        with pytest.raises(ValueError, match=r"rates must lie in \[0, 1\]"):
+            Interferogram(np.array([0.0, 1.0]), np.array(rates), kernel, "hom")
 
 
 def test_profile_validation():

@@ -223,11 +223,12 @@ def _reference_radial(spec, r):
     """R_{lp}(r) of one mode by the closed formula, with scipy's Laguerre
     polynomial (bit-identical to the recurrence, see above)."""
     la = abs(spec.l)
+    normalization = math.sqrt(2 * math.factorial(spec.p) / (math.pi * math.factorial(spec.p + la)))
     zr = spec.rayleigh_range
     w = spec.w0 * math.sqrt(1.0 + (spec.z / zr) ** 2)
     x = 2.0 * r ** 2 / w ** 2
     radial = (
-        (spec.normalization / w)
+        (normalization / w)
         * (np.sqrt(2.0) * r / w) ** la
         * np.exp(-(r ** 2) / w ** 2)
         * eval_genlaguerre(spec.p, la, x)

