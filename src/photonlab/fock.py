@@ -20,9 +20,9 @@ numpy's complex multiply rounds differently from CPython's.
 ``PhaseStep`` multiplies each term of a fixed state by the factor of a
 diagonal phase map; a protocol builds one on its probe and leaves the
 phases free.
-``ModeMapProgram`` replays the plan's arithmetic, bit for bit, on a
-state whose support is fixed in advance.  The plan and the program
-route photons through one move routine, ``_route``.
+``ModeMapProgram`` is a plan as a dense linear stage on a support fixed
+in advance: its columns are ``ModeMapPlan.apply`` on each support term,
+and it sums them as the plan does.
 
 Conventions:
 
@@ -807,68 +807,50 @@ def _collect(occ: np.ndarray, term: np.ndarray, a: np.ndarray, top: int) -> dict
 
 
 class ModeMapProgram:
-    """A ``ModeMapPlan`` compiled against one input support.
+    """A ``ModeMapPlan`` as a dense linear stage on one input support.
 
-    Compilation runs the plan's expansion once, as a dict expansion, on
-    the occupation tuples of ``support`` alone.  Every intermediate term
-    becomes an integer slot, and every expansion step an instruction:
-    read a slot, scale it by the term's moves factor or by 1/sqrt(p),
-    and add x times c * sqrt(k + 1) into the slots of the next photon,
-    for each entry c of the column and a row already holding k; the last
-    instructions add each term into its output slot.  ``apply`` replays
-    the instructions on a state's amplitudes in CPython complex
-    arithmetic, in the order of ``plan.apply``'s sums, each starting
-    from the integer 0 as the plan's start from 0.0, then prunes at
-    ``PRUNE_EPS`` and keeps the canonical output order found once.  The
-    plan forms the same products in float parts, so for finite values
-    the states equal ``plan.apply`` bit for bit.
+    Each term of ``support`` goes through ``plan.apply`` on its own, with
+    amplitude 1; its outputs are one column of the stage.  ``apply``
+    sums each output's products x_s * c from the integer 0, in support
+    order, as the plan sums from 0.0, then prunes at ``PRUNE_EPS`` and
+    keeps the canonical output order found once.
+
+    The plan forms exactly these sums when each term meets one
+    coefficient per output: it holds at most one photon in the columns
+    the plan moves or spreads, and none of its coefficients is pruned
+    from its column.  Any other support is refused with ``FockError``:
+    there the plan sums products of several photons, or products whose
+    coefficient the column lost to pruning, and the states would differ
+    in the last bits.  So for finite values ``apply`` equals
+    ``plan.apply`` bit for bit.
 
     A state whose terms differ from ``support``, say because an upstream
     step cancelled one below ``PRUNE_EPS``, goes through ``plan.apply``.
     ``support_out`` lists the output terms when none is pruned.
     """
 
-    __slots__ = ("_plan", "_support", "_zeros", "_spread", "_gather", "_out", "support_out")
+    __slots__ = ("_plan", "_support", "_rows", "support_out")
 
-    def __init__(self, plan: ModeMapPlan, support: Sequence[Occupations]):
+    def __init__(self, plan: ModeMapPlan, space: FockSpace, support: Sequence[Occupations]):
         support = [tuple(occ) for occ in support]
-        slots = len(support)
-        spread_ops = []  # (source slot, multiplier or None, ((target slot, c), ...))
-        gather_ops = []  # (source slot, multiplier or None, output slot)
-        out: dict[Occupations, int] = {}
+        for occ in support:
+            if sum(occ[j] for j in plan._cleared) > 1:
+                raise FockError(
+                    f"{space.label(occ)} holds more than one photon in the columns the map moves or spreads"
+                )
+        reach = {j: len(entries) for j, entries in plan._spreads}
+        rows: dict[Occupations, list[tuple[int, complex]]] = {}
         for s, occ in enumerate(support):
-            key, factor = _route(occ, plan._cleared, plan._moves)
-            # key -> (slot, multiplier still to apply when the slot is read)
-            terms = {key: (s, factor if factor != 1 else None)}
-            for j, entries in plan._spreads:
-                for p in range(1, occ[j] + 1):
-                    scale = 1 / math.sqrt(p)
-                    nxt: dict[Occupations, int] = {}
-                    for t, (src, mul) in terms.items():
-                        dsts = []
-                        for i, c in entries:
-                            k = t[i]
-                            key = t[:i] + (k + 1,) + t[i + 1:]
-                            if key not in nxt:
-                                nxt[key] = slots
-                                slots += 1
-                            # the factor for a row already holding k photons
-                            dsts.append((nxt[key], c * math.sqrt(k + 1)))
-                        spread_ops.append((src, scale if p > 1 else mul, tuple(dsts)))
-                    terms = {t: (slot, None) for t, slot in nxt.items()}
-            for t, (src, mul) in terms.items():
-                if t not in out:
-                    out[t] = slots
-                    slots += 1
-                gather_ops.append((src, mul, out[t]))
-        keys = sorted(out, key=_order)
+            column = plan.apply(_wrap(space, {occ: 1 + 0j}))._amp
+            # one output per row of the column holding the term's photon
+            if len(column) != next((reach.get(j, 1) for j in plan._cleared if occ[j]), 1):
+                raise FockError(f"{space.label(occ)} meets a coefficient at or below PRUNE_EPS")
+            for key, c in column.items():
+                rows.setdefault(key, []).append((s, c))
         self._plan = plan
         self._support = support
-        self._zeros = [0] * (slots - len(support))
-        self._spread = spread_ops
-        self._gather = gather_ops
-        self._out = [(key, out[key]) for key in keys]
-        self.support_out = keys
+        self._rows = [(key, rows[key]) for key in sorted(rows, key=_order)]
+        self.support_out = [key for key, _ in self._rows]
 
     def apply(self, state: StateVector) -> StateVector:
         """``plan.apply(state)``, bit for bit."""
@@ -877,19 +859,15 @@ class ModeMapProgram:
             return state
         if list(state._amp) != self._support:
             return plan.apply(state)
-        v = [*state._amp.values(), *self._zeros]
-        for src, mul, dsts in self._spread:
-            x = v[src]
-            if mul is not None:
-                x = x * mul
-            for dst, c in dsts:
-                v[dst] += x * c
-        for src, mul, dst in self._gather:
-            x = v[src]
-            if mul is not None:
-                x = x * mul
-            v[dst] += x
-        return _wrap(state.space, {key: a for key, slot in self._out if abs(a := v[slot]) > PRUNE_EPS})
+        x = list(state._amp.values())
+        out = {}
+        for key, row in self._rows:
+            a = 0
+            for s, c in row:
+                a += x[s] * c
+            if abs(a) > PRUNE_EPS:
+                out[key] = a
+        return _wrap(state.space, out)
 
 
 class PhaseStep:
@@ -1120,14 +1098,6 @@ def susskind_glogower(space: FockSpace) -> tuple[Observable, Observable]:
     levels = [space.basis_state({mode: n} if n else {}) for n in range(space.n_max + 1)]
     s_ent = {(levels[n], levels[n + 1]): 1.0 for n in range(space.n_max)}
     s = Observable(space, s_ent, hermitian=False)
-    # cross-check the sum form against the ladder form (N+1)^(-1/2) a
-    for n in range(1, space.n_max + 1):
-        ladder = annihilate(StateVector(space, {levels[n]: 1.0}), mode).scaled(
-            1 / math.sqrt(n)
-        )
-        defect = (s.apply(StateVector(space, {levels[n]: 1.0})) + ladder.scaled(-1)).norm()
-        if defect > 1e-12:
-            raise FockError(f"ladder-phase identity broken at n={n}: defect {defect:.2e}")
     a_ent = dict(s_ent)
     for n in range(space.n_max):
         a_ent[(levels[n + 1], levels[n])] = 1.0

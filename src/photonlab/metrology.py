@@ -10,9 +10,10 @@ already, and a Dove prism is a fixed charge flip, applied to the probe
 once, followed by a phase on the flipped modes.  The photon counts of
 each probe term are read once, and ``state(x)`` forms only the phases
 and the factor of each term.  Each fixed map after it (the angular
-splitters) is a ``fock.ModeMapProgram`` compiled for the support it
-receives, and replays its precomputed instructions.  Both replay the
-float operations of ``ModeMapPlan.apply``, so the states equal
+splitters) is a ``fock.ModeMapProgram``: a dense stage whose columns
+are ``ModeMapPlan.apply`` on each term of the support it receives, so
+``state(x)`` sums a few products per output.  Both form the float
+operations of ``ModeMapPlan.apply``, so the states equal
 element-by-element construction bit for bit; a program handed another
 support falls back to ``ModeMapPlan.apply``.
 Monte Carlo samples take one path: outcomes are drawn from the Born
@@ -223,7 +224,7 @@ class Protocol:
         programs = []
         support = self._step.support_out
         for plan in tail:
-            programs.append(ModeMapProgram(plan, support))
+            programs.append(ModeMapProgram(plan, probe.space, support))
             support = programs[-1].support_out
         self._tail = tuple(programs)
 
@@ -397,8 +398,8 @@ class AngularDisplacementProtocol(Protocol):
         for plan in splitters:
             probe = plan.apply(probe)
         prism_pairs, prism, _ = elements.parametric_moves(space, elements.dove_prism(upper, 0.0))
-        flip, missing = elements.element_map(space, elements.mirror(upper + lower))
-        elements.require_mirrors(probe, missing)
+        # the space holds +-l on both channels, so no mirror is missing
+        flip, _ = elements.element_map(space, elements.mirror(upper + lower))
         self._compile(ModeMapPlan(flip).apply(probe), [i for _, i in prism_pairs], prism, splitters)
 
 

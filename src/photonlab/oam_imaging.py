@@ -499,26 +499,25 @@ class BeatMeasurement:
     detected: bool
 
 
-def _phasors(theta: np.ndarray, count: int) -> np.ndarray:
-    """The rows e^{i theta_j m} for m = 0 .. count - 1, shape (len(theta), count).
+def _phasors(theta: float, count: int) -> np.ndarray:
+    """The row e^{i theta m} for m = 0 .. count - 1.
 
     With C = ceil(sqrt(count)) each m is q C + r, and the entry is the
     product of e^{i theta q C} and e^{i theta r}, read from two tables of
-    about sqrt(count) columns each.  The tables are filled with cos and
-    sin, so a row costs about 2 sqrt(count) trig pairs and count complex
-    products instead of count complex exponentials.  An entry differs
-    from e^{i theta_j m} by a few ulp plus the rounding of theta_j m,
-    which grows as |theta_j| m.
+    about sqrt(count) entries each.  The tables are filled with cos and
+    sin, so the row costs about 2 sqrt(count) trig pairs and count
+    complex products instead of count complex exponentials.  An entry
+    differs from e^{i theta m} by a few ulp plus the rounding of
+    theta m, which grows as |theta| m.
     """
-    theta = np.asarray(theta, dtype=float)
     width = math.isqrt(count - 1) + 1
     steps = (np.arange(width), width * np.arange(-(-count // width)))
-    fine, coarse = (np.empty((theta.size, m.size), dtype=complex) for m in steps)
+    fine, coarse = (np.empty(m.size, dtype=complex) for m in steps)
     for table, m in zip((fine, coarse), steps):
-        angle = np.outer(theta, m)
+        angle = theta * m
         table.real = np.cos(angle)
         table.imag = np.sin(angle)
-    return (coarse[:, :, None] * fine[:, None, :]).reshape(theta.size, -1)[:, :count]
+    return np.outer(coarse, fine).ravel()[:count]
 
 
 @functools.lru_cache(maxsize=4)
@@ -533,11 +532,11 @@ def _hann(n: int) -> np.ndarray:
 def _beat_record(per_sample: float, n: int) -> np.ndarray:
     """|e^{i theta m} + e^{-i theta m}|^2 over m = 0 .. n - 1, from one row.
 
-    The -theta row of ``_phasors`` is the conjugate of the +theta row bit
-    for bit (cos is even and sin odd), so the sum is 2 Re exactly and
-    its squared magnitude is (2 Re)^2.
+    ``_phasors`` of -theta is the conjugate of its row at +theta bit for
+    bit (cos is even and sin odd), so the sum is 2 Re exactly and its
+    squared magnitude is (2 Re)^2.
     """
-    return (2.0 * _phasors(np.array([per_sample]), n)[0].real) ** 2
+    return (2.0 * _phasors(per_sample, n).real) ** 2
 
 
 def rotational_doppler_beat(

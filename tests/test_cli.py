@@ -338,8 +338,9 @@ def test_one_config_and_seed_write_identical_bytes(tmp_path):
 
 
 # sha256 of every file a run writes, recorded under numpy 2.4.6 (Python
-# 3.11).  A change that moves these bytes on purpose records new digests
-# here and says why in CHANGES.md.
+# 3.11): the shipped configs at their own seed and at seeds 3 and 5, and
+# the runs of ``_UNSHIPPED_RUNS``.  A change that moves these bytes on
+# purpose records new digests here and says why in CHANGES.md.
 _GOLDEN_DIGESTS = {
     "angular": {
         "fringe.csv": "a3f48741cdd40b264b309fabfff0c47a39ed19304e67d051dc5aa7febdff656e",
@@ -377,22 +378,81 @@ _GOLDEN_DIGESTS = {
         "interferogram.csv": "312fd3e07101297f7145ee438d4e8ca78de0e34b8a7cdb0474f3a57ac0df2ab3",
         "summary.json": "118e80dc38ccd418fea71ceb9f65db84360cac431c8cd4c4bc636ac5cedd3661",
     },
+    "angular-l1": {
+        "fringe.csv": "32009796b02d5d17cecdd01ba171a11c48f3238e666fe6e562550ee27ff98da6",
+        "summary.json": "6798b27c6d2302fba16d73bc509abc3ce3d3eae1514c3957c79d95d1a023dc3e",
+    },
+    "angular-l3": {
+        "fringe.csv": "903d4e8dd463adf17945644a7990321649020662242ceb80061e4d6ef029066a",
+        "summary.json": "86dcb1d8f8ef23e766a337c4ba494544efd01d4976dbdc72451ba179ca9eca14",
+    },
+    "angular@seed3": {
+        "fringe.csv": "a3f48741cdd40b264b309fabfff0c47a39ed19304e67d051dc5aa7febdff656e",
+        "summary.json": "a54006c9560fbb926862f1ad7e8ac7e97e4887af84e85385668c6ad9bbf4b764",
+    },
+    "angular@seed5": {
+        "fringe.csv": "a3f48741cdd40b264b309fabfff0c47a39ed19304e67d051dc5aa7febdff656e",
+        "summary.json": "be34454d8cfc6621fafb289628de4d8d4f7b3155d1a44bae4049e14c7a5c02ef",
+    },
+    "dispersion-skc@seed3": {
+        "interferogram.csv": "12434989bae463b06fabc566c65845932c614c117890f13be8258f34a9febff6",
+        "summary.json": "455489a0a519843ef7e5e5da48ade69d553ced24cff6fe8e3ced972245ebb617",
+    },
+    "dispersion-skc@seed5": {
+        "interferogram.csv": "12434989bae463b06fabc566c65845932c614c117890f13be8258f34a9febff6",
+        "summary.json": "0160a4cf13b4a0f03af333bef190b3e770f17f44472153c596ad74083dee0056",
+    },
+    "heisenberg-scaling@seed3": {
+        "scaling.csv": "86ea5cc468b0975eea39a5de3bafdcb75c797f0ee307b9a9a19e3153666ad7a0",
+        "summary.json": "4136cdcd8c1bcb756179eadfefba1af384914e0417211accb02d4befbd917462",
+    },
+    "heisenberg-scaling@seed5": {
+        "scaling.csv": "8adbfa738ce3995aadc7645f3ea0e44b2badc876284b0eacf356ff4e4e9a4adf",
+        "summary.json": "10c306d7201061339f0ea4684ec43c1859c93d8309bdb50e34607000528b77e3",
+    },
+    "spiral@seed3": {
+        "spectrum.csv": "b48d6e218059f7e93fea7b884c170417747de23af340500abc71343d4b1e35cc",
+        "summary.json": "2960ea230ac4ead5a4694efad23f6f0309e165efd029fcf7ff58f241cac068af",
+    },
+    "spiral@seed5": {
+        "spectrum.csv": "b48d6e218059f7e93fea7b884c170417747de23af340500abc71343d4b1e35cc",
+        "summary.json": "2c03bf627f82e568124d31e9dad3d3e8c1eaf7336f5326bbc665d0f1e91284d6",
+    },
+    "sql-scaling@seed3": {
+        "scaling.csv": "ba3577f3fea902214008b57f2332eb5e7501bd8608cb10208e21a1d89468238a",
+        "summary.json": "041ad5dc7aeb631dd244c50f26aa2491dc30d3e82b684a9bf9f566fcabdc5ead",
+    },
+    "sql-scaling@seed5": {
+        "scaling.csv": "b41b03ab4b79b6797495ba3d12d68135cdef27a00f9593579856e7204c3f1b93",
+        "summary.json": "082db125347555b51f0ec0f9e1355e3749cddb5f8446efad02a95ab80d5234a9",
+    },
+}
+
+
+# the runs that are not a shipped config at its own seed: an experiment
+# and its params; a name ending in @seedN is that run with --seed N
+_UNSHIPPED_RUNS = {
+    "ramsey": ("ramsey", {}),
+    "doppler": ("doppler", {}),
+    "dispersion-hom": ("dispersion", {"configuration": "hom"}),
+    "dispersion-franson": ("dispersion", {"configuration": "franson"}),
+    # both grids land on the fringe zeros, where the last splitter prunes
+    "angular-l1": ("angular", {"l": 1, "theta_points": 64}),
+    "angular-l3": ("angular", {"l": 3, "theta_points": 48}),
 }
 
 
 @pytest.mark.parametrize("name", sorted(_GOLDEN_DIGESTS))
 def test_runs_write_the_recorded_bytes(tmp_path, name):
-    # the shipped configs at their own seed; ramsey, doppler and two
-    # dispersion configurations at their defaults
-    shipped = Path(__file__).resolve().parents[1] / "configs" / f"{name}.yaml"
-    if shipped.exists():
-        cfg = shipped
-    else:
-        experiment, _, configuration = name.partition("-")
-        params = {"configuration": configuration} if configuration else {}
+    run, _, seed = name.partition("@seed")
+    if run in _UNSHIPPED_RUNS:
+        experiment, params = _UNSHIPPED_RUNS[run]
         cfg = write_config(tmp_path, {"schema_version": 1, "experiment": experiment, "params": params})
+    else:
+        cfg = Path(__file__).resolve().parents[1] / "configs" / f"{run}.yaml"
     out = tmp_path / "out"
-    assert main(["run", str(cfg), "--quiet", "--out", str(out)]) == EXIT_OK
+    seeded = ["--seed", seed] if seed else []
+    assert main(["run", str(cfg), "--quiet", "--out", str(out), *seeded]) == EXIT_OK
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert written == _GOLDEN_DIGESTS[name]
 

@@ -1,6 +1,7 @@
 import cmath
 import math
 import operator
+import re
 
 import numpy as np
 import pytest
@@ -465,33 +466,71 @@ def maps_and_states(draw):
     return state, maps
 
 
+def program_or_refusal(plan, space, support):
+    """``ModeMapProgram(plan, space, support)``, or None once its refusal
+    is checked: a term holding more than one photon in the columns the
+    plan moves or spreads, or else a coefficient of at most PRUNE_EPS,
+    which the plan prunes from a term's column."""
+    crowded = [occ for occ in support if sum(occ[j] for j in plan._cleared) > 1]
+    if crowded:
+        # the first such term is named
+        with pytest.raises(FockError, match=re.escape(f"{space.label(crowded[0])} holds more than one photon")):
+            ModeMapProgram(plan, space, support)
+        return None
+    try:
+        return ModeMapProgram(plan, space, support)
+    except FockError as err:
+        coeffs = [c for _, _, c in plan._moves] + [c for _, entries in plan._spreads for _, c in entries]
+        assert "PRUNE_EPS" in str(err) and min(map(abs, coeffs)) <= fock.PRUNE_EPS
+        return None
+
+
 @settings(max_examples=300, deadline=None)
 @given(maps_and_states())
 def test_compiled_programs_equal_the_plans(case):
-    # the second program is compiled for the support the first leaves
-    # unpruned; when the first prunes a term it falls back
+    # a program is built only where program_or_refusal finds no refusal;
+    # the second is compiled for the support the first leaves unpruned,
+    # and when the first prunes a term it falls back
     state, (first, second) = case
-    one = ModeMapProgram(first, list(state._amp))
-    two = ModeMapProgram(second, one.support_out)
+    sp = state.space
+    one = program_or_refusal(first, sp, list(state._amp))
+    if one is None:
+        return
     mid = one.apply(state)
     assert same_items(mid, first.apply(state))
-    assert same_items(two.apply(mid), second.apply(mid))
+    two = program_or_refusal(second, sp, one.support_out)
+    if two is not None:
+        assert same_items(two.apply(mid), second.apply(mid))
 
 
-def test_program_falls_back_after_a_hom_cancellation():
-    # |1,1> through a 50:50 splitter: the coincidence term cancels to
-    # about 2e-16, below PRUNE_EPS, so the next program sees two terms
-    # of the three it was compiled for
+def test_program_refuses_a_coefficient_the_plan_prunes():
+    # the unit term |1,0> loses its (0, 1) output, 1e-16, to pruning; the
+    # plan adds 1e-16 / sqrt(2) to the (0, 1) amplitude of the pair, and
+    # that moves its last bit
+    sp = FockSpace([path(0), path(1)], n_max=2)
+    plan = ModeMapPlan({0: {0: 1.0, 1: 1e-16}})
+    a = 1 / math.sqrt(2)
+    state = StateVector(sp, {sp.basis_state({path(0): 1}): a, sp.basis_state({path(1): 1}): a})
+    assert plan.apply(state).amplitude(sp.basis_state({path(1): 1})) != a
+    with pytest.raises(FockError, match=r"\|path\(0\):1> meets a coefficient at or below PRUNE_EPS"):
+        ModeMapProgram(plan, sp, list(state._amp))
+
+
+def test_program_falls_back_after_a_splitter_cancellation():
+    # (|1,0> + i|0,1>)/sqrt(2) through a 50:50 splitter: the (1, 0)
+    # output cancels to below PRUNE_EPS, so the next program sees one
+    # term of the two it was compiled for
     sp = FockSpace([path(0), path(1)], n_max=2)
     c, s = math.cos(math.pi / 4), 1j * math.sin(math.pi / 4)
     splitter = ModeMapPlan({0: {0: c, 1: s}, 1: {0: s, 1: c}})
     phase_and_split = ModeMapPlan({0: {0: c * np.exp(0.3j), 1: s}, 1: {0: s, 1: c}})
-    pair = basis_vector(sp, {path(0): 1, path(1): 1})
-    one = ModeMapProgram(splitter, [(1, 1)])
-    two = ModeMapProgram(phase_and_split, one.support_out)
-    mid = one.apply(pair)
-    assert (1, 1) in one.support_out and (1, 1) not in mid._amp
-    assert same_items(mid, splitter.apply(pair))
+    a = 1 / math.sqrt(2)
+    state = StateVector(sp, {sp.basis_state({path(0): 1}): a, sp.basis_state({path(1): 1}): 1j * a})
+    one = ModeMapProgram(splitter, sp, list(state._amp))
+    two = ModeMapProgram(phase_and_split, sp, one.support_out)
+    mid = one.apply(state)
+    assert (1, 0) in one.support_out and (1, 0) not in mid._amp
+    assert same_items(mid, splitter.apply(state))
     assert same_items(two.apply(mid), phase_and_split.apply(mid))
 
 
@@ -499,7 +538,7 @@ def test_program_falls_back_on_another_support():
     sp = FockSpace([path(0), path(1)], n_max=2)
     c, s = math.cos(0.4), 1j * math.sin(0.4)
     plan = ModeMapPlan({0: {0: c, 1: s}, 1: {0: s, 1: c}})
-    program = ModeMapProgram(plan, [(1, 0)])
+    program = ModeMapProgram(plan, sp, [(1, 0)])
     both = StateVector(sp, {sp.basis_state({path(0): 1}): 0.6, sp.basis_state({path(1): 1}): -0.8})
     for other in (basis_vector(sp, {path(1): 1}), basis_vector(sp, {path(0): 2}), both):
         assert same_items(program.apply(other), plan.apply(other))
@@ -690,12 +729,14 @@ def every_construction(draw):
         ("constructor", StateVector(sp, dict(reversed(state.items())))),
         ("wrap", fock._wrap(sp, dict(state._amp))),
         ("phase step", fock.PhaseStep(state, modes).apply(coeffs)),
-        ("program", ModeMapProgram(plan, list(state._amp)).apply(state)),
         ("plan", plan.apply(state)),
         ("scaled", state.scaled(draw(COEFF))),
         ("sum", state + plan.apply(state)),
         ("observable", dyad_sum(sp, dyads).apply(state)),
     ]
+    program = program_or_refusal(plan, sp, list(state._amp))
+    if program is not None:
+        made.append(("program", program.apply(state)))
     if state.norm() > 0:
         made.append(("normalized", state.normalized()))
     return made
