@@ -21,10 +21,12 @@ nodes on [0, R_max], uniform angular nodes).  Because every mode is a
 radial profile times e^{-i l theta}, an overlap integral is one angular
 DFT of the samples followed by a weighted radial sum, and a projection
 never tabulates a mode on the full grid.  The radial profile depends on
-l through |l| alone, so a projection builds one radial family per |l|,
-from one Laguerre recurrence over every p, and reads it for +l and -l;
-a single mode is the last member of its family, so both paths share
-one formula and give the same bits.
+l through |l| alone, so a projection builds the radial profiles of
+every |l| <= l_max and p <= p_max from one Laguerre recurrence over p,
+run on a (charges x r) array, and reads each for +l and -l.  Each
+element keeps the float operations of a single mode's formula, and a
+single mode is the same pass over one charge, so both paths give the
+same bits.
 """
 
 from __future__ import annotations
@@ -110,9 +112,13 @@ def _binom(n: int, k: int) -> float:
     return num / den
 
 
-def _laguerre_family(n_max: int, alpha: int, x: np.ndarray) -> Iterator[np.ndarray]:
+def _laguerre_family(n_max: int, alpha: int | np.ndarray, x: np.ndarray) -> Iterator[np.ndarray]:
     """Generalized Laguerre polynomials L_0^alpha(x) ... L_{n_max}^alpha(x)
     for integers n_max, alpha >= 0, from one run of the recurrence.
+
+    ``alpha`` is an integer or an integer array that broadcasts against
+    x, such as a column of charges; every element then runs the float
+    operations of its scalar alpha, so one pass serves every alpha.
 
     L_0 = 1 and L_1 = alpha + 1 - x directly.  Past that the recurrence
     runs on the increments d_k = P_k - P_{k-1} of
@@ -125,29 +131,37 @@ def _laguerre_family(n_max: int, alpha: int, x: np.ndarray) -> Iterator[np.ndarr
     """
     if n_max < 0:
         return
-    yield np.ones_like(x)
+    yield np.ones(np.broadcast_shapes(np.shape(alpha), np.shape(x)))
     if n_max == 0:
         return
-    yield -x + alpha + 1
-    d = -x / (alpha + 1)
+    minus_x = -x
+    yield minus_x + alpha + 1
+    alphas = np.ravel(alpha).tolist()
+    d = minus_x / (alpha + 1)
     p = d + 1
     for k in range(1, n_max):
-        d = -x / (k + alpha + 1) * p + (k / (k + alpha + 1)) * d
+        d = minus_x / (k + alpha + 1) * p + (k / (k + alpha + 1)) * d
         p = p + d
-        yield _binom(k + 1 + alpha, k + 1) * p
+        binom = np.reshape([_binom(k + 1 + a, k + 1) for a in alphas], np.shape(alpha))
+        yield binom * p
 
 
 def _radial_families(
     w0: float, wavelength: float, z: float, r: np.ndarray, charges: Iterable[int], p_max: int
-) -> list[list[np.ndarray]]:
+) -> list[np.ndarray]:
     """R_{lp}(r), the mode without its azimuthal factor (u = R e^{-i l theta}),
-    for each |l| in ``charges`` and p = 0 .. p_max: ``families[i][p]``.
+    for each |l| in ``charges`` and p = 0 .. p_max: ``families[p][i]`` is
+    R_{lp} of the i-th charge, on r of any shape.
 
     R holds the radial envelope, the wavefront curvature and the Gouy
     phase, none of which depends on theta, and it depends on l through
     |l| alone.  The beam radius, the Gaussian and the curvature are
-    computed once for every mode, and one Laguerre recurrence per |l|
-    serves every p.
+    computed once for every mode, and one Laguerre recurrence over p runs
+    on a (charges x r) array, the charges' coefficients as a column.
+    Each element keeps the float operations of a single mode's R_{lp}, so
+    a mode reads the same bits whichever charges it is built with.  The
+    Gouy phase depends on (p, |l|) through 2p + |l| + 1 alone, so its
+    phasor is evaluated once per value of that sum.
     """
     zr = LGModeSpec(0, 0, w0, wavelength, z).rayleigh_range
     w = w0 * math.sqrt(1.0 + (z / zr) ** 2)
@@ -159,22 +173,27 @@ def _radial_families(
     else:
         k = 2.0 * math.pi / wavelength
         curvature = -k * r ** 2 * z / (2.0 * (z ** 2 + zr ** 2))
+    charges = list(charges)
+    to_column = (-1,) + (1,) * np.ndim(r)
+    column = np.reshape(charges, to_column)
+    # one ** per charge, as a single mode takes it: ``** 2`` squares where
+    # a broadcast power with an exponent array would call pow
+    base = np.sqrt(2.0) * r / w
+    power = np.stack([base ** la for la in charges])
+    # the phasor of each order 2p + |l| + 1 some mode takes, in order
+    orders = np.unique(np.add.outer(2 * np.arange(p_max + 1) + 1, charges))
+    phasors = np.exp(1j * (curvature + orders.reshape(to_column) * gouy_angle))
     families = []
-    for la in charges:
-        power = (np.sqrt(2.0) * r / w) ** la
-        family = []
-        for p, laguerre in enumerate(_laguerre_family(p_max, la, x)):
-            radial = (_normalization(p, la) / w) * power * gaussian * laguerre
-            gouy = (2 * p + la + 1) * gouy_angle
-            family.append(radial * np.exp(1j * (curvature + gouy)))
-        families.append(family)
+    for p, laguerre in enumerate(_laguerre_family(p_max, column, x)):
+        normalization = np.reshape([_normalization(p, la) for la in charges], column.shape) / w
+        radial = normalization * power * gaussian * laguerre
+        families.append(radial * phasors[np.searchsorted(orders, column.ravel() + (2 * p + 1))])
     return families
 
 
 def _lg_radial(spec: LGModeSpec, r: np.ndarray) -> np.ndarray:
     """R_{lp}(r) of one mode: u = R e^{-i l theta}."""
-    (family,) = _radial_families(spec.w0, spec.wavelength, spec.z, r, [abs(spec.l)], spec.p)
-    return family[spec.p]
+    return _radial_families(spec.w0, spec.wavelength, spec.z, r, [abs(spec.l)], spec.p)[spec.p][0]
 
 
 def lg_amplitude(spec: LGModeSpec, r, theta) -> np.ndarray:
@@ -368,11 +387,12 @@ def project_object(
 
         a_{lp} = sum_r w_r r dtheta conj(R_{lp}(r)) F_l(r).
 
-    R_{lp} = R_{-l,p}, so the radial factors are built once per |l|, one
-    family over p = 0 .. p_max, with the float operations of a single
-    mode's R_{lp}; every coefficient is the per-mode radial sum, bit for
-    bit.  Requires n_theta >= 4 l_max so the angular harmonics up to l_max
-    are unaliased on the grid.
+    R_{lp} = R_{-l,p}, so the radial factors of every |l| <= l_max and
+    p <= p_max come from one recurrence over p on a (charges x r) array,
+    with the float operations of a single mode's R_{lp}; every
+    coefficient is the per-mode radial sum, bit for bit.  Requires
+    n_theta >= 4 l_max so the angular harmonics up to l_max are unaliased
+    on the grid.
     """
     n_theta = profile.grid.n_theta
     if n_theta < 4 * l_max:
@@ -382,10 +402,11 @@ def project_object(
     harmonics, _ = _angular_harmonics(profile)
     families = _radial_families(w0, wavelength, z, r, range(l_max + 1), p_max)
     coeffs = {}
-    for l in range(-l_max, l_max + 1):
-        weighted = harmonics[:, (-l) % n_theta] * weight
-        for p, radial in enumerate(families[abs(l)]):
-            coeffs[(l, p)] = complex(np.vdot(radial, weighted))
+    charges = range(-l_max, l_max + 1)
+    weighted = harmonics.T[[(-l) % n_theta for l in charges]] * weight
+    for l, row in zip(charges, weighted):
+        for p, family in enumerate(families):
+            coeffs[(l, p)] = complex(np.vdot(family[abs(l)], row))
     captured = sum(abs(a) ** 2 for a in coeffs.values())
     return SpiralSpectrum(
         coefficients=coeffs,
@@ -445,10 +466,12 @@ def correlated_phases(
     direct = project_object(profile, w0, l_max, p_max, wavelength, z)
     total = max(profile.power(), 1e-300)
     ref = complex(1.0)
+    offsets = [cmath.exp(1j * d) * ref for d in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)]
+    ref_phase = cmath.phase(ref)
     recovered: dict[tuple[int, int], complex] = {}
     flagged: list[tuple[int, int]] = []
     for key, a in direct.coefficients.items():
-        intensities = [abs(a + cmath.exp(1j * d) * ref) ** 2 for d in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)]
+        intensities = [abs(a + offset) ** 2 for offset in offsets]
         direct_intensity = abs(a) ** 2
         if direct_intensity < 1e-12 * total:
             recovered[key] = 0j
@@ -456,7 +479,7 @@ def correlated_phases(
             continue
         re = (intensities[0] - intensities[2]) / 4.0
         im = (intensities[1] - intensities[3]) / 4.0
-        phase = cmath.phase(complex(re, im)) + cmath.phase(ref)
+        phase = cmath.phase(complex(re, im)) + ref_phase
         recovered[key] = math.sqrt(direct_intensity) * cmath.exp(1j * phase)
     spectrum = SpiralSpectrum(
         coefficients=recovered,

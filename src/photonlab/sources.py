@@ -274,8 +274,11 @@ def _require_squarable_width(sigma: float, edge: float) -> None:
     The Gaussian constructors divide d^2 by a multiple of sigma^2.  Past
     about 1e154 those squares overflow: the outer bins would read 0, or
     ``sigma ** 2`` raises an OverflowError that names no parameter.
+    Below about 1e-162 sigma^2 underflows to 0, and the division would
+    be 0/0; the width is refused before any grid is built, so no
+    RuntimeWarning is printed first.
     """
-    if not math.isfinite(edge * edge):
+    if not math.isfinite(edge * edge) or (sigma != 0.0 and sigma * sigma == 0.0):
         raise ValueError(f"a spectrum of width {sigma!r} (sigma) is outside the range float64 can hold")
 
 

@@ -339,7 +339,8 @@ def test_one_config_and_seed_write_identical_bytes(tmp_path):
 
 # sha256 of every file a run writes, recorded under numpy 2.4.6 (Python
 # 3.11): the shipped configs at their own seed and at seeds 3 and 5, and
-# the runs of ``_UNSHIPPED_RUNS``.  A change that moves these bytes on
+# the runs of ``_UNSHIPPED_RUNS``, of which ramsey, doppler and both
+# dispersion runs also at seeds 3 and 5.  A change that moves these bytes on
 # purpose records new digests here and says why in CHANGES.md.
 _GOLDEN_DIGESTS = {
     "angular": {
@@ -385,6 +386,42 @@ _GOLDEN_DIGESTS = {
     "angular-l3": {
         "fringe.csv": "903d4e8dd463adf17945644a7990321649020662242ceb80061e4d6ef029066a",
         "summary.json": "86dcb1d8f8ef23e766a337c4ba494544efd01d4976dbdc72451ba179ca9eca14",
+    },
+    "spiral-fk": {
+        "spectrum.csv": "1fcf3809dcbbc670273e36db3b6c1987da8f1e4a756677ef79a060aeb49ef573",
+        "summary.json": "4b110449acd1f67e664743eb788549cfe41e9ad47f6f525a06ef11610d00e47e",
+    },
+    "ramsey@seed3": {
+        "fringe.csv": "b4460c64a351b438383a00d0baa4a9615156e9e57cf4a25215b2cb925fffb25e",
+        "summary.json": "65a8f49b7266a66dbd2d0fbcd0b410375ccdab1238f863791050fb6ec7a0487d",
+    },
+    "ramsey@seed5": {
+        "fringe.csv": "b4460c64a351b438383a00d0baa4a9615156e9e57cf4a25215b2cb925fffb25e",
+        "summary.json": "9b07fa8b7395508c9ce2041eeb97ca98180aab6d441f339d8d00299005785955",
+    },
+    "doppler@seed3": {
+        "beats.csv": "c2fdd820134221edc19f33dd03dc47acdc42a80733cbd0cef7bd010476694e65",
+        "summary.json": "d473626ba4f488639a4ed644f05dfac25251699d8c26800b3814ab0344b1347e",
+    },
+    "doppler@seed5": {
+        "beats.csv": "c2fdd820134221edc19f33dd03dc47acdc42a80733cbd0cef7bd010476694e65",
+        "summary.json": "ecc2de9b7d5ba347046c0d2fdf743ada8a4d97bd55afedbbaeb27b21b9ad2b69",
+    },
+    "dispersion-hom@seed3": {
+        "interferogram.csv": "78cfbb4a16c43b87aad1a23ea181a07ebe3416711a0564d20ac2d6b0ceaf4952",
+        "summary.json": "7d682795fe7e52a32ac572d5da3f9930eae510938346c09af7ecbd0e2cdb0cbf",
+    },
+    "dispersion-hom@seed5": {
+        "interferogram.csv": "78cfbb4a16c43b87aad1a23ea181a07ebe3416711a0564d20ac2d6b0ceaf4952",
+        "summary.json": "a792e08daf0b5403c2871dd9278af386820751061163066cca3586a05d7a9275",
+    },
+    "dispersion-franson@seed3": {
+        "interferogram.csv": "312fd3e07101297f7145ee438d4e8ca78de0e34b8a7cdb0474f3a57ac0df2ab3",
+        "summary.json": "e219bcb67abca1b55a18c97c263b1f408a20b90daa8a2ad19e7f3166057494f7",
+    },
+    "dispersion-franson@seed5": {
+        "interferogram.csv": "312fd3e07101297f7145ee438d4e8ca78de0e34b8a7cdb0474f3a57ac0df2ab3",
+        "summary.json": "a46c0c363c5b963887ef84017e9b9c7179ad2f940bbed6d5c9084d7275ca49b2",
     },
     "angular@seed3": {
         "fringe.csv": "a3f48741cdd40b264b309fabfff0c47a39ed19304e67d051dc5aa7febdff656e",
@@ -439,6 +476,9 @@ _UNSHIPPED_RUNS = {
     # both grids land on the fringe zeros, where the last splitter prunes
     "angular-l1": ("angular", {"l": 1, "theta_points": 64}),
     "angular-l3": ("angular", {"l": 3, "theta_points": 48}),
+    # the projection size of the field_kernels benchmark: five recurrence
+    # steps past L_1 at every charge up to 20
+    "spiral-fk": ("spiral", {"object": "letter", "l_max": 20, "p_max": 5, "w0": 0.8, "rotation": 0.3}),
 }
 
 
@@ -645,9 +685,10 @@ def test_unresolved_delay_scan_fails_before_writing(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_spectrum_width_past_float_range_fails_before_any_interferogram(tmp_path, capsys, monkeypatch):
-    # sigma**2 and d**2 underflow to 0, so the Gaussian envelope is 0/0
+    # sigma**2 underflows to 0, so the Gaussian envelope would be 0/0: the
+    # width is refused before its grid is built, with no warning printed
     def computed(*args, **kwargs):
         raise AssertionError("computed an interferogram on a degenerate spectrum")
 
@@ -657,7 +698,7 @@ def test_spectrum_width_past_float_range_fails_before_any_interferogram(tmp_path
     cfg = write_config(tmp_path, base_config("dispersion", out, sigma=1.0e-200))
     assert main(["run", str(cfg)]) == EXIT_NUMERICAL
     err = capsys.readouterr().err
-    assert "spectrum power nan is not finite: a spectrum of width" in err
+    assert "a spectrum of width 1e-200 (sigma) is outside the range float64 can hold" in err
     assert "rate[1]" not in err
     assert not out.exists()
 

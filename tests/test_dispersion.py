@@ -291,14 +291,14 @@ def test_doubling_length_follows_closed_form():
     assert abs(double.broadening - math.sqrt(1 + 16)) < 0.02
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize(
     "sigma, named",
-    [(1.0e-160, "(detuning span)"), (1.0e-200, "(detuning span)"), (1.0e200, "(sigma)"), (1.7e153, "(sigma)")],
+    [(1.0e-160, "(detuning span)"), (1.0e-200, "(sigma)"), (1.0e200, "(sigma)"), (1.7e153, "(sigma)")],
 )
 def test_pulse_width_past_float_range_rejected(sigma, named):
-    # too narrow: the conjugate times squared overflow the baseline's moments;
-    # too wide: the squared detunings overflow
+    # too narrow: the conjugate times squared overflow the baseline's moments,
+    # or sigma squared underflows to 0; too wide: the squared detunings overflow
     with pytest.raises(ValueError, match="is outside the range float64 can hold") as info:
         PulseSpectrum.gaussian(sigma)
     assert named in str(info.value)

@@ -281,6 +281,43 @@ def test_projection_memory_stays_per_radius():
     assert peak < 16 * 2 ** 20
 
 
+@pytest.mark.parametrize("w0, wavelength, z", [(0.8, 1.0, -1.1), (1.3, 0.7, -0.3)])
+@pytest.mark.parametrize("l_max, p_max", [(0, 0), (0, 10), (40, 1), (40, 10)])
+def test_array_pass_equals_the_per_mode_sum_bit_for_bit(w0, wavelength, z, l_max, p_max):
+    # every charge runs through one recurrence on a (charges x r) array;
+    # each mode still reads the bits of its own closed formula, with no
+    # recurrence step (p_max 0), one, or many, and one charge or 41
+    grid = PolarGrid(128, 256, 6.0 * w0)
+    r, wr, _ = grid.nodes()
+    weight = wr * r * grid.dtheta
+    obj = letter_mask_object(grid, w0)
+    harmonics = np.fft.fft(obj.samples, axis=1)
+    got = project_object(obj, w0, l_max, p_max, wavelength, z).coefficients
+    assert len(got) == (2 * l_max + 1) * (p_max + 1)
+    for l in range(-l_max, l_max + 1):
+        weighted = harmonics[:, (-l) % grid.n_theta] * weight
+        for p in range(p_max + 1):
+            spec = LGModeSpec(l, p, w0, wavelength, z)
+            radial = _reference_radial(spec, r)
+            assert np.array_equal(_lg_radial(spec, r), radial), (l, p)
+            want = complex(np.vdot(radial, weighted))
+            assert (got[(l, p)].real.hex(), got[(l, p)].imag.hex()) == (want.real.hex(), want.imag.hex()), (l, p)
+
+
+def test_mode_on_a_mesh_equals_the_per_mode_formula_bit_for_bit():
+    # the charge axis broadcasts over an r of any shape: lg_amplitude on a
+    # 2-D (r, theta) mesh reads the closed formula at every sample
+    r, _, theta = PolarGrid(40, 64, 6.0 * 0.9).nodes()
+    rr, tt = np.meshgrid(r, theta, indexing="ij")
+    for l in (-7, 0, 3, 12):
+        for p in (0, 1, 4):
+            spec = LGModeSpec(l, p, 0.9, 1.2, -0.4)
+            want = _reference_radial(spec, rr) * np.exp(-1j * l * tt)
+            got = lg_amplitude(spec, rr, tt)
+            assert got.shape == rr.shape
+            assert np.array_equal(got, want), (l, p)
+
+
 # ---------------------------------------------------------------------------
 # rotation
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -265,6 +266,15 @@ def test_gaussian_width_past_float_range_rejected():
     # sigma ** 2 overflows, which raised an OverflowError naming no parameter
     with pytest.raises(ValueError, match=r"width 1e\+200 \(sigma\) is outside the range float64 can hold"):
         BiphotonSpectrum.gaussian(2.35, 1.0e200, n_bins=16)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("sigma", [1.0e-163, 1.0e-170, 1.0e-200, 1.0e-300, 5e-324])
+def test_gaussian_width_whose_square_underflows_is_refused_without_a_warning(sigma):
+    # sigma ** 2 underflows to 0, which would make the envelope's
+    # d^2 / sigma^2 a 0/0: the width is refused before any grid is built
+    with pytest.raises(ValueError, match=re.escape(f"width {sigma!r} (sigma) is outside the range float64 can hold")):
+        BiphotonSpectrum.gaussian(2.35, sigma, n_bins=16)
 
 
 def test_sources_prune_after_normalizing():
