@@ -23,6 +23,13 @@ phases free.
 ``ModeMapProgram`` is a plan as a dense linear stage on a support fixed
 in advance: its columns are ``ModeMapPlan.apply`` on each support term,
 and it sums them as the plan does.
+The array readouts, ``number_expectation`` and ``schmidt_values``, read
+a state's view: its occupation matrix (modes x terms, int64) and its
+amplitudes, in canonical order.  ``ModeMapPlan.apply`` fills the view of
+its output from the arrays it sorts the terms with; a state made any
+other way builds it on first use (``_view_of``).  The view is derived
+from the amplitudes and read-only, and states are immutable, so it
+cannot go stale.  Everything else reads the amplitude dict.
 
 Conventions:
 
@@ -296,9 +303,14 @@ class StateVector:
     keep <psi|psi> = 1 to 1e-12.
     Amplitudes are keyed on occupation tuples and kept in canonical
     order, so every sum over a state runs in the same order.
+    ``_view``, once set, holds the same terms as arrays for the array
+    readouts: the occupation matrix (modes x terms, int64) and the
+    complex amplitudes, in canonical order and read-only.  The engine
+    sets it on the states it builds; ``_view_of`` sets it on any other
+    state when a readout first asks.
     """
 
-    __slots__ = ("space", "_amp")
+    __slots__ = ("space", "_amp", "_view")
 
     def __init__(self, space: FockSpace, amplitudes: Mapping[BasisState, complex]):
         amp: dict[Occupations, complex] = {}
@@ -366,10 +378,11 @@ class StateVector:
         return f"StateVector({terms}{more})"
 
 
-# the two slots, written through their descriptors: StateVector's own
+# the slots, written through their descriptors: StateVector's own
 # __setattr__ refuses every assignment
 _set_space = StateVector.space.__set__
 _set_amp = StateVector._amp.__set__
+_set_view = StateVector._view.__set__
 
 
 def _wrap(space: FockSpace, amp: dict[Occupations, complex]) -> StateVector:
@@ -379,6 +392,27 @@ def _wrap(space: FockSpace, amp: dict[Occupations, complex]) -> StateVector:
     _set_space(st, space)
     _set_amp(st, amp)
     return st
+
+
+def _frozen(occ: np.ndarray, amp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A state's view: its occupation matrix ``occ`` (modes x terms,
+    int64) and amplitudes ``amp``, in canonical order, made read-only."""
+    occ.flags.writeable = False
+    amp.flags.writeable = False
+    return occ, amp
+
+
+def _view_of(state: StateVector) -> tuple[np.ndarray, np.ndarray]:
+    """The view of ``state``, built and kept on first use when the
+    engine did not set it; threads that race here build equal views."""
+    try:
+        return state._view
+    except AttributeError:
+        amp = state._amp
+        occ = np.array(list(zip(*amp)), dtype=np.int64).reshape(len(state.space.modes), len(amp))
+        view = _frozen(occ, np.fromiter(amp.values(), complex, len(amp)))
+        _set_view(state, view)
+        return view
 
 
 def _item_order(item: tuple[Occupations, complex]) -> tuple[tuple[int, int], ...]:
@@ -437,15 +471,13 @@ def annihilate(state: StateVector, mode: ModeLabel) -> StateVector:
 def number_expectation(state: StateVector, mode: ModeLabel) -> float:
     """<N_mode> for a normalized state.
 
-    One array operation over the terms: the mode's counts times |a|^2,
-    summed pairwise by numpy, so the value does not depend on the BLAS
-    or its threads.
+    One array operation over the state's view: the mode's row of the
+    occupation matrix times |a|^2, summed pairwise by numpy, so the value
+    does not depend on the BLAS or its threads.
     """
     i = state.space.index(mode)
-    amp = state._amp
-    counts = np.fromiter(map(operator.itemgetter(i), amp), float, len(amp))
-    weights = np.abs(np.fromiter(amp.values(), complex, len(amp))) ** 2
-    return float((counts * weights).sum())
+    occ, amp = _view_of(state)
+    return float((occ[i] * np.abs(amp) ** 2).sum())
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +596,10 @@ class ModeMapPlan:
         expansion = self._expansion
         if expansion is None or expansion.size < size:
             expansion = self._expansion = _Expansion(self._spreads, size)
-        return _wrap(state.space, expansion.run(keys, re, im, held))
+        occ, amp = expansion.run(keys, re, im, held)
+        out = _wrap(state.space, dict(zip(zip(*occ.tolist()), amp.tolist())))
+        _set_view(out, _frozen(occ, amp))
+        return out
 
 
 class _Expansion:
@@ -634,8 +669,9 @@ class _Expansion:
         re: list[float],
         im: list[float],
         held: list[list[int]],
-    ) -> dict[Occupations, complex]:
-        """The output terms of ``ModeMapPlan.apply``, in canonical order.
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The output terms of ``ModeMapPlan.apply``, in canonical order,
+        as their occupation matrix and amplitudes (``_collect``).
 
         ``keys`` are the occupations of each input term after the moves,
         ``re`` and ``im`` the parts of its amplitude with the moves'
@@ -773,23 +809,30 @@ def _first_touch(key: np.ndarray, extent: int) -> tuple[np.ndarray, np.ndarray, 
     return firsts, slot, len(firsts), slot.take(firsts)
 
 
-def _collect(occ: np.ndarray, term: np.ndarray, a: np.ndarray, top: int) -> dict[Occupations, complex]:
-    """The output terms in canonical order, from the final terms of every
-    input term: occupations ``occ``, one column per term and none above
-    ``top``, input term ``term`` and amplitude planes ``a``.  Each basis
-    state sums its contributions from 0.0 in input order and is kept if
-    its ``abs`` (a hypot) is above ``PRUNE_EPS``."""
+def _packed(digits: np.ndarray, radix: int) -> np.ndarray:
+    """The columns of ``digits``, each digit below ``radix``, packed into
+    int64 words of base ``radix``, most significant first: columns are
+    equal iff their words are, and order as their words do."""
+    rows = len(digits)
+    per = 62 // radix.bit_length()
+    weights = [[radix ** (per - 1 - i % per) * (i // per == w) for i in range(rows)] for w in range(-(-rows // per))]
+    return np.array(weights, dtype=np.int64) @ digits
+
+
+def _collect(occ: np.ndarray, term: np.ndarray, a: np.ndarray, top: int) -> tuple[np.ndarray, np.ndarray]:
+    """The output terms in canonical order, as their occupation matrix
+    and amplitudes, from the final terms of every input term: occupations
+    ``occ``, one column per term and none above ``top``, input term
+    ``term`` and amplitude planes ``a``.  Each basis state sums its
+    contributions from 0.0 in input order and is kept if its ``abs`` (a
+    hypot) is above ``PRUNE_EPS``."""
     # canonical order is the order of the (position, n) lists: at the
     # first position where two states differ, a count sorts before a
     # larger one, and a 0 sorts after any count when a photon follows
     # it and before any count when none does
     held = occ.cumsum(axis=0)
     digits = np.where(occ, occ + 1, (held < held[-1]) * (top + 2))
-    # packed into int64 words of base top + 3, most significant first
-    modes, radix = len(occ), top + 3
-    per = 62 // radix.bit_length()
-    weights = [[radix ** (per - 1 - i % per) * (i // per == w) for i in range(modes)] for w in range(-(-modes // per))]
-    packed = np.array(weights, dtype=np.int64) @ digits
+    packed = _packed(digits, top + 3)
     order = np.lexsort((term, *packed[::-1]))
     ranked = packed.take(order, axis=1)
     head = np.empty(len(order), dtype=bool)
@@ -802,8 +845,7 @@ def _collect(occ: np.ndarray, term: np.ndarray, a: np.ndarray, top: int) -> dict
     amp.real = np.bincount(ids, a[0].take(order))
     amp.imag = np.bincount(ids, a[1].take(order))
     keep = np.hypot(amp.real, amp.imag) > PRUNE_EPS
-    kept = occ.take(order[head][keep], axis=1)
-    return dict(zip(zip(*kept.tolist()), amp[keep].tolist()))
+    return occ.take(order[head][keep], axis=1), amp[keep]
 
 
 class ModeMapProgram:
@@ -1109,6 +1151,21 @@ def susskind_glogower(space: FockSpace) -> tuple[Observable, Observable]:
 # entanglement
 
 
+def _side_ranks(side: np.ndarray, radix: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rank the distinct columns of ``side``, one side's occupations per
+    term with each below ``radix``, in order of first appearance.
+    Returns each term's rank and each rank's photon count."""
+    packed = _packed(side, radix)
+    if len(packed) == 1:
+        _, first, inverse = np.unique(packed[0], return_index=True, return_inverse=True)
+    else:
+        _, first, inverse = np.unique(packed, axis=1, return_index=True, return_inverse=True)
+    by_first = first.argsort()
+    rank = np.empty_like(by_first)
+    rank[by_first] = np.arange(by_first.size)
+    return rank.take(inverse.ravel()), side.sum(axis=0).take(first.take(by_first))
+
+
 def schmidt_values(
     state: StateVector,
     partition: tuple[Sequence[ModeLabel], Sequence[ModeLabel]],
@@ -1120,6 +1177,10 @@ def schmidt_values(
     occupation pattern on each side; the singular values squared are the
     Schmidt coefficients.  Rank 1 (one value above 1e-10) iff the state
     is separable across the partition.
+
+    The matrix is read off the state's view: each side's occupations
+    are packed into int64 words and ranked in order of first appearance
+    over the terms, so its rows and columns run in canonical term order.
 
     The matrix is block-diagonal under the photon numbers on the two
     sides: a block joins every side-A count and side-B count linked
@@ -1137,20 +1198,13 @@ def schmidt_values(
     space = state.space
     if (side_a | side_b) != frozenset(space.modes):
         raise ValueError("partition must cover all modes of the space")
-    # the occupations on each side, as a tuple (or a bare int for one mode)
-    key_a = operator.itemgetter(*sorted(space.index(m) for m in side_a))
-    key_b = operator.itemgetter(*sorted(space.index(m) for m in side_b))
-    amp = state._amp
-    if not amp:
+    occ, amp = _view_of(state)
+    if not amp.size:
         return np.zeros(0)
-    # rows and columns in order of first appearance over the terms
-    keys_a, keys_b = list(map(key_a, amp)), list(map(key_b, amp))
-    rows = {k: i for i, k in enumerate(dict.fromkeys(keys_a))}
-    cols = {k: j for j, k in enumerate(dict.fromkeys(keys_b))}
-    i = np.fromiter(map(rows.__getitem__, keys_a), np.intp, len(amp))
-    j = np.fromiter(map(cols.__getitem__, keys_b), np.intp, len(amp))
-    m = np.zeros((len(rows), len(cols)), dtype=complex)
-    m[i, j] = np.fromiter(amp.values(), complex, len(amp))
+    i, row_n = _side_ranks(occ[sorted(space.index(m) for m in side_a)], space.n_max + 1)
+    j, col_n = _side_ranks(occ[sorted(space.index(m) for m in side_b)], space.n_max + 1)
+    m = np.zeros((row_n.size, col_n.size), dtype=complex)
+    m[i, j] = amp
     # a union-find over the labels ("a", n_a) and ("b", n_b), joined by
     # the (n_a, n_b) pairs the terms hold
     root: dict = {}
@@ -1160,8 +1214,6 @@ def schmidt_values(
             label = root[label]
         return label
 
-    row_n = np.array([sum(k) if isinstance(k, tuple) else k for k in rows])
-    col_n = np.array([sum(k) if isinstance(k, tuple) else k for k in cols])
     base = int(col_n.max()) + 1
     for pair in set((row_n.take(i) * base + col_n.take(j)).tolist()):
         n_a, n_b = divmod(pair, base)

@@ -268,17 +268,20 @@ class BiphotonSpectrum:
 
 
 def _require_squarable_width(sigma: float, edge: float) -> None:
-    """Refuse a Gaussian width whose grid, out to |d| = edge, float64
-    cannot square.
+    """Refuse a Gaussian width that is not > 0, or whose grid, out to
+    |d| = edge, float64 cannot square.
 
-    The Gaussian constructors divide d^2 by a multiple of sigma^2.  Past
-    about 1e154 those squares overflow: the outer bins would read 0, or
-    ``sigma ** 2`` raises an OverflowError that names no parameter.
+    The Gaussian constructors divide d^2 by a multiple of sigma^2.  A
+    width of 0 makes that 0/0, and a negative one a decreasing grid.
+    Past about 1e154 the squares overflow: the outer bins would read 0,
+    or ``sigma ** 2`` raises an OverflowError that names no parameter.
     Below about 1e-162 sigma^2 underflows to 0, and the division would
-    be 0/0; the width is refused before any grid is built, so no
+    again be 0/0.  Each width is refused before any grid is built, so no
     RuntimeWarning is printed first.
     """
-    if not math.isfinite(edge * edge) or (sigma != 0.0 and sigma * sigma == 0.0):
+    if not sigma > 0:
+        raise ValueError(f"a spectrum of width {sigma!r} (sigma) is not > 0")
+    if not math.isfinite(edge * edge) or sigma * sigma == 0.0:
         raise ValueError(f"a spectrum of width {sigma!r} (sigma) is outside the range float64 can hold")
 
 

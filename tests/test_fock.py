@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import math
 import operator
 import re
@@ -750,7 +751,7 @@ def test_every_construction_path_is_immutable_and_canonical(made):
     # of the contract
     for name, state in made:
         assert list(state._amp) == sorted(state._amp, key=fock._order), name
-        for attr in ("space", "_amp", "other"):
+        for attr in ("space", "_amp", "_view", "other"):
             with pytest.raises(AttributeError, match="immutable"):
                 setattr(state, attr, None)
 
@@ -909,6 +910,80 @@ def test_array_readouts_equal_the_dict_loops():
     empty = StateVector(two_mode_space(), {})
     assert number_expectation(empty, path(0)) == 0
     assert fock.schmidt_values(empty, ([path(0)], [path(1)])).size == 0
+
+
+# the sha256 of the repr of every number_expectation value and the bytes
+# of every schmidt_values array on _readout_cases(), recorded while both
+# readouts still converted the amplitude dict on every call
+READOUT_DIGEST = "a5efa5fe728dfde2c4e723af448565287b8c3f3f377d665dd7ee67989a39494f"
+
+
+def _readouts(st, partition):
+    return [repr(number_expectation(st, mode)) for mode in st.space.modes], fock.schmidt_values(st, partition).tobytes()
+
+
+def test_readouts_keep_their_recorded_bits():
+    digest = hashlib.sha256()
+    for _, st, partition in _readout_cases():
+        numbers, svals = _readouts(st, partition)
+        for value in numbers:
+            digest.update(value.encode())
+        digest.update(svals)
+    assert digest.hexdigest() == READOUT_DIGEST
+
+
+def _engine_cases():
+    """Engine outputs whose readouts a view taken from another state would
+    change: one mesh on two inputs whose outputs hold the same 35 terms,
+    a splitter that keeps the support of its input, and a pair whose
+    sides of 40 modes each pack into two int64 words."""
+    from photonlab.sources import BiphotonSpectrum, frequency_entangled_pair
+
+    modes = [path(i) for i in range(4)]
+    sp = FockSpace(modes, n_max=4)
+    rng = np.random.default_rng(22)
+    mesh = build_interferometer([
+        spec
+        for depth in range(4)
+        for i in range(depth % 2, 3, 2)
+        for spec in (phase_shift(modes[i], rng.uniform(0, 2 * math.pi)), beam_splitter(modes[i], modes[i + 1], rng.uniform(0.2, 1.35)))
+    ])
+    halves = (modes[:2], modes[2:])
+    for name, occ in (("ones", {m: 1 for m in modes}), ("two", {modes[0]: 2, modes[2]: 1, modes[3]: 1})):
+        out = mesh.apply(basis_vector(sp, occ))
+        yield f"mesh_{name}", out, halves
+    yield "mesh_two_split", build_interferometer([beam_splitter(modes[0], modes[1], 0.5)]).apply(out), halves
+    pair = frequency_entangled_pair(BiphotonSpectrum.gaussian(2.35, 0.3, n_bins=40))
+    signal = [m for m in pair.space.modes if m.channel == 0]
+    idler = [m for m in pair.space.modes if m.channel == 1]
+    yield "wide_pair", build_interferometer([beam_splitter(signal[3], signal[30], 0.4)]).apply(pair), (signal, idler)
+
+
+def test_engine_views_give_the_readouts_of_the_rebuilt_state():
+    engine = set()
+    for name, st, partition in [*_readout_cases(), *_engine_cases()]:
+        if hasattr(st, "_view"):
+            engine.add(name)
+        rebuilt = StateVector(st.space, dict(st.items()))
+        assert not hasattr(rebuilt, "_view"), name
+        assert _readouts(st, partition) == _readouts(rebuilt, partition), name
+        assert np.array_equal(fock.schmidt_values(st, partition), reference_schmidt_values(st, partition)), name
+    assert {f"mesh_m{m}" for m in range(3, 8)} | {f"noon_mz_n{n}" for n in (10, 20, 40)} <= engine
+    assert {name for name, _, _ in _engine_cases()} <= engine
+
+
+def test_views_are_read_only():
+    _, out, _ = next(_readout_cases())
+    rebuilt = StateVector(out.space, dict(out.items()))
+    for st in (out, rebuilt):
+        occ, amp = fock._view_of(st)
+        assert occ.shape == (len(st.space.modes), st.num_terms) and occ.dtype == np.int64
+        assert list(zip(*occ.tolist())) == list(st._amp) and amp.tolist() == list(st._amp.values())
+        with pytest.raises(ValueError, match="read-only"):
+            occ[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            amp[0] = 0
+        assert fock._view_of(st) is st._view
 
 
 def test_spdc_uniform_rank_counts_terms():

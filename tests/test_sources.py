@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from photonlab.dispersion import PulseSpectrum
 from photonlab.elements import apply_element, phase_shift
 from photonlab.fock import (
     PRUNE_EPS,
@@ -269,12 +270,15 @@ def test_gaussian_width_past_float_range_rejected():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("sigma", [1.0e-163, 1.0e-170, 1.0e-200, 1.0e-300, 5e-324])
+@pytest.mark.parametrize("sigma", [1.0e-163, 1.0e-170, 1.0e-200, 1.0e-300, 5e-324, 0.0, -0.3])
 def test_gaussian_width_whose_square_underflows_is_refused_without_a_warning(sigma):
-    # sigma ** 2 underflows to 0, which would make the envelope's
-    # d^2 / sigma^2 a 0/0: the width is refused before any grid is built
-    with pytest.raises(ValueError, match=re.escape(f"width {sigma!r} (sigma) is outside the range float64 can hold")):
-        BiphotonSpectrum.gaussian(2.35, sigma, n_bins=16)
+    # sigma ** 2 underflows to 0, or sigma is 0, which would make the
+    # envelope's d^2 / sigma^2 a 0/0; a negative sigma would reverse the
+    # grid: the width is refused before any grid is built
+    reason = "is not > 0" if sigma <= 0 else "is outside the range float64 can hold"
+    for build in (lambda: BiphotonSpectrum.gaussian(2.35, sigma, n_bins=16), lambda: PulseSpectrum.gaussian(sigma)):
+        with pytest.raises(ValueError, match=re.escape(f"width {sigma!r} (sigma) {reason}")):
+            build()
 
 
 def test_sources_prune_after_normalizing():
