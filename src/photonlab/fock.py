@@ -23,13 +23,16 @@ phases free.
 ``ModeMapProgram`` is a plan as a dense linear stage on a support fixed
 in advance: its columns are ``ModeMapPlan.apply`` on each support term,
 and it sums them as the plan does.
-The array readouts, ``number_expectation`` and ``schmidt_values``, read
-a state's view: its occupation matrix (modes x terms, int64) and its
-amplitudes, in canonical order.  ``ModeMapPlan.apply`` fills the view of
-its output from the arrays it sorts the terms with; a state made any
-other way builds it on first use (``_view_of``).  The view is derived
-from the amplitudes and read-only, and states are immutable, so it
-cannot go stale.  Everything else reads the amplitude dict.
+A state holds its terms in one of two forms, both in canonical order:
+the amplitude dict, keyed on occupation tuples, and the view, its
+occupation matrix (modes x terms, int64) and its amplitudes as arrays.
+``ModeMapPlan.apply`` sets only the view of its output, from the arrays
+it sorts the terms with; every other constructor sets only the dict.
+The other form is derived once, on its first read, and kept: the dict
+by ``_ViewedState.__getattr__``, the view by ``_view_of``.  Both forms
+are read-only and states are immutable, so neither can go stale.  The
+array readouts, ``number_expectation`` and ``schmidt_values``, read the
+view; everything else reads the dict.
 
 Conventions:
 
@@ -303,11 +306,13 @@ class StateVector:
     keep <psi|psi> = 1 to 1e-12.
     Amplitudes are keyed on occupation tuples and kept in canonical
     order, so every sum over a state runs in the same order.
-    ``_view``, once set, holds the same terms as arrays for the array
-    readouts: the occupation matrix (modes x terms, int64) and the
-    complex amplitudes, in canonical order and read-only.  The engine
-    sets it on the states it builds; ``_view_of`` sets it on any other
-    state when a readout first asks.
+    ``_view`` holds the same terms as arrays for the array readouts: the
+    occupation matrix (modes x terms, int64) and the complex amplitudes,
+    in canonical order and read-only.  Every constructor but the engine
+    sets ``_amp`` only, and ``_view_of`` sets ``_view`` when a readout
+    first asks.  ``ModeMapPlan.apply`` sets ``_view`` only, on a
+    ``_ViewedState``, which builds ``_amp`` from it on its first read.
+    A form derived from the other is built once and kept.
     """
 
     __slots__ = ("space", "_amp", "_view")
@@ -325,6 +330,12 @@ class StateVector:
     def __setattr__(self, *_):
         raise AttributeError("StateVector is immutable")
 
+    def __reduce__(self):
+        try:
+            return _wrap, (self.space, _get_amp(self))
+        except AttributeError:
+            return _viewed, (self.space, *self._view)
+
     def amplitude(self, bs: BasisState) -> complex:
         if not self.space.contains_state(bs):
             return 0j
@@ -341,7 +352,10 @@ class StateVector:
 
     @property
     def num_terms(self) -> int:
-        return len(self._amp)
+        try:
+            return len(_get_amp(self))
+        except AttributeError:
+            return self._view[1].size
 
     def norm(self) -> float:
         return math.sqrt(sum(abs(a) ** 2 for a in self._amp.values()))
@@ -378,10 +392,33 @@ class StateVector:
         return f"StateVector({terms}{more})"
 
 
+class _ViewedState(StateVector):
+    """A state ``ModeMapPlan.apply`` made: it holds only its view until
+    its amplitude dict is first read.
+
+    The hook that builds the dict lives on this class alone.  CPython
+    reads every attribute of a class with ``__getattr__`` on a slower
+    path, which would tax the small dict states of the per-point path.
+    """
+
+    __slots__ = ()
+
+    def __getattr__(self, name: str):
+        # called only for an unset slot, so a set ``_amp`` is read without
+        # it; threads that race here build equal dicts
+        if name != "_amp":
+            raise AttributeError(f"'StateVector' object has no attribute {name!r}")
+        occ, amp = self._view
+        built = dict(zip(zip(*occ.tolist()), amp.tolist()))
+        _set_amp(self, built)
+        return built
+
+
 # the slots, written through their descriptors: StateVector's own
 # __setattr__ refuses every assignment
 _set_space = StateVector.space.__set__
 _set_amp = StateVector._amp.__set__
+_get_amp = StateVector._amp.__get__
 _set_view = StateVector._view.__set__
 
 
@@ -391,6 +428,14 @@ def _wrap(space: FockSpace, amp: dict[Occupations, complex]) -> StateVector:
     st = object.__new__(StateVector)
     _set_space(st, space)
     _set_amp(st, amp)
+    return st
+
+
+def _viewed(space: FockSpace, occ: np.ndarray, amp: np.ndarray) -> StateVector:
+    """The state holding only the view ``occ``, ``amp`` (see ``_frozen``)."""
+    st = object.__new__(_ViewedState)
+    _set_space(st, space)
+    _set_view(st, _frozen(occ, amp))
     return st
 
 
@@ -572,7 +617,11 @@ class ModeMapPlan:
         self._expansion: _Expansion | None = None
 
     def apply(self, state: StateVector) -> StateVector:
-        """The map on every basis state of ``state``."""
+        """The map on every basis state of ``state``.
+
+        The output holds only its view, the arrays ``_collect`` sorts the
+        terms with; its amplitude dict is built from them on first read.
+        """
         moves = self._moves
         if not moves and not self._spreads:
             return state
@@ -596,10 +645,7 @@ class ModeMapPlan:
         expansion = self._expansion
         if expansion is None or expansion.size < size:
             expansion = self._expansion = _Expansion(self._spreads, size)
-        occ, amp = expansion.run(keys, re, im, held)
-        out = _wrap(state.space, dict(zip(zip(*occ.tolist()), amp.tolist())))
-        _set_view(out, _frozen(occ, amp))
-        return out
+        return _viewed(state.space, *expansion.run(keys, re, im, held))
 
 
 class _Expansion:
@@ -642,7 +688,7 @@ class _Expansion:
         # ``run`` reads only binomials up to its ``count``, at most 2**53
         self.steps = np.array(
             [min(math.comb(s + k, k), _EXACT) if k < r - 1 else 0 for k in range(r) for s in range(size + 1)],
-            dtype=float,
+            dtype=np.int64,
         )
         up = np.tri(r, dtype=np.int64)
         up[r - 1:] = 0
@@ -661,7 +707,7 @@ class _Expansion:
             adjacent = local and local[-1] - local[0] == len(local) - 1
             rows = slice(local[0], local[-1] + 1) if adjacent else local
             block = parts[:, :, cols].reshape(2, 2, -1)
-            self.blocks.append((rows, cols, block, up[:, local].astype(float), hot[local].T.copy()))
+            self.blocks.append((rows, cols, block, up[:, local], hot[local].T.copy()))
 
     def run(
         self,
@@ -706,9 +752,10 @@ class _Expansion:
         differ between input terms, and a level shares none with
         another.  A photon on row i raises the rank by the sum of
         C(S_k + k, k) over i <= k < r-1; a term's rank indices are the
-        S_k + k * (size + 1), where ``steps`` holds these binomials.  The
-        sums are formed in float64, exact for integers below 2**53, so a
-        ``count`` above that, or codes past int64, raise ``FockError``.
+        S_k + k * (size + 1), where ``steps`` holds these binomials, capped
+        at 2**53.  The sums are int64 products, which numpy forms without
+        BLAS; a ``count`` above the cap, or codes past int64, raise
+        ``FockError``.
         """
         span, start, steps, size = self.span, self.start, self.steps, self.size
         r, terms = len(span), len(keys)
@@ -756,7 +803,7 @@ class _Expansion:
                 m = parts.take(index, axis=2).reshape(2, 2, -1)
                 m *= a.repeat(width, axis=1)[:, None]
                 prod = np.add(m[0], m[1], out=m[0])
-                key = (steps.take(counts[r:]).T @ up).astype(np.int64)
+                key = steps.take(counts[r:]).T @ up
                 key += code[:, None]
                 key = key.ravel()
                 first, slot, slots, touched = _first_touch(key, terms * count)
@@ -791,7 +838,8 @@ def _first_touch(key: np.ndarray, extent: int) -> tuple[np.ndarray, np.ndarray, 
     """
     n = key.size
     if extent <= 4 * n + 4096:
-        first = np.full(extent, n)
+        first = np.empty(extent, dtype=np.int64)
+        first.fill(n)
         seen = np.arange(n)
         np.minimum.at(first, key, seen)
         firsts = (first.take(key) == seen).nonzero()[0]
@@ -1203,29 +1251,38 @@ def schmidt_values(
         return np.zeros(0)
     i, row_n = _side_ranks(occ[sorted(space.index(m) for m in side_a)], space.n_max + 1)
     j, col_n = _side_ranks(occ[sorted(space.index(m) for m in side_b)], space.n_max + 1)
+    # a union-find over the photon counts, n_a for side A and top + n_b
+    # for side B, joined by the (n_a, n_b) pairs the terms hold
+    top = space.n_max + 1
+    parent = list(range(2 * top))
+
+    def find(k):
+        while parent[k] != k:
+            k = parent[k]
+        return k
+
+    for pair in set((row_n.take(i) * top + col_n.take(j)).tolist()):
+        n_a, n_b = divmod(pair, top)
+        parent[find(n_a)] = find(top + n_b)
+    root = np.array([find(k) for k in range(2 * top)])
+    row_root, col_root = root.take(row_n), root.take(col_n + top)
+    # the blocks, numbered in order of first appearance over the rows;
+    # each side's ranks sorted by block, stably, and cut at each block
+    roots, first = np.unique(row_root, return_index=True)
+    number = np.empty(2 * top, dtype=np.intp)
+    number[roots.take(first.argsort())] = np.arange(roots.size)
+    edges = np.arange(roots.size + 1)
+    places, cuts = [], []
+    for block in (number.take(row_root), number.take(col_root)):
+        order = block.argsort(kind="stable")
+        places.append(order.argsort())
+        cuts.append(np.searchsorted(block.take(order), edges).tolist())
+    # the matrix with its rows and columns in that order, so that each
+    # block is one slice of it
     m = np.zeros((row_n.size, col_n.size), dtype=complex)
-    m[i, j] = amp
-    # a union-find over the labels ("a", n_a) and ("b", n_b), joined by
-    # the (n_a, n_b) pairs the terms hold
-    root: dict = {}
-
-    def find(label):
-        while root.setdefault(label, label) != label:
-            label = root[label]
-        return label
-
-    base = int(col_n.max()) + 1
-    for pair in set((row_n.take(i) * base + col_n.take(j)).tolist()):
-        n_a, n_b = divmod(pair, base)
-        root[find(("a", n_a))] = find(("b", n_b))
-    block_a = {n: find(("a", n)) for n in set(row_n.tolist())}
-    block_b = {n: find(("b", n)) for n in set(col_n.tolist())}
-    blocks: dict = {}
-    for r, n in enumerate(row_n.tolist()):
-        blocks.setdefault(block_a[n], ([], []))[0].append(r)
-    for c, n in enumerate(col_n.tolist()):
-        blocks[block_b[n]][1].append(c)
-    values = [np.linalg.svd(m[np.ix_(r, c)], compute_uv=False) for r, c in blocks.values()]
+    m[places[0].take(i), places[1].take(j)] = amp
+    r, c = cuts
+    values = [np.linalg.svd(m[r[b]:r[b + 1], c[b]:c[b + 1]], compute_uv=False) for b in range(roots.size)]
     values.append(np.zeros(min(m.shape) - sum(v.size for v in values)))
     return np.sort(np.concatenate(values))[::-1]
 

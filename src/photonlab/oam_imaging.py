@@ -180,8 +180,9 @@ def _radial_families(
     # a broadcast power with an exponent array would call pow
     base = np.sqrt(2.0) * r / w
     power = np.stack([base ** la for la in charges])
-    # the phasor of each order 2p + |l| + 1 some mode takes, in order
-    orders = np.unique(np.add.outer(2 * np.arange(p_max + 1) + 1, charges))
+    # the phasor of each order 2p + |l| + 1 some mode takes, in order;
+    # np.unique without a return flag would import numpy.ma
+    orders = np.array(sorted({2 * p + 1 + la for p in range(p_max + 1) for la in charges}))
     phasors = np.exp(1j * (curvature + orders.reshape(to_column) * gouy_angle))
     families = []
     for p, laguerre in enumerate(_laguerre_family(p_max, column, x)):

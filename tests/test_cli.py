@@ -832,6 +832,22 @@ def test_cli_import_loads_no_scipy():
     assert loaded == "[]"
 
 
+def test_spiral_run_loads_no_numpy_ma(tmp_path):
+    # np.unique without a return flag imports numpy.ma, about half of a
+    # first spiral run
+    src = str(Path(photonlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cfg = write_config(tmp_path, base_config("spiral", tmp_path / "out", n_radial=32, n_angular=64))
+    code = (
+        "import sys\n"
+        "from photonlab.cli import main\n"
+        f"assert main(['run', {str(cfg)!r}, '--quiet']) == 0\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False"]
+
+
 def test_env_var_default_output(tmp_path, monkeypatch):
     monkeypatch.setenv("PHOTONLAB_OUT", str(tmp_path / "envruns"))
     cfg_doc = {

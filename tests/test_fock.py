@@ -1,7 +1,9 @@
 import cmath
 import hashlib
+import itertools
 import math
 import operator
+import pickle
 import re
 
 import numpy as np
@@ -984,6 +986,70 @@ def test_views_are_read_only():
         with pytest.raises(ValueError, match="read-only"):
             amp[0] = 0
         assert fock._view_of(st) is st._view
+
+
+def _has_amp(st):
+    """Whether the ``_amp`` slot is set, read past ``__getattr__``."""
+    try:
+        StateVector._amp.__get__(st)
+    except AttributeError:
+        return False
+    return True
+
+
+def test_timed_readouts_leave_engine_outputs_without_a_dict():
+    # the benchmark times apply, num_terms and both readouts on each
+    # output; each state is checked as it is made, because a later case
+    # may take it as its input, which reads its dict
+    engine = {}
+    for name, st, partition in itertools.chain(_readout_cases(), _engine_cases()):
+        if not hasattr(st, "_view"):
+            continue
+        assert not _has_amp(st), name
+        st.num_terms
+        for mode in st.space.modes:
+            number_expectation(st, mode)
+        schmidt_rank(st, partition)
+        assert not _has_amp(st), name
+        engine[name] = st
+    assert {f"mesh_m{m}" for m in range(3, 8)} | {f"noon_mz_n{n}" for n in (10, 20, 40)} <= engine.keys()
+    assert {name for name, _, _ in _engine_cases()} <= engine.keys()
+    # counted once every output exists, so a count read off any other
+    # state's view shows
+    for name, st in engine.items():
+        assert st.num_terms == StateVector(st.space, dict(st.items())).num_terms, name
+
+
+def test_the_dict_built_from_a_view_is_the_rebuilt_state():
+    for name, st, _ in itertools.chain(_readout_cases(), _engine_cases()):
+        if _has_amp(st):
+            continue
+        built = st._amp
+        assert StateVector._amp.__get__(st) is built and st._amp is built, name
+        rebuilt = StateVector(st.space, dict(st.items()))
+        assert repr(list(built.items())) == repr(list(rebuilt._amp.items())), name
+        with pytest.raises(AttributeError, match="immutable"):
+            st._amp = {}
+        assert st._amp is built
+    with pytest.raises(AttributeError, match="no attribute 'other'"):
+        st.other
+
+
+def test_states_survive_a_pickle_round_trip():
+    sp = two_mode_space()
+    one = basis_vector(sp, {path(0): 1})
+    _, mesh, partition = next(_readout_cases())
+    for st in (one, mach_zehnder(path(0), path(1), 0.7).apply(one), mesh):
+        viewed = not _has_amp(st)
+        back = pickle.loads(pickle.dumps(st))
+        assert _has_amp(back) != viewed
+        if viewed:
+            occ, amp = back._view
+            assert not occ.flags.writeable and not amp.flags.writeable
+            assert np.array_equal(occ, st._view[0]) and np.array_equal(amp, st._view[1])
+        assert back.space == st.space
+        assert repr(back.items()) == repr(st.items())
+    assert _readouts(pickle.loads(pickle.dumps(mesh)), partition) == _readouts(mesh, partition)
 
 
 def test_spdc_uniform_rank_counts_terms():
