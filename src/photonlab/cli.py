@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 import numpy as np
 import yaml
 
-from . import __version__, dispersion, metrology, oam_imaging
+from . import __version__
 from .fock import FockError, expectation
 from .sources import BiphotonSpectrum
 
@@ -233,10 +233,13 @@ def _validate_params(exp: Experiment, raw: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# experiment runners
+# experiment runners; each imports the modules it runs, so a run loads
+# only those
 
 
 def _run_sql_scaling(params: dict, seed: int | None) -> ResultBundle:
+    from . import metrology
+
     fit = metrology.scaling_experiment(
         "independent-photons",
         params["trial_grid"],
@@ -257,6 +260,8 @@ def _run_sql_scaling(params: dict, seed: int | None) -> ResultBundle:
 
 
 def _run_heisenberg_scaling(params: dict, seed: int | None) -> ResultBundle:
+    from . import metrology
+
     fit = metrology.scaling_experiment(
         "noon",
         params["photon_grid"],
@@ -282,6 +287,8 @@ def _run_heisenberg_scaling(params: dict, seed: int | None) -> ResultBundle:
 
 
 def _run_angular(params: dict, seed: int | None) -> ResultBundle:
+    from . import dispersion, metrology
+
     l = params["l"]
     proto = metrology.AngularDisplacementProtocol(l)
     thetas = np.linspace(0.0, 2.0 * math.pi, params["theta_points"], endpoint=False)
@@ -303,19 +310,22 @@ def _run_angular(params: dict, seed: int | None) -> ResultBundle:
     return ResultBundle("angular", params, (table,), summary)
 
 
+# each object from the oam_imaging module ``oam``
 _OBJECTS = {
-    "disk": lambda grid, p: oam_imaging.disk_object(grid, radius=p["radius"] * p["w0"]),
-    "letter": lambda grid, p: oam_imaging.letter_mask_object(grid, p["w0"]),
-    "harmonic": lambda grid, p: oam_imaging.angular_harmonic_object(grid, p["q"], p["w0"]),
+    "disk": lambda oam, grid, p: oam.disk_object(grid, radius=p["radius"] * p["w0"]),
+    "letter": lambda oam, grid, p: oam.letter_mask_object(grid, p["w0"]),
+    "harmonic": lambda oam, grid, p: oam.angular_harmonic_object(grid, p["q"], p["w0"]),
 }
 
 
 def _run_spiral(params: dict, seed: int | None) -> ResultBundle:
+    from . import oam_imaging
+
     # the mode geometry of project_object's default wavelength, checked
     # first, so an out-of-range waist is named before any object is built
     oam_imaging.LGModeSpec(0, 0, params["w0"], 1.0)
     grid = oam_imaging.PolarGrid(params["n_radial"], params["n_angular"], 6.0 * params["w0"])
-    profile = _OBJECTS[params["object"]](grid, params)
+    profile = _OBJECTS[params["object"]](oam_imaging, grid, params)
     if params["rotation"] != 0.0:
         profile = oam_imaging.rotate_object(profile, params["rotation"])
     spectrum = oam_imaging.project_object(
@@ -336,6 +346,8 @@ def _run_spiral(params: dict, seed: int | None) -> ResultBundle:
 
 
 def _run_doppler(params: dict, seed: int | None) -> ResultBundle:
+    from . import oam_imaging
+
     rows = []
     expected = []
     measured = []
@@ -363,17 +375,20 @@ def _run_doppler(params: dict, seed: int | None) -> ResultBundle:
     return ResultBundle("doppler", params, (table,), summary)
 
 
-# each configuration's interferogram through the medium, and without it
+# each configuration's interferogram through the medium, and without it,
+# from the dispersion module ``d``
 _INTERFEROGRAMS = {
-    "hom": lambda s, m, taus: (dispersion.hom_interferogram(s, taus, signal=m), dispersion.hom_interferogram(s, taus)),
-    "skc": lambda s, m, taus: tuple(
-        dispersion.skc_interferogram(s, medium, taus, include_fringes=False) for medium in (m, dispersion.VACUUM_PROFILE)
+    "hom": lambda d, s, m, taus: (d.hom_interferogram(s, taus, signal=m), d.hom_interferogram(s, taus)),
+    "skc": lambda d, s, m, taus: tuple(
+        d.skc_interferogram(s, medium, taus, include_fringes=False) for medium in (m, d.VACUUM_PROFILE)
     ),
-    "franson": lambda s, m, taus: (dispersion.franson_interferogram(s, m, taus), dispersion.correlation_envelope(s, taus)),
+    "franson": lambda d, s, m, taus: (d.franson_interferogram(s, m, taus), d.correlation_envelope(s, taus)),
 }
 
 
 def _run_dispersion(params: dict, seed: int | None) -> ResultBundle:
+    from . import dispersion
+
     spectrum = BiphotonSpectrum.gaussian(
         params["omega0"], params["sigma"], n_bins=params["n_bins"]
     )
@@ -382,7 +397,7 @@ def _run_dispersion(params: dict, seed: int | None) -> ResultBundle:
     taus = np.linspace(-params["tau_span"], params["tau_span"], params["tau_points"])
     medium = dispersion.DispersionProfile(tuple(params["beta"]), params["length"])
     config = params["configuration"]
-    gram, empty = _INTERFEROGRAMS[config](spectrum, medium, taus)
+    gram, empty = _INTERFEROGRAMS[config](dispersion, spectrum, medium, taus)
     envelope = np.abs(gram.kernel) ** 2
     rows = tuple(
         (float(t), float(r), float(e))
@@ -406,6 +421,8 @@ def _run_dispersion(params: dict, seed: int | None) -> ResultBundle:
 
 
 def _run_ramsey(params: dict, seed: int | None) -> ResultBundle:
+    from . import metrology
+
     times = np.linspace(params["t_min"], params["t_max"], params["t_points"])
     rows = tuple(
         (float(t), metrology.ramsey_fringe(params["omega"], float(t))) for t in times
@@ -656,7 +673,9 @@ def write_bundle(bundle: ResultBundle, out_dir: Path, seed: int | None) -> list[
     with a non-finite number in a table cell or anywhere in the summary,
     and (a ``ConfigError``) an ``out_dir`` that cannot be created or a
     target that exists but is not a regular file, which no rename could
-    replace.
+    replace.  A file that cannot be staged or renamed is a
+    ``ConfigError`` naming its target; the staged files, and the targets
+    this call already renamed into place, are removed first.
     """
     _require_complete(bundle)
     payload: dict[str, bytes] = {f"{t.name}.csv": _render_csv(t) for t in bundle.tables}
@@ -670,18 +689,27 @@ def write_bundle(bundle: ResultBundle, out_dir: Path, seed: int | None) -> list[
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}")
     staged: list[tuple[Path, Path]] = []
+    placed: list[Path] = []
+    target = out_dir
     try:
         for fname, blob in payload.items():
+            target = out_dir / fname
             tmp = out_dir / f".tmp-{os.getpid()}-{fname}"
+            staged.append((tmp, target))
             tmp.write_bytes(blob)
-            staged.append((tmp, out_dir / fname))
-        for tmp, final in staged:
-            os.replace(tmp, final)
-    except BaseException:
-        for tmp, _ in staged:
-            tmp.unlink(missing_ok=True)
+        for tmp, target in staged:
+            os.replace(tmp, target)
+            placed.append(target)
+    except BaseException as exc:
+        for path in [tmp for tmp, _ in staged] + placed:
+            try:
+                path.unlink(missing_ok=True)
+            except OSError:
+                pass
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write output file {target}: {exc.strerror or exc}") from exc
         raise
-    return [final for _, final in staged]
+    return placed
 
 
 def _resolve_seed(config: dict, seed_override: int | None = None) -> int | None:

@@ -12,11 +12,13 @@ position.  ``ModeLabel`` and ``BasisState`` appear only at the API edge:
 building states and observables, and reading amplitudes back.  Passive
 linear optics acts through one routine, ``ModeMapPlan.apply``, which
 takes the map a_j^dag -> sum_i U_ij a_i^dag of the creation operators
-and builds the output one photon level at a time, each level one numpy
-step over the terms of every input term.  Its float operations, and the
-order of every sum, are those of a dict expansion with one update per
-(term, row); complex products are written in float parts because
-numpy's complex multiply rounds differently from CPython's.
+and builds the output one photon level at a time.  A small expansion
+runs as a dict expansion with one update per (term, row); a large one
+runs each level as one numpy step over the terms of every input term,
+with the float operations and the order of every sum of that dict
+expansion (complex products are written in float parts because numpy's
+complex multiply rounds differently from CPython's).  A work bound
+counted from the input picks the path.
 ``PhaseStep`` multiplies each term of a fixed state by the factor of a
 diagonal phase map; a protocol builds one on its probe and leaves the
 phases free.
@@ -26,8 +28,9 @@ and it sums them as the plan does.
 A state holds its terms in one of two forms, both in canonical order:
 the amplitude dict, keyed on occupation tuples, and the view, its
 occupation matrix (modes x terms, int64) and its amplitudes as arrays.
-``ModeMapPlan.apply`` sets only the view of its output, from the arrays
-it sorts the terms with; every other constructor sets only the dict.
+``ModeMapPlan.apply`` reads its input through the view when the dict
+is unset, and sets only the view of its output; every other constructor
+sets only the dict.
 The other form is derived once, on its first read, and kept: the dict
 by ``_ViewedState.__getattr__``, the view by ``_view_of``.  Both forms
 are read-only and states are immutable, so neither can go stale.  The
@@ -59,6 +62,9 @@ PRUNE_EPS = 1e-15
 HERMITICITY_TOL = 1e-12
 IMAG_RESIDUE_TOL = 1e-10
 SCHMIDT_TOL = 1e-10
+# ``ModeMapPlan.apply`` expands on dicts while the updates number at most
+# this many per level of the array engine; above it, on arrays
+DICT_UPDATES_PER_LEVEL = 100
 
 
 class FockError(Exception):
@@ -408,8 +414,7 @@ class _ViewedState(StateVector):
         # it; threads that race here build equal dicts
         if name != "_amp":
             raise AttributeError(f"'StateVector' object has no attribute {name!r}")
-        occ, amp = self._view
-        built = dict(zip(zip(*occ.tolist()), amp.tolist()))
+        built = dict(_view_items(self._view))
         _set_amp(self, built)
         return built
 
@@ -445,6 +450,12 @@ def _frozen(occ: np.ndarray, amp: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     occ.flags.writeable = False
     amp.flags.writeable = False
     return occ, amp
+
+
+def _view_items(view: tuple[np.ndarray, np.ndarray]) -> Iterator[tuple[Occupations, complex]]:
+    """The terms of a view as (occupations, amplitude) pairs, in its order."""
+    occ, amp = view
+    return zip(zip(*occ.tolist()), amp.tolist())
 
 
 def _view_of(state: StateVector) -> tuple[np.ndarray, np.ndarray]:
@@ -583,20 +594,46 @@ class ModeMapPlan:
     is conserved, so the truncation cannot overflow.
 
     ``apply`` routes each input term through the moves in Python, then
-    spreads the other photons in numpy (``_Expansion``): one step per
-    photon level, over the terms of all input terms at once.  A step
-    does the arithmetic of a dict expansion with one update per (term,
-    row): it visits a level's terms in the order they were first
-    reached, scales each by 1/sqrt(p) when p > 1, and adds its product
-    with each row's factor into the target term, starting from 0.0.
-    The output sums each basis state's contributions from 0.0 in input
-    order, prunes at ``PRUNE_EPS`` and sorts into canonical order
-    (``_collect``).  So the states are bit-stable, and for finite
-    amplitudes and coefficients they equal that dict expansion bit for
-    bit.
+    spreads the other photons on one of two paths, which do the
+    arithmetic of a dict expansion with one update per (term, row): each
+    photon level visits its terms in the order they were first reached,
+    scales each by 1/sqrt(p) when p > 1, and adds its product with each
+    row's factor into the target term, starting from 0.  The output sums
+    each basis state's contributions from 0 in input order, prunes at
+    ``PRUNE_EPS`` and sorts into canonical order.  So the states are
+    bit-stable, and for finite amplitudes and coefficients both paths
+    equal that dict expansion bit for bit.
+
+    * ``_by_dict`` is that dict expansion, each term keyed by one
+      integer; its cost is about 0.3 us per update.
+    * ``_by_arrays`` runs it in numpy (``_Expansion``), one step per
+      photon level over the terms of all input terms at once; each step
+      costs a few dozen numpy calls whatever its size.
+
+    The rule: the dict path runs when its updates U number at most
+    ``DICT_UPDATES_PER_LEVEL`` (K = 100) times the array levels L
+    (``_dict_fits``).  Both are counted from the input before any
+    expansion.  K lies between the measured crossovers of the two
+    families below, U/L of about 70 for meshes and 130 for NOON states
+    (warm plans, interleaved, best of 15, on a shared 2-vCPU VM; times
+    in us, the path ``apply`` takes marked *):
+
+    ======================= ======= ========= ==========
+    input                     U/L     dict      arrays
+    ======================= ======= ========= ==========
+    one photon, 2 x 2           2      13 *        91
+    NOON N = 10, 2 x 2         22     125 *       467
+    NOON N = 40, 2 x 2         82    1096 *      1391
+    NOON N = 50, 2 x 2        102    1656        1761 *
+    NOON N = 80, 2 x 2        162    3714        3021 *
+    mesh M = 4, one per mode   35     152 *       251
+    mesh M = 5, one per mode  126     485         309 *
+    mesh M = 7, one per mode 1716    8425        1077 *
+    3 photons, 40 x 40      11480  129657       21482 *
+    ======================= ======= ========= ==========
     """
 
-    __slots__ = ("_moves", "_spreads", "_cleared", "_expansion")
+    __slots__ = ("_moves", "_spreads", "_cleared", "_blocks", "_expansion", "_factors")
 
     def __init__(self, columns: Mapping[int, Mapping[int, complex]]):
         moves: list[tuple[int, int, complex]] = []
@@ -612,53 +649,163 @@ class ModeMapPlan:
         self._moves = moves
         self._spreads = spreads
         self._cleared = [j for j, _, _ in moves] + [j for j, _ in spreads]
-        # the arrays for ``apply``, replaced whole and never mutated, so a
+        # the blocks, adjacent spread columns that reach the same rows:
+        # (first, stop) among the spread columns, and their r rows
+        self._blocks = []
+        q = 0
+        for rows, same in groupby([i for i, _ in entries] for _, entries in spreads):
+            stop = q + len(list(same))
+            self._blocks.append((q, stop, len(rows)))
+            q = stop
+        # the tables of each path, replaced whole and never mutated, so a
         # plan shared between threads stays consistent
         self._expansion: _Expansion | None = None
+        self._factors: tuple | None = None
 
     def apply(self, state: StateVector) -> StateVector:
         """The map on every basis state of ``state``.
 
-        The output holds only its view, the arrays ``_collect`` sorts the
-        terms with; its amplitude dict is built from them on first read.
+        The input is read through its view when its amplitude dict is
+        unset, so an engine output fed to another plan builds no dict.
+        The output holds only its view, in canonical order; its amplitude
+        dict is built from the view on first read.  Small expansions run
+        as a dict expansion and the others on arrays (see the class).
         """
-        moves = self._moves
-        if not moves and not self._spreads:
+        if not self._moves and not self._spreads:
             return state
-        cleared = self._cleared
+        keys, amps, held, size = self._routed(state)
+        if not keys:
+            return _wrap(state.space, {})
+        expand = self._by_dict if self._dict_fits(held) else self._by_arrays
+        return _viewed(state.space, *expand(keys, amps, held, size))
+
+    def _routed(self, state: StateVector) -> tuple[list[Occupations], list[complex], list[list[int]], int]:
+        """Each input term that keeps its photons, after the moves: its
+        occupations, its amplitude times the moves' factor and its photons
+        in each spread column; then the most photons in one term.  These
+        are the arguments of either path."""
+        try:
+            terms = _get_amp(state).items()
+        except AttributeError:
+            terms = _view_items(state._view)
+        moves, cleared = self._moves, self._cleared
         spread_cols = [j for j, _ in self._spreads]
         sinks = [j for j, entries in self._spreads if not entries]
-        keys, re, im, held = [], [], [], []
-        for occ, amp in state._amp.items():
+        keys, amps, held = [], [], []
+        size = 0
+        for occ, amp in terms:
             if any(occ[j] for j in sinks):
                 continue
+            size = max(size, sum(occ))
             key, factor = _route(occ, cleared, moves)
             if factor != 1:
                 amp = amp * factor
             keys.append(key)
-            re.append(amp.real)
-            im.append(amp.imag)
+            amps.append(amp)
             held.append([occ[j] for j in spread_cols])
-        if not keys:
-            return _wrap(state.space, {})
-        size = max(map(sum, state._amp))
+        return keys, amps, held, size
+
+    def _dict_fits(self, held: list[list[int]]) -> bool:
+        """The rule that picks the path: whether the dict expansion's
+        (term, row) updates number at most ``DICT_UPDATES_PER_LEVEL``
+        times the array engine's levels.
+
+        A term with n photons in a block of r rows makes r * C(n + r - 1, r)
+        updates there (C(p + r - 2, r - 1) terms at each level p, summed by
+        the hockey-stick identity); its blocks multiply, a term with no
+        spread photon makes none, and the terms add.  The engine takes one
+        level per photon of the fullest term in each block.
+        """
+        blocks = self._blocks
+        levels = sum(max(sum(h[q:stop]) for h in held) for q, stop, _ in blocks)
+        budget = DICT_UPDATES_PER_LEVEL * levels
+        updates = 0
+        for h in held:
+            work = 0
+            for q, stop, r in blocks:
+                n = sum(h[q:stop])
+                if n:
+                    work = (work or 1) * r * math.comb(n + r - 1, r)
+            updates += work
+            if updates > budget:
+                return False
+        return True
+
+    def _by_dict(
+        self,
+        keys: list[Occupations],
+        amps: list[complex],
+        held: list[list[int]],
+        size: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The small-input path: the dict expansion, one update per (term,
+        row), with each term keyed by the integer sum_i n_i * B**i, where
+        B - 1 is the photon count the factor table covers, at least
+        ``size``.  A photon on row i adds B**i to the key, and the row
+        held t // B**i % B photons before.  Returns the output's
+        occupation matrix and amplitudes, pruned at ``PRUNE_EPS`` by
+        ``abs`` and in canonical order."""
+        factors = self._factors
+        if factors is None or factors[0] < size:
+            factors = self._factors = (size, [
+                [(i, [c * math.sqrt(k + 1) for k in range(size)]) for i, c in entries]
+                for _, entries in self._spreads
+            ])
+        base = factors[0] + 1
+        m = len(keys[0])
+        powers = [base**i for i in range(m)]
+        spreads = [[(powers[i], cs) for i, cs in rows] for rows in factors[1]]
+        out: dict[int, complex] = {}
+        for key, amp, photons in zip(keys, amps, held):
+            terms = {sum(map(operator.mul, key, powers)): amp}
+            for rows, n in zip(spreads, photons):
+                for p in range(1, n + 1):
+                    scale = 1 / math.sqrt(p)
+                    nxt: dict[int, complex] = {}
+                    for t, x in terms.items():
+                        if p > 1:
+                            x = x * scale
+                        for step, cs in rows:
+                            u = t + step
+                            nxt[u] = nxt.get(u, 0) + x * cs[t // step % base]
+                    terms = nxt
+            for t, x in terms.items():
+                out[t] = out.get(t, 0) + x
+        kept = sorted(
+            ((tuple(t // q % base for q in powers), a) for t, a in out.items() if abs(a) > PRUNE_EPS),
+            key=_item_order,
+        )
+        occ = np.array(list(zip(*(o for o, _ in kept))), dtype=np.int64).reshape(m, len(kept))
+        return occ, np.array([a for _, a in kept], dtype=complex)
+
+    def _by_arrays(
+        self,
+        keys: list[Occupations],
+        amps: list[complex],
+        held: list[list[int]],
+        size: int,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The array path, ``_Expansion.run``, with the same result as
+        ``_by_dict``."""
         expansion = self._expansion
         if expansion is None or expansion.size < size:
-            expansion = self._expansion = _Expansion(self._spreads, size)
-        return _viewed(state.space, *expansion.run(keys, re, im, held))
+            expansion = self._expansion = _Expansion(self._spreads, self._blocks, size)
+        return expansion.run(keys, amps, held)
 
 
 class _Expansion:
     """The spread columns of a plan as arrays, for terms of up to
-    ``size`` photons, and the expansion of routed terms over them.
+    ``size`` photons, and the expansion of routed terms over them: the
+    array path of ``ModeMapPlan.apply``, which takes it for expansions
+    too large for the dict path (see ``ModeMapPlan``).
 
     The arrays run over the span, the r rows the spreads reach.  A term
     is a column of 2r integers: its counts on the span, each offset by
     its row's position times ``size``, then its rank indices (see
     ``run``); the terms of a level lie side by side.
 
-    Adjacent spread columns that reach the same rows form a block, which
-    ``run`` expands together.  Per block, ``blocks`` holds:
+    ``run`` expands each of the plan's blocks, adjacent spread columns
+    that reach the same rows, together.  Per block, ``blocks`` holds:
 
     * the rows' positions in the span, as a slice when they are adjacent;
     * the positions of its columns among the spread columns;
@@ -679,7 +826,7 @@ class _Expansion:
 
     __slots__ = ("size", "span", "start", "steps", "blocks")
 
-    def __init__(self, spreads: list, size: int):
+    def __init__(self, spreads: list, blocks: list[tuple[int, int, int]], size: int):
         span = sorted({i for _, entries in spreads for i, _ in entries})
         r = len(span)
         self.size = size
@@ -700,10 +847,9 @@ class _Expansion:
         re, im = c.real[..., None] * root, c.imag[..., None] * root
         parts = np.array([[re, im], [-im, re]]).reshape(2, 2, len(spreads), r * size)
         self.blocks = []
-        q = 0
-        for local, same in groupby([span.index(i) for i, _ in entries] for _, entries in spreads):
-            cols = list(range(q, q + len(list(same))))
-            q = cols[-1] + 1
+        for q, stop, _ in blocks:
+            local = [span.index(i) for i, _ in spreads[q][1]]
+            cols = list(range(q, stop))
             adjacent = local and local[-1] - local[0] == len(local) - 1
             rows = slice(local[0], local[-1] + 1) if adjacent else local
             block = parts[:, :, cols].reshape(2, 2, -1)
@@ -712,16 +858,15 @@ class _Expansion:
     def run(
         self,
         keys: list[Occupations],
-        re: list[float],
-        im: list[float],
+        amps: list[complex],
         held: list[list[int]],
     ) -> tuple[np.ndarray, np.ndarray]:
         """The output terms of ``ModeMapPlan.apply``, in canonical order,
         as their occupation matrix and amplitudes (``_collect``).
 
         ``keys`` are the occupations of each input term after the moves,
-        ``re`` and ``im`` the parts of its amplitude with the moves'
-        factor, and ``held`` its photons in each spread column.
+        ``amps`` its amplitude with the moves' factor, and ``held`` its
+        photons in each spread column.
 
         The terms of all input terms live in one set of arrays: per term
         a code g * count + rank, g being its input term, its column of
@@ -771,7 +916,8 @@ class _Expansion:
         counts = np.zeros((2 * r, terms), dtype=np.int64)
         counts[:r] = base[span]
         counts += start[:, None]
-        a = np.array([re, im])
+        z = np.array(amps, dtype=complex)
+        a = np.array([z.real, z.imag])
         code = np.arange(0, terms * count, count, dtype=np.int64)
         need = np.array(held, dtype=np.int64).reshape(terms, -1)
         for rows, cols, parts, up, hot in self.blocks:

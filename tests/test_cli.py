@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import errno
 import hashlib
 import json
 import math
@@ -846,6 +847,59 @@ def test_spiral_run_loads_no_numpy_ma(tmp_path):
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert done.stdout.split() == ["False"]
+
+
+@pytest.mark.parametrize(
+    "experiment, params, absent",
+    [
+        ("ramsey", {}, {"dispersion", "oam_imaging"}),
+        ("spiral", dict(n_radial=32, n_angular=64), {"metrology", "elements", "dispersion"}),
+    ],
+)
+def test_a_run_loads_only_the_modules_it_uses(tmp_path, experiment, params, absent):
+    src = str(Path(photonlab.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cfg = write_config(tmp_path, base_config(experiment, tmp_path / "out", **params))
+    code = (
+        "import sys\n"
+        "from photonlab.cli import main\n"
+        f"assert main(['run', {str(cfg)!r}, '--quiet']) == 0\n"
+        "print(' '.join(m.split('.')[1] for m in sys.modules if m.startswith('photonlab.')))"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    loaded = set(done.stdout.split())
+    assert {"cli", "fock"} <= loaded and not loaded & absent
+
+
+def _failing_on_call(real, n, exc):
+    """``real``, except that its ``n``-th call raises ``exc``."""
+    calls = []
+
+    def patched(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == n:
+            raise exc
+        return real(*args, **kwargs)
+
+    return patched
+
+
+@pytest.mark.parametrize(
+    "phase, owner, name, exc",
+    [
+        ("stage", Path, "write_bytes", OSError(errno.ENOSPC, "No space left on device")),
+        ("rename", os, "replace", PermissionError(errno.EACCES, "Permission denied")),
+    ],
+)
+def test_a_failed_write_exits_2_naming_its_target_and_leaves_no_file(tmp_path, monkeypatch, capsys, phase, owner, name, exc):
+    # the second file, summary.json, fails after fringe.csv is staged,
+    # or renamed into place
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, base_config("ramsey", tmp_path / "unused"))
+    monkeypatch.setattr(owner, name, _failing_on_call(getattr(owner, name), 2, exc))
+    assert main(["run", str(cfg), "--out", str(out), "--quiet"]) == EXIT_CONFIG
+    assert f"cannot write output file {out / 'summary.json'}: {exc.strerror}" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_env_var_default_output(tmp_path, monkeypatch):

@@ -588,6 +588,22 @@ def reference_apply(plan, state):
     return fock._wrap(state.space, fock._canonical(out))
 
 
+def through_each_path(plan, state):
+    """``plan.apply(state)`` forced down the dict path, then down the array
+    path, by calling each of the two expansions ``apply`` picks from."""
+    if not plan._moves and not plan._spreads:
+        return [state, state]
+    routed = plan._routed(state)
+    if not routed[0]:
+        return [fock._wrap(state.space, {})] * 2
+    return [fock._viewed(state.space, *expand(*routed)) for expand in (plan._by_dict, plan._by_arrays)]
+
+
+def every_path_equals(plan, state, want):
+    """Whether ``apply`` and both forced paths all give ``want``, by repr."""
+    return all(same_items(out, want) for out in [plan.apply(state), *through_each_path(plan, state)])
+
+
 def composed_map(interferometer, space):
     """The one map ``Interferometer.apply`` builds from its elements."""
     u = {}
@@ -613,7 +629,7 @@ def test_plan_equals_the_dict_expansion_on_brick_meshes(m):
     out = plan.apply(state)
     assert out.num_terms == math.comb(2 * m - 1, m)
     want = reference_apply(plan, state)
-    assert same_items(out, want)
+    assert every_path_equals(plan, state, want)
     # the interferometer's own plan, built on the first apply and reused
     for _ in range(2):
         assert same_items(interferometer.apply(state), want)
@@ -628,7 +644,7 @@ def test_plan_equals_the_dict_expansion_on_noon_states(n):
         interferometer = mach_zehnder(a, b, phi)
         plan = ModeMapPlan(composed_map(interferometer, sp))
         want = reference_apply(plan, state)
-        assert same_items(plan.apply(state), want)
+        assert every_path_equals(plan, state, want)
         for _ in range(2):
             assert same_items(interferometer.apply(state), want)
 
@@ -649,7 +665,7 @@ def maps_on_mixed_states(draw):
 @given(maps_on_mixed_states())
 def test_plan_equals_the_dict_expansion_on_any_map(case):
     plan, state = case
-    assert same_items(plan.apply(state), reference_apply(plan, state))
+    assert every_path_equals(plan, state, reference_apply(plan, state))
 
 
 def test_plan_equals_the_dict_expansion_at_the_edges():
@@ -680,7 +696,7 @@ def test_plan_equals_the_dict_expansion_at_the_edges():
         (ModeMapPlan({0: {0: c, 1: s}, 2: {1: 1j}}), mixed),
     ]
     for plan, state in cases:
-        assert same_items(plan.apply(state), reference_apply(plan, state))
+        assert every_path_equals(plan, state, reference_apply(plan, state))
 
 
 def test_wide_map_on_three_photons_keeps_its_keys_exact():
@@ -696,7 +712,7 @@ def test_wide_map_on_three_photons_keeps_its_keys_exact():
     plan = ModeMapPlan({j: {i: complex(u[i, j]) for i in range(m)} for j in range(m)})
     out = plan.apply(state)
     assert out.num_terms == 11480
-    assert same_items(out, reference_apply(plan, state))
+    assert every_path_equals(plan, state, reference_apply(plan, state))
     items = list(out._amp.items())
     for k in [0, len(items) - 1, *rng.choice(len(items), size=14, replace=False)]:
         t, amp = items[k]
@@ -709,6 +725,41 @@ def test_expansion_too_large_to_number_raises_naming_its_size():
     plan = ModeMapPlan({0: {i: 0.125 for i in range(64)}})
     with pytest.raises(FockError, match=str(math.comb(93, 30))):
         plan.apply(basis_vector(sp, {path(0): 30}))
+
+
+def test_small_expansions_run_on_dicts_and_large_ones_on_arrays(monkeypatch):
+    # a NOON state of N photons through a Mach-Zehnder makes 2 N (N + 1)
+    # updates over N levels, so N = 49 sits on the bound and N = 50 past it
+    taken = []
+    for name in ("_by_dict", "_by_arrays"):
+        real = getattr(ModeMapPlan, name)
+
+        def spy(self, *routed, real=real, name=name):
+            taken.append(name)
+            return real(self, *routed)
+
+        monkeypatch.setattr(ModeMapPlan, name, spy)
+    sides = {}
+    # the benchmark's shapes, each made by one apply
+    for name, _, _ in _readout_cases():
+        if name.startswith(("mesh_m", "noon_mz")):
+            (sides[name],) = taken
+        taken.clear()
+    a, b = path(0), path(1)
+    inputs = {"one photon": (mach_zehnder(a, b, 0.7).apply, basis_vector(FockSpace([a, b], n_max=1), {a: 1}))}
+    for n in (49, 50):
+        inputs[f"noon_mz_n{n}"] = (mach_zehnder(a, b, 1.1).apply, noon_state(FockSpace([a, b], n_max=n), a, b, n))
+    # the shape of test_wide_map_on_three_photons_keeps_its_keys_exact
+    sp = FockSpace([path(i) for i in range(40)], n_max=3)
+    wide = ModeMapPlan({j: {i: 0.15 for i in range(40)} for j in range(40)})
+    inputs["wide"] = (wide.apply, basis_vector(sp, {path(i): 1 for i in (3, 17, 31)}))
+    for name, (apply, state) in inputs.items():
+        apply(state)
+        (sides[name],) = taken
+        taken.clear()
+    on_dicts = {"one photon", "mesh_m3", "mesh_m4", "noon_mz_n10", "noon_mz_n20", "noon_mz_n40", "noon_mz_n49"}
+    assert set(sides) == on_dicts | {"mesh_m5", "mesh_m6", "mesh_m7", "noon_mz_n50", "wide"}
+    assert sides == {name: "_by_dict" if name in on_dicts else "_by_arrays" for name in sides}
 
 
 @st.composite
@@ -1014,6 +1065,15 @@ def test_timed_readouts_leave_engine_outputs_without_a_dict():
         engine[name] = st
     assert {f"mesh_m{m}" for m in range(3, 8)} | {f"noon_mz_n{n}" for n in (10, 20, 40)} <= engine.keys()
     assert {name for name, _, _ in _engine_cases()} <= engine.keys()
+    # a plan reads an engine output through its view, on either path:
+    # mesh_two_split was made from mesh_two
+    two = engine["mesh_two"]
+    assert not _has_amp(two)
+    split = ModeMapPlan(composed_map(build_interferometer([beam_splitter(path(0), path(1), 0.5)]), two.space))
+    outs = through_each_path(split, two)
+    assert not _has_amp(two)
+    want = reference_apply(split, two)
+    assert all(same_items(out, want) for out in [engine["mesh_two_split"], *outs])
     # counted once every output exists, so a count read off any other
     # state's view shows
     for name, st in engine.items():
