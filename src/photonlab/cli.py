@@ -673,9 +673,12 @@ def write_bundle(bundle: ResultBundle, out_dir: Path, seed: int | None) -> list[
     with a non-finite number in a table cell or anywhere in the summary,
     and (a ``ConfigError``) an ``out_dir`` that cannot be created or a
     target that exists but is not a regular file, which no rename could
-    replace.  A file that cannot be staged or renamed is a
-    ``ConfigError`` naming its target; the staged files, and the targets
-    this call already renamed into place, are removed first.
+    replace.  The targets an earlier run wrote are renamed aside before
+    any new file is renamed into place, and removed once every new file
+    is.  A file that cannot be staged or renamed is a ``ConfigError``
+    naming its target; the staged files and the targets this call
+    already renamed into place are removed first, and the earlier files
+    are renamed back, so the directory keeps the earlier bundle whole.
     """
     _require_complete(bundle)
     payload: dict[str, bytes] = {f"{t.name}.csv": _render_csv(t) for t in bundle.tables}
@@ -689,6 +692,7 @@ def write_bundle(bundle: ResultBundle, out_dir: Path, seed: int | None) -> list[
     except OSError as exc:
         raise ConfigError(f"cannot create output directory {out_dir}: {exc.strerror}")
     staged: list[tuple[Path, Path]] = []
+    aside: list[tuple[Path, Path]] = []
     placed: list[Path] = []
     target = out_dir
     try:
@@ -697,19 +701,35 @@ def write_bundle(bundle: ResultBundle, out_dir: Path, seed: int | None) -> list[
             tmp = out_dir / f".tmp-{os.getpid()}-{fname}"
             staged.append((tmp, target))
             tmp.write_bytes(blob)
+        for _, target in staged:
+            if target.exists():
+                old = out_dir / f".old-{os.getpid()}-{target.name}"
+                os.replace(target, old)
+                aside.append((old, target))
         for tmp, target in staged:
             os.replace(tmp, target)
             placed.append(target)
     except BaseException as exc:
-        for path in [tmp for tmp, _ in staged] + placed:
+        _discard([tmp for tmp, _ in staged] + placed)
+        for old, earlier in aside:
             try:
-                path.unlink(missing_ok=True)
+                os.replace(old, earlier)
             except OSError:
                 pass
         if isinstance(exc, OSError):
             raise ConfigError(f"cannot write output file {target}: {exc.strerror or exc}") from exc
         raise
+    _discard([old for old, _ in aside])
     return placed
+
+
+def _discard(paths: list[Path]) -> None:
+    """Remove each of ``paths`` that exists, as far as the system lets."""
+    for path in paths:
+        try:
+            path.unlink(missing_ok=True)
+        except OSError:
+            pass
 
 
 def _resolve_seed(config: dict, seed_override: int | None = None) -> int | None:

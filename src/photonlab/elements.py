@@ -47,6 +47,7 @@ from .fock import (
     ModeLabel,
     ModeMapPlan,
     StateVector,
+    _terms,
 )
 
 # column j -> {row i: U_ij}, on positions in FockSpace.modes; absent
@@ -233,7 +234,8 @@ def require_mirrors(state: StateVector, missing: Mapping[int, ModeLabel], u: Mod
     if not missing:
         return
     space = state.space
-    populated = [j for j in range(len(space.modes)) if any(occ[j] for occ in state._amp)]
+    # read from the form the state holds, so an engine output builds no dict
+    populated = [j for j, col in enumerate(zip(*(occ for occ, _ in _terms(state)))) if any(col)]
     u = u or {}
     for f, target in missing.items():
         if any(abs(_column(u, j).get(f, 0)) > PRUNE_EPS for j in populated):

@@ -12,13 +12,13 @@ position.  ``ModeLabel`` and ``BasisState`` appear only at the API edge:
 building states and observables, and reading amplitudes back.  Passive
 linear optics acts through one routine, ``ModeMapPlan.apply``, which
 takes the map a_j^dag -> sum_i U_ij a_i^dag of the creation operators
-and builds the output one photon level at a time.  A small expansion
-runs as a dict expansion with one update per (term, row); a large one
-runs each level as one numpy step over the terms of every input term,
-with the float operations and the order of every sum of that dict
-expansion (complex products are written in float parts because numpy's
-complex multiply rounds differently from CPython's).  A work bound
-counted from the input picks the path.
+and builds the output of each input term on its own, one photon level
+at a time.  A small expansion runs as a dict expansion with one update
+per (term, row); a large one runs each level as one numpy step over the
+terms of that level, with the float operations and the order of every
+sum of that dict expansion (complex products are written in float parts
+because numpy's complex multiply rounds differently from CPython's).  A
+work bound counted from the input picks the path.
 ``PhaseStep`` multiplies each term of a fixed state by the factor of a
 diagonal phase map; a protocol builds one on its probe and leaves the
 phases free.
@@ -64,7 +64,7 @@ IMAG_RESIDUE_TOL = 1e-10
 SCHMIDT_TOL = 1e-10
 # ``ModeMapPlan.apply`` expands on dicts while the updates number at most
 # this many per level of the array engine; above it, on arrays
-DICT_UPDATES_PER_LEVEL = 100
+DICT_UPDATES_PER_LEVEL = 70
 
 
 class FockError(Exception):
@@ -458,6 +458,16 @@ def _view_items(view: tuple[np.ndarray, np.ndarray]) -> Iterator[tuple[Occupatio
     return zip(zip(*occ.tolist()), amp.tolist())
 
 
+def _terms(state: StateVector) -> Iterable[tuple[Occupations, complex]]:
+    """The terms of ``state`` as (occupations, amplitude) pairs, in
+    canonical order, read from its dict when that is set and from its
+    view otherwise, so that neither form is built."""
+    try:
+        return _get_amp(state).items()
+    except AttributeError:
+        return _view_items(state._view)
+
+
 def _view_of(state: StateVector) -> tuple[np.ndarray, np.ndarray]:
     """The view of ``state``, built and kept on first use when the
     engine did not set it; threads that race here build equal views."""
@@ -595,42 +605,48 @@ class ModeMapPlan:
 
     ``apply`` routes each input term through the moves in Python, then
     spreads the other photons on one of two paths, which do the
-    arithmetic of a dict expansion with one update per (term, row): each
-    photon level visits its terms in the order they were first reached,
-    scales each by 1/sqrt(p) when p > 1, and adds its product with each
-    row's factor into the target term, starting from 0.  The output sums
-    each basis state's contributions from 0 in input order, prunes at
-    ``PRUNE_EPS`` and sorts into canonical order.  So the states are
-    bit-stable, and for finite amplitudes and coefficients both paths
-    equal that dict expansion bit for bit.
+    arithmetic of a dict expansion with one update per (term, row).
+    Both expand each input term on its own, spread column by spread
+    column and one level per photon: each level visits its terms in the
+    order they were first reached, scales each by 1/sqrt(p) when p > 1,
+    and adds its product with each row's factor into the target term,
+    starting from 0.  The output sums each basis state's contributions
+    from 0 in input order, prunes at ``PRUNE_EPS`` and sorts into
+    canonical order.  So the states are bit-stable, and for finite
+    amplitudes and coefficients both paths equal that dict expansion bit
+    for bit.
 
     * ``_by_dict`` is that dict expansion, each term keyed by one
       integer; its cost is about 0.3 us per update.
     * ``_by_arrays`` runs it in numpy (``_Expansion``), one step per
-      photon level over the terms of all input terms at once; each step
-      costs a few dozen numpy calls whatever its size.
+      level; each step costs a few dozen numpy calls whatever its size.
 
     The rule: the dict path runs when its updates U number at most
-    ``DICT_UPDATES_PER_LEVEL`` (K = 100) times the array levels L
-    (``_dict_fits``).  Both are counted from the input before any
-    expansion.  K lies between the measured crossovers of the two
-    families below, U/L of about 70 for meshes and 130 for NOON states
-    (warm plans, interleaved, best of 15, on a shared 2-vCPU VM; times
-    in us, the path ``apply`` takes marked *):
+    ``DICT_UPDATES_PER_LEVEL`` (K = 70) times the levels L of the array
+    path, one per spread photon of each input term (``_dict_fits``).
+    Both are counted from the input before any expansion.  K lies
+    between the measured crossovers of the two families below, U/L of
+    about 45 for meshes and 90 for NOON states (warm plans, interleaved,
+    best of 15, on a shared 2-vCPU VM; times in us, the path ``apply``
+    takes marked *):
 
-    ======================= ======= ========= ==========
-    input                     U/L     dict      arrays
-    ======================= ======= ========= ==========
-    one photon, 2 x 2           2      13 *        91
-    NOON N = 10, 2 x 2         22     125 *       467
-    NOON N = 40, 2 x 2         82    1096 *      1391
-    NOON N = 50, 2 x 2        102    1656        1761 *
-    NOON N = 80, 2 x 2        162    3714        3021 *
-    mesh M = 4, one per mode   35     152 *       251
-    mesh M = 5, one per mode  126     485         309 *
-    mesh M = 7, one per mode 1716    8425        1077 *
-    3 photons, 40 x 40      11480  129657       21482 *
-    ======================= ======= ========= ==========
+    ================================ ======= ========= ==========
+    input                              U/L     dict      arrays
+    ================================ ======= ========= ==========
+    one photon, 2 x 2                    2      16 *        72
+    NOON N = 10, 2 x 2                  11      96 *       461
+    NOON N = 40, 2 x 2                  41     964 *      1787
+    NOON N = 69, 2 x 2                  70    2541 *      3188
+    NOON N = 70, 2 x 2                  71    2682        3244 *
+    NOON N = 90, 2 x 2                  91    4463        4421 *
+    NOON N = 120, 2 x 2                121    8043        6198 *
+    mesh M = 4, one per mode            35     124 *       147
+    mesh M = 5, one per mode           126     477         209 *
+    mesh M = 7, one per mode          1716    8550        1043 *
+    6 terms of 3 photons, M = 5 mesh    35     273 *       515
+    6 terms of 5 photons, M = 5 mesh   126    1343        1036 *
+    3 photons, 40 x 40               11480  134356       20887 *
+    ================================ ======= ========= ==========
     """
 
     __slots__ = ("_moves", "_spreads", "_cleared", "_blocks", "_expansion", "_factors")
@@ -650,7 +666,8 @@ class ModeMapPlan:
         self._spreads = spreads
         self._cleared = [j for j, _, _ in moves] + [j for j, _ in spreads]
         # the blocks, adjacent spread columns that reach the same rows:
-        # (first, stop) among the spread columns, and their r rows
+        # (first, stop) among the spread columns, and their r rows; the
+        # dict path's updates are counted per block (``_dict_fits``)
         self._blocks = []
         q = 0
         for rows, same in groupby([i for i, _ in entries] for _, entries in spreads):
@@ -684,16 +701,12 @@ class ModeMapPlan:
         occupations, its amplitude times the moves' factor and its photons
         in each spread column; then the most photons in one term.  These
         are the arguments of either path."""
-        try:
-            terms = _get_amp(state).items()
-        except AttributeError:
-            terms = _view_items(state._view)
         moves, cleared = self._moves, self._cleared
         spread_cols = [j for j, _ in self._spreads]
         sinks = [j for j, entries in self._spreads if not entries]
         keys, amps, held = [], [], []
         size = 0
-        for occ, amp in terms:
+        for occ, amp in _terms(state):
             if any(occ[j] for j in sinks):
                 continue
             size = max(size, sum(occ))
@@ -714,15 +727,13 @@ class ModeMapPlan:
         updates there (C(p + r - 2, r - 1) terms at each level p, summed by
         the hockey-stick identity); its blocks multiply, a term with no
         spread photon makes none, and the terms add.  The engine takes one
-        level per photon of the fullest term in each block.
+        level per spread photon of each term.
         """
-        blocks = self._blocks
-        levels = sum(max(sum(h[q:stop]) for h in held) for q, stop, _ in blocks)
-        budget = DICT_UPDATES_PER_LEVEL * levels
+        budget = DICT_UPDATES_PER_LEVEL * sum(map(sum, held))
         updates = 0
         for h in held:
             work = 0
-            for q, stop, r in blocks:
+            for q, stop, r in self._blocks:
                 n = sum(h[q:stop])
                 if n:
                     work = (work or 1) * r * math.comb(n + r - 1, r)
@@ -789,7 +800,7 @@ class ModeMapPlan:
         ``_by_dict``."""
         expansion = self._expansion
         if expansion is None or expansion.size < size:
-            expansion = self._expansion = _Expansion(self._spreads, self._blocks, size)
+            expansion = self._expansion = _Expansion(self._spreads, size)
         return expansion.run(keys, amps, held)
 
 
@@ -804,17 +815,15 @@ class _Expansion:
     its row's position times ``size``, then its rank indices (see
     ``run``); the terms of a level lie side by side.
 
-    ``run`` expands each of the plan's blocks, adjacent spread columns
-    that reach the same rows, together.  Per block, ``blocks`` holds:
+    Per spread column, ``columns`` holds:
 
-    * the rows' positions in the span, as a slice when they are adjacent;
-    * the positions of its columns among the spread columns;
-    * ``parts``, 2 x 2 planes whose entry (q * r + i) * size + k holds
-      [[re, im], [-im, re]] of the factor of the block's column q for
-      span row i when that row already holds k photons, so that xr times
-      the first plane plus xi times the second is their product in
-      CPython's order, (xr * cr - xi * ci, xr * ci + xi * cr);
-    * ``up``, with up[k, q] = 1 where a photon on the block's row q
+    * its rows' positions in the span, as a slice when they are adjacent;
+    * ``parts``, 2 x 2 planes whose entry i * size + k holds
+      [[re, im], [-im, re]] of the column's factor for span row i when
+      that row already holds k photons, so that xr times the first plane
+      plus xi times the second is their product in CPython's order,
+      (xr * cr - xi * ci, xr * ci + xi * cr);
+    * ``up``, with up[k, q] = 1 where a photon on the column's row q
       raises the rank step of span row k;
     * ``hot``, whose column q adds that photon to a term.
 
@@ -824,9 +833,9 @@ class _Expansion:
     sum from 0.0 can tell.
     """
 
-    __slots__ = ("size", "span", "start", "steps", "blocks")
+    __slots__ = ("size", "span", "start", "steps", "columns")
 
-    def __init__(self, spreads: list, blocks: list[tuple[int, int, int]], size: int):
+    def __init__(self, spreads: list, size: int):
         span = sorted({i for _, entries in spreads for i, _ in entries})
         r = len(span)
         self.size = size
@@ -840,20 +849,17 @@ class _Expansion:
         up = np.tri(r, dtype=np.int64)
         up[r - 1:] = 0
         hot = np.hstack([np.eye(r, dtype=np.int64), up.T])
-        # every spread column's coefficient on every span row
-        c = np.array([[dict(entries).get(i, 0) for i in span] for _, entries in spreads], dtype=complex)
-        c = c.reshape(len(spreads), r)
         root = np.sqrt(np.arange(1, size + 1))
-        re, im = c.real[..., None] * root, c.imag[..., None] * root
-        parts = np.array([[re, im], [-im, re]]).reshape(2, 2, len(spreads), r * size)
-        self.blocks = []
-        for q, stop, _ in blocks:
-            local = [span.index(i) for i, _ in spreads[q][1]]
-            cols = list(range(q, stop))
+        self.columns = []
+        for _, entries in spreads:
+            # the column's coefficient on every span row
+            c = np.array([dict(entries).get(i, 0) for i in span], dtype=complex)
+            re, im = c.real[:, None] * root, c.imag[:, None] * root
+            parts = np.array([[re, im], [-im, re]]).reshape(2, 2, r * size)
+            local = [span.index(i) for i, _ in entries]
             adjacent = local and local[-1] - local[0] == len(local) - 1
             rows = slice(local[0], local[-1] + 1) if adjacent else local
-            block = parts[:, :, cols].reshape(2, 2, -1)
-            self.blocks.append((rows, cols, block, up[:, local], hot[local].T.copy()))
+            self.columns.append((rows, parts, up[:, local], hot[local].T.copy()))
 
     def run(
         self,
@@ -868,109 +874,77 @@ class _Expansion:
         ``amps`` its amplitude with the moves' factor, and ``held`` its
         photons in each spread column.
 
-        The terms of all input terms live in one set of arrays: per term
-        a code g * count + rank, g being its input term, its column of
-        counts and rank indices, and its amplitude parts (xr, xi), kept
-        as two planes.  An input term spreads the photons it holds in a
-        block column by column, and photon p of a column is one level of
-        its expansion.  Step s of a block takes every input term to its
-        level s + 1 there, whatever column and p that is; the input terms
-        with fewer photons in the block wait until it is done.
+        Each input term is expanded on its own, as ``_by_dict`` does: its
+        terms are a column of counts and rank indices each, and their
+        amplitude parts (xr, xi), kept as two planes.  The term spreads
+        its photons column by column, and photon p of a column is one
+        level, which scales each term by 1/sqrt(p) when p > 1, forms each
+        (term, row) product in float parts as CPython multiplies two
+        complex numbers (numpy's complex multiply may round otherwise),
+        orders the targets by first touch over the (term, row) pairs,
+        and sums each target's products in that order from 0.0: what a
+        dict filled with ``nxt.get(key, 0) + x * c`` holds, -0.0 parts
+        turned into 0.0 included.  CPython scales by the complex (s, 0.0),
+        whose extra products are signed zeros; that changes a finite part
+        in the sign of a zero at most, which no later product or sum from
+        0.0 can tell.
 
-        A step scales each term by 1/sqrt(p), forms each (term, row)
-        product in float parts as CPython multiplies two complex numbers
-        (numpy's complex multiply may round otherwise), orders the
-        targets by first touch over the (term, row) pairs, and sums each
-        target's products in that order from 0.0: what a dict filled
-        with ``nxt.get(key, 0) + x * c`` holds, -0.0 parts turned into
-        0.0 included.  Two differences change a finite part in the sign
-        of a zero at most, which no later product or sum from 0.0 can
-        tell: CPython scales by the complex (s, 0.0), whose extra
-        products are signed zeros, and the step scales a term at p = 1 by
-        1.0 when other terms of the step are at p > 1.
-
-        A target is keyed by its code.  The rank is that of the
-        combinatorial number system over the span, sum_{k < r-1}
-        C(S_k + k, k + 1) with S_k the photons spread on span rows 0..k:
-        one to one on the occupations of each total, and below
-        ``count``, their number at the largest total ``top``.  So codes
-        differ between input terms, and a level shares none with
-        another.  A photon on row i raises the rank by the sum of
+        A target is keyed by its rank in the combinatorial number system
+        over the span, sum_{k < r-1} C(S_k + k, k + 1) with S_k the
+        photons spread on span rows 0..k: one to one on the occupations
+        of each total, and below ``count``, their number at the input
+        term's total.  A photon on row i raises the rank by the sum of
         C(S_k + k, k) over i <= k < r-1; a term's rank indices are the
-        S_k + k * (size + 1), where ``steps`` holds these binomials, capped
-        at 2**53.  The sums are int64 products, which numpy forms without
-        BLAS; a ``count`` above the cap, or codes past int64, raise
-        ``FockError``.
+        S_k + k * (size + 1), where ``steps`` holds these binomials,
+        capped at 2**53.  The sums are int64 products, which numpy forms
+        without BLAS; a ``count`` above the cap raises ``FockError``.
         """
         span, start, steps, size = self.span, self.start, self.steps, self.size
-        r, terms = len(span), len(keys)
+        r = len(span)
         top = max(map(sum, held))
-        count = math.comb(top + r - 1, top) if r else 1
-        if count > _EXACT or terms * count > _INT64_MAX:
+        occupations = math.comb(top + r - 1, top) if r else 1
+        if occupations > _EXACT:
             raise FockError(
-                f"{top} photons spread over the {r} modes the map mixes have {count} "
-                f"occupations, and {terms} input terms need {terms * count} keys: "
-                f"more than the expansion numbers (2**53 occupations, 2**63 keys)"
+                f"{top} photons spread over the {r} modes the map mixes have {occupations} "
+                f"occupations, more than the expansion numbers (2**53)"
             )
         base = np.array(keys, dtype=np.int64).T
-        counts = np.zeros((2 * r, terms), dtype=np.int64)
-        counts[:r] = base[span]
-        counts += start[:, None]
-        z = np.array(amps, dtype=complex)
-        a = np.array([z.real, z.imag])
-        code = np.arange(0, terms * count, count, dtype=np.int64)
-        need = np.array(held, dtype=np.int64).reshape(terms, -1)
-        for rows, cols, parts, up, hot in self.blocks:
-            block = need[:, cols]
-            ends = block.cumsum(axis=1)
-            length = ends[:, -1]
-            lasting = set(length.tolist())
-            # per input term and level s + 1: the offset of its column in
-            # parts and its scale 1/sqrt(p), read only up to its last level
-            level = np.arange(max(lasting))
-            passed = ends[:, :, None] <= level
-            offset = passed.sum(axis=1) * (r * size)
-            p = level + 1 - (block[:, :, None] * passed).sum(axis=1)
-            scale = 1 / np.sqrt(p)
-            scaled = (p > 1).any(axis=0).tolist()
-            width = hot.shape[1]
-            waiting = []
-            for s in range(len(level)):
-                if s in lasting:
-                    # the input terms with s photons in the block are done
-                    go = length.take(code // count) > s
-                    waiting.append((code[~go], counts[:, ~go], a[:, ~go]))
-                    code, counts, a = code[go], counts[:, go], a[:, go]
-                term = code // count
-                if scaled[s]:
-                    a = a * scale[:, s].take(term)
-                # the (term, row) pairs, term by term
-                index = counts[rows].T + offset[:, s].take(term)[:, None]
-                m = parts.take(index, axis=2).reshape(2, 2, -1)
-                m *= a.repeat(width, axis=1)[:, None]
-                prod = np.add(m[0], m[1], out=m[0])
-                key = steps.take(counts[r:]).T @ up
-                key += code[:, None]
-                key = key.ravel()
-                first, slot, slots, touched = _first_touch(key, terms * count)
-                a = np.array([np.bincount(slot, prod[0], slots), np.bincount(slot, prod[1], slots)])
-                a = a.take(touched, axis=1)
-                src, row = np.divmod(first, width)
-                counts = counts.take(src, axis=1)
-                counts += hot.take(row, axis=1)
-                code = key.take(first)
-            if waiting:
-                code = np.concatenate([code, *(c for c, _, _ in waiting)])
-                counts = np.concatenate([counts, *(x for _, x, _ in waiting)], axis=1)
-                a = np.concatenate([a, *(z for _, _, z in waiting)], axis=1)
-        term = code // count
+        done_counts, done_a = [], []
+        for g, (photons, amp) in enumerate(zip(held, amps)):
+            n_spread = sum(photons)
+            count = math.comb(n_spread + r - 1, n_spread) if r else 1
+            counts = start[:, None].copy()
+            counts[:r, 0] += base[span, g]
+            a = np.array([[amp.real], [amp.imag]])
+            rank = np.zeros(1, dtype=np.int64)
+            for (rows, parts, up, hot), n in zip(self.columns, photons):
+                width = hot.shape[1]
+                for p in range(1, n + 1):
+                    if p > 1:
+                        a = a * (1 / math.sqrt(p))
+                    # the (term, row) pairs, term by term
+                    m = parts.take(counts[rows].T, axis=2).reshape(2, 2, -1)
+                    m *= a.repeat(width, axis=1)[:, None]
+                    prod = np.add(m[0], m[1], out=m[0])
+                    key = steps.take(counts[r:]).T @ up
+                    key += rank[:, None]
+                    key = key.ravel()
+                    first, slot, slots, touched = _first_touch(key, count)
+                    a = np.array([np.bincount(slot, prod[0], slots), np.bincount(slot, prod[1], slots)])
+                    a = a.take(touched, axis=1)
+                    src, row = np.divmod(first, width)
+                    counts = counts.take(src, axis=1)
+                    counts += hot.take(row, axis=1)
+                    rank = key.take(first)
+            done_counts.append(counts[:r])
+            done_a.append(a)
+        term = np.repeat(np.arange(len(keys)), [x.shape[1] for x in done_a])
         occ = base.take(term, axis=1)
-        occ[span] = counts[:r] - start[:r, None]
-        return _collect(occ, term, a, size)
+        occ[span] = np.concatenate(done_counts, axis=1) - start[:r, None]
+        return _collect(occ, term, np.concatenate(done_a, axis=1), size)
 
 
 _EXACT = 2**53
-_INT64_MAX = 2**63 - 1
 
 
 def _first_touch(key: np.ndarray, extent: int) -> tuple[np.ndarray, np.ndarray, int, np.ndarray]:

@@ -902,6 +902,26 @@ def test_a_failed_write_exits_2_naming_its_target_and_leaves_no_file(tmp_path, m
     assert list(out.iterdir()) == []
 
 
+def test_a_failed_write_over_an_earlier_bundle_leaves_that_bundle_whole(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "run"
+    cfg = write_config(tmp_path, base_config("ramsey", out))
+    assert main(["run", str(cfg), "--quiet"]) == EXIT_OK
+    earlier = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert set(earlier) == {"fringe.csv", "summary.json"}
+    real = os.replace
+
+    def failing(src, dst):
+        # the new summary.json fails to land, after the new fringe.csv did
+        if Path(src).name.startswith(".tmp-") and Path(dst).name == "summary.json":
+            raise PermissionError(errno.EACCES, "Permission denied")
+        return real(src, dst)
+
+    monkeypatch.setattr(os, "replace", failing)
+    assert main(["run", str(cfg), "--seed", "4", "--quiet"]) == EXIT_CONFIG
+    assert f"cannot write output file {out / 'summary.json'}: Permission denied" in capsys.readouterr().err
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == earlier
+
+
 def test_env_var_default_output(tmp_path, monkeypatch):
     monkeypatch.setenv("PHOTONLAB_OUT", str(tmp_path / "envruns"))
     cfg_doc = {

@@ -421,6 +421,22 @@ def test_reused_prism_still_refuses_a_photon_without_its_mirror():
     assert same_items(circuit.apply(fed), first)
 
 
+def test_prism_check_reads_an_engine_output_without_building_its_dict():
+    # oam(1) in channel 1 has no mirror charge; each input is a splitter's
+    # output, which holds only its view
+    sp = FockSpace([oam(-1, 0), oam(1, 0), oam(1, 1)], n_max=1)
+    prism = build_interferometer([dove_prism([oam(1, 1)], 0.4)])
+    fed = build_interferometer([beam_splitter(oam(-1, 0), oam(1, 0))]).apply(basis_vector(sp, {oam(-1, 0): 1}))
+    prism.apply(fed)
+    with pytest.raises(AttributeError):
+        StateVector._amp.__get__(fed)
+    reaching = build_interferometer([beam_splitter(oam(1, 0), oam(1, 1))]).apply(basis_vector(sp, {oam(1, 0): 1}))
+    with pytest.raises(MissingMirrorModeError):
+        prism.apply(reaching)
+    with pytest.raises(AttributeError):
+        StateVector._amp.__get__(reaching)
+
+
 def test_equality_hash_and_repr_ignore_the_compiled_map():
     chain = [beam_splitter(A, B, 0.3), phase_shift(A, 1.2)]
     used, fresh = build_interferometer(chain), build_interferometer(chain)

@@ -729,7 +729,7 @@ def test_expansion_too_large_to_number_raises_naming_its_size():
 
 def test_small_expansions_run_on_dicts_and_large_ones_on_arrays(monkeypatch):
     # a NOON state of N photons through a Mach-Zehnder makes 2 N (N + 1)
-    # updates over N levels, so N = 49 sits on the bound and N = 50 past it
+    # updates over 2 N levels, so N = 69 sits on the bound and N = 70 past it
     taken = []
     for name in ("_by_dict", "_by_arrays"):
         real = getattr(ModeMapPlan, name)
@@ -747,8 +747,15 @@ def test_small_expansions_run_on_dicts_and_large_ones_on_arrays(monkeypatch):
         taken.clear()
     a, b = path(0), path(1)
     inputs = {"one photon": (mach_zehnder(a, b, 0.7).apply, basis_vector(FockSpace([a, b], n_max=1), {a: 1}))}
-    for n in (49, 50):
+    for n in (69, 70):
         inputs[f"noon_mz_n{n}"] = (mach_zehnder(a, b, 1.1).apply, noon_state(FockSpace([a, b], n_max=n), a, b, n))
+    # six terms of n photons through a dense 5-mode map: 5 C(n + 4, 5) / n
+    # updates per level, 35 for n = 3 and 126 for n = 5
+    dense = ModeMapPlan({j: {i: 0.4 + 0.1j * (i - j) for i in range(5)} for j in range(5)})
+    for n in (3, 5):
+        sp = FockSpace([path(i) for i in range(5)], n_max=n)
+        occs = [occ for occ in patterns(5, n) if sum(occ) == n][:6]
+        inputs[f"six_terms_n{n}"] = (dense.apply, StateVector(sp, {sp.label(occ): 0.4 - 0.1j * k for k, occ in enumerate(occs)}))
     # the shape of test_wide_map_on_three_photons_keeps_its_keys_exact
     sp = FockSpace([path(i) for i in range(40)], n_max=3)
     wide = ModeMapPlan({j: {i: 0.15 for i in range(40)} for j in range(40)})
@@ -757,8 +764,8 @@ def test_small_expansions_run_on_dicts_and_large_ones_on_arrays(monkeypatch):
         apply(state)
         (sides[name],) = taken
         taken.clear()
-    on_dicts = {"one photon", "mesh_m3", "mesh_m4", "noon_mz_n10", "noon_mz_n20", "noon_mz_n40", "noon_mz_n49"}
-    assert set(sides) == on_dicts | {"mesh_m5", "mesh_m6", "mesh_m7", "noon_mz_n50", "wide"}
+    on_dicts = {"one photon", "mesh_m3", "mesh_m4", "noon_mz_n10", "noon_mz_n20", "noon_mz_n40", "noon_mz_n69", "six_terms_n3"}
+    assert set(sides) == on_dicts | {"mesh_m5", "mesh_m6", "mesh_m7", "noon_mz_n70", "six_terms_n5", "wide"}
     assert sides == {name: "_by_dict" if name in on_dicts else "_by_arrays" for name in sides}
 
 
