@@ -26,8 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .fock import FockError
-from .oam_imaging import ResolutionError
+from .fock import FockError, ResolutionError
 from .sources import BiphotonSpectrum, _require_squarable_width
 
 

@@ -83,6 +83,10 @@ class NonHermitianError(FockError):
     """A Hermitian observable was required but not provided."""
 
 
+class ResolutionError(FockError):
+    """The sampling grid cannot support the requested computation."""
+
+
 class ModeKind(str, Enum):
     """Degree of freedom a mode index refers to."""
 
@@ -1213,25 +1217,70 @@ class Observable:
         return self._matrix([self.space.occupations(bs) for bs in basis])
 
     def eigensystem(self, state: StateVector) -> tuple[np.ndarray, np.ndarray]:
-        """Eigenvalues and Born probabilities of measuring on ``state``.
+        """Ascending eigenvalues and Born probabilities of measuring on
+        ``state``.
 
         The matrix is diagonalized on the span of the operator support
         plus the state support; everything outside the operator support
-        lies in its kernel, so the restriction is exact.
+        lies in its kernel, so the restriction is exact.  A span of at
+        most two states, which the single-photon and NOON readouts give,
+        is solved in closed form in float operations (``_two_level``),
+        whose bits do not depend on the BLAS or LAPACK build; a larger
+        one goes through ``np.linalg.eigh``.
         """
         if not self.hermitian:
             raise NonHermitianError("projective measurement needs a Hermitian observable")
         if not _same_modes(self.space, state.space):
             raise ValueError("state and observable live in different spaces")
         basis = sorted(self._support() | set(state._amp), key=_order)
-        m = self._matrix(basis)
-        evals, evecs = np.linalg.eigh(m)
-        psi = np.array([state._amp.get(occ, 0j) for occ in basis])
-        probs = np.abs(evecs.conj().T @ psi) ** 2
+        psi = [state._amp.get(occ, 0j) for occ in basis]
+        if len(basis) <= 2:
+            evals, probs = _two_level(self._matrix(basis), psi)
+        else:
+            evals, evecs = np.linalg.eigh(self._matrix(basis))
+            probs = np.abs(evecs.conj().T @ np.array(psi)) ** 2
         total = probs.sum()
         if total > 0:
             probs = probs / total
         return evals, probs
+
+
+def _two_level(m: np.ndarray, psi: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
+    """Ascending eigenvalues of a Hermitian ``m`` of order at most 2, and
+    the squared overlap of ``psi`` with each eigenvector.
+
+    For m = [[a, b], [conj(b), d]] with b != 0, let h = (a - d)/2 and
+    r = hypot(h, |b|): the eigenvalues are (a + d)/2 -+ r.  With h >= 0
+    (else the two states are swapped, which turns b into conj(b)) and
+    k = h + r > 0, the eigenvectors are (-b, k) and (k, conj(b)) up to
+    the common norm sqrt(2 r k), so the overlaps are |k psi_1 - conj(b)
+    psi_0|^2 and |k psi_0 + b psi_1|^2 over 2 r k.  The caller
+    normalizes, so the common factor is left out, and k and b enter
+    divided by r.  Neither k nor the norm cancels.
+    A diagonal m is its own eigenbasis.  Complex products are written in
+    float parts, so no BLAS kernel or SIMD dispatch enters.
+    """
+    if len(psi) < 2:
+        evals = [m[0, 0].real.item()] if psi else []
+        return np.array(evals), np.array([abs(p) ** 2 for p in psi])
+    a, d = m[0, 0].real.item(), m[1, 1].real.item()
+    br, bi = m[0, 1].real.item(), m[0, 1].imag.item()
+    (x0, y0), (x1, y1) = ((p.real, p.imag) for p in psi)
+    if br == 0.0 and bi == 0.0:
+        w0, w1 = x0 * x0 + y0 * y0, x1 * x1 + y1 * y1
+        return (np.array([a, d]), np.array([w0, w1])) if a <= d else (np.array([d, a]), np.array([w1, w0]))
+    h = (a - d) / 2
+    if h < 0:
+        h, bi = -h, -bi
+        (x0, y0), (x1, y1) = (x1, y1), (x0, y0)
+    r = math.hypot(h, br, bi)
+    # k and b over r, so that a tiny coupling does not underflow
+    k, br, bi = h / r + 1.0, br / r, bi / r
+    # k psi_0 + b psi_1 and k psi_1 - conj(b) psi_0
+    ur, ui = k * x0 + (br * x1 - bi * y1), k * y0 + (br * y1 + bi * x1)
+    vr, vi = k * x1 - (br * x0 + bi * y0), k * y1 - (br * y0 - bi * x0)
+    mean = (a + d) / 2
+    return np.array([mean - r, mean + r]), np.array([vr * vr + vi * vi, ur * ur + ui * ui])
 
 
 def dyad_sum(

@@ -19,7 +19,13 @@ support falls back to ``ModeMapPlan.apply``.
 Monte Carlo samples take one path: outcomes are drawn from the Born
 probabilities of the readout observable on the simulated probe state,
 so the shot-noise 1/sqrt(N) and entangled 1/N scalings are checked
-against the simulator as well as the law.  Estimator inversion uses the
+against the simulator as well as the law.  The single-photon and NOON
+readouts restrict to two states, whose Born probabilities
+``Observable.eigensystem`` forms in closed form, and ``fit_loglog``
+fits the log-log line from ordered sums, so those runs and their fits
+make no LAPACK call and their bits do not follow the BLAS build; only
+the angular readout's four-state restriction goes through
+``np.linalg.eigh``.  Estimator inversion uses the
 principal branch of arccos with the working point assumed inside the
 first fringe; the branch ambiguity is documented, not resolved
 adaptively, and the scaling sweeps reject working points outside it.
@@ -99,18 +105,33 @@ class ScalingFit:
 
 
 def fit_loglog(points: Sequence[tuple[float, float]]) -> ScalingFit:
-    """Least-squares slope of log(delta) vs log(N) with standard error."""
+    """Least-squares slope of log(delta) vs log(N) with standard error.
+
+    The line is fitted in closed form.  With dx the logs of N less
+    their mean, and dy those of delta less theirs, the slope is
+    sum(dx dy) / sum(dx^2), and its standard error is
+    sqrt(RSS / (n - 2) / sum(dx^2)), the scaling of
+    ``np.polyfit(..., cov=True)``.  The logs are taken by ``math.log``
+    and every sum by ``math.fsum``, which rounds once, so the fit does
+    not depend on the BLAS or LAPACK build or on numpy's SIMD dispatch.
+    """
     pts = tuple((float(n), float(d)) for n, d in points)
     if len(pts) < 4:
         raise DegenerateGridError("need at least 4 grid points")
     if any(d <= 0 for _, d in pts) or any(n <= 0 for n, _ in pts):
         raise DegenerateGridError("all points must be positive")
-    x = np.log(np.array([n for n, _ in pts]))
-    y = np.log(np.array([d for _, d in pts]))
-    if float(np.ptp(x)) == 0.0:
+    x = [math.log(n) for n, _ in pts]
+    y = [math.log(d) for _, d in pts]
+    if min(x) == max(x):
         raise DegenerateGridError("resource grid is degenerate")
-    coeffs, cov = np.polyfit(x, y, 1, cov=True)
-    return ScalingFit(pts, float(coeffs[0]), float(math.sqrt(max(cov[0, 0], 0.0))))
+    mean_x, mean_y = math.fsum(x) / len(x), math.fsum(y) / len(y)
+    dx = [v - mean_x for v in x]
+    dy = [v - mean_y for v in y]
+    sxx = math.fsum(u * u for u in dx)
+    slope = math.fsum(u * v for u, v in zip(dx, dy)) / sxx
+    residuals = [v - slope * u for u, v in zip(dx, dy)]
+    rss = math.fsum(e * e for e in residuals)
+    return ScalingFit(pts, slope, math.sqrt(rss / (len(pts) - 2) / sxx))
 
 
 # ---------------------------------------------------------------------------

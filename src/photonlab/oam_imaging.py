@@ -39,16 +39,12 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
-from .fock import FockError
+from .fock import ResolutionError
 
 DEFAULT_N_RADIAL = 128
 DEFAULT_N_ANGULAR = 256
 DEFAULT_RMAX_WAISTS = 6.0
 SYMMETRY_POWER_FLOOR = 1e-6
-
-
-class ResolutionError(FockError):
-    """The sampling grid cannot support the requested computation."""
 
 
 @dataclass(frozen=True)

@@ -354,7 +354,7 @@ _GOLDEN_DIGESTS = {
     },
     "heisenberg-scaling": {
         "scaling.csv": "3aa35374eb9eaf97d2d25627a0a86fcfe1a448c6ca1169b32a61d81cb17b277b",
-        "summary.json": "01814a8c2f819514bc87e463e88a9b0ec21ea65ae9dc520087af91efa59d0f67",
+        "summary.json": "afc41386527797d0542f5fc42219ddcf5bce9e77e6bc77dc804414d653575431",
     },
     "spiral": {
         "spectrum.csv": "b48d6e218059f7e93fea7b884c170417747de23af340500abc71343d4b1e35cc",
@@ -362,7 +362,7 @@ _GOLDEN_DIGESTS = {
     },
     "sql-scaling": {
         "scaling.csv": "6c82f2cbea51e731b19190d476e668732a0d2f2cc2b4b4f9a945ed8bcf2b35e5",
-        "summary.json": "b0f7b115b4bae9bce47aa3bd05b833540e54050e0441358f0a9ecde54777fbd4",
+        "summary.json": "f66a9cfc544be8e3b91a357618210444569e45fc6bf0e412259ab101462eb7c4",
     },
     "ramsey": {
         "fringe.csv": "b4460c64a351b438383a00d0baa4a9615156e9e57cf4a25215b2cb925fffb25e",
@@ -442,11 +442,11 @@ _GOLDEN_DIGESTS = {
     },
     "heisenberg-scaling@seed3": {
         "scaling.csv": "86ea5cc468b0975eea39a5de3bafdcb75c797f0ee307b9a9a19e3153666ad7a0",
-        "summary.json": "4136cdcd8c1bcb756179eadfefba1af384914e0417211accb02d4befbd917462",
+        "summary.json": "44ec807e7c985f16844b16e9b5630a34309dd320c4635e75e4ad5695aeca93d7",
     },
     "heisenberg-scaling@seed5": {
         "scaling.csv": "8adbfa738ce3995aadc7645f3ea0e44b2badc876284b0eacf356ff4e4e9a4adf",
-        "summary.json": "10c306d7201061339f0ea4684ec43c1859c93d8309bdb50e34607000528b77e3",
+        "summary.json": "57bf49fb18c2e41ff14b35579c6e64e7d25ac017186e8e166edbb68712864002",
     },
     "spiral@seed3": {
         "spectrum.csv": "b48d6e218059f7e93fea7b884c170417747de23af340500abc71343d4b1e35cc",
@@ -458,11 +458,11 @@ _GOLDEN_DIGESTS = {
     },
     "sql-scaling@seed3": {
         "scaling.csv": "ba3577f3fea902214008b57f2332eb5e7501bd8608cb10208e21a1d89468238a",
-        "summary.json": "041ad5dc7aeb631dd244c50f26aa2491dc30d3e82b684a9bf9f566fcabdc5ead",
+        "summary.json": "4b39d4505f9f73cb29bbecd423c797799b5242eacaf3c6e38c4a67909e363b92",
     },
     "sql-scaling@seed5": {
         "scaling.csv": "b41b03ab4b79b6797495ba3d12d68135cdef27a00f9593579856e7204c3f1b93",
-        "summary.json": "082db125347555b51f0ec0f9e1355e3749cddb5f8446efad02a95ab80d5234a9",
+        "summary.json": "971eaf221558b59f87b26d09bbe35e1173fa6359ac32adf0961200dff4a07fea",
     },
 }
 
@@ -496,6 +496,35 @@ def test_runs_write_the_recorded_bytes(tmp_path, name):
     assert main(["run", str(cfg), "--quiet", "--out", str(out), *seeded]) == EXIT_OK
     written = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert written == _GOLDEN_DIGESTS[name]
+
+
+def test_scaling_runs_write_the_recorded_bytes_on_the_avx2_blas_kernel(tmp_path):
+    # OpenBLAS's Haswell (AVX2) kernel, set for the child process only,
+    # stands for a host without AVX-512: the Monte Carlo path and the
+    # log-log fit must not reach LAPACK, whose bits follow the kernel
+    names = [f"{run}{seed}" for run in ("sql-scaling", "heisenberg-scaling") for seed in ("", "@seed3", "@seed5")]
+    src = str(Path(photonlab.__file__).resolve().parents[1])
+    env = {
+        **os.environ,
+        "OPENBLAS_CORETYPE": "Haswell",
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    code = (
+        "import hashlib, json, sys\n"
+        "from pathlib import Path\n"
+        "from photonlab.cli import main\n"
+        "configs, root, written = Path(sys.argv[1]), Path(sys.argv[2]), {}\n"
+        "for name in sys.argv[3:]:\n"
+        "    run, _, seed = name.partition('@seed')\n"
+        "    args = ['run', str(configs / f'{run}.yaml'), '--quiet', '--out', str(root / name)]\n"
+        "    assert main(args + (['--seed', seed] if seed else [])) == 0\n"
+        "    written[name] = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in (root / name).iterdir()}\n"
+        "print(json.dumps(written))"
+    )
+    argv = [sys.executable, "-c", code, str(configs), str(tmp_path), *names]
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, check=True)
+    assert json.loads(done.stdout) == {name: _GOLDEN_DIGESTS[name] for name in names}
 
 
 def test_seed_override_changes_tables(tmp_path):
@@ -854,6 +883,7 @@ def test_spiral_run_loads_no_numpy_ma(tmp_path):
     [
         ("ramsey", {}, {"dispersion", "oam_imaging"}),
         ("spiral", dict(n_radial=32, n_angular=64), {"metrology", "elements", "dispersion"}),
+        ("dispersion", {}, {"oam_imaging", "metrology", "elements"}),
     ],
 )
 def test_a_run_loads_only_the_modules_it_uses(tmp_path, experiment, params, absent):

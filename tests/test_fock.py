@@ -384,6 +384,88 @@ def test_plan_reused_across_photon_numbers_matches_a_fresh_map():
 
 
 # ---------------------------------------------------------------------------
+# the closed-form two-level eigensystem against LAPACK
+
+UNIT = st.floats(-1.0, 1.0, allow_nan=False)
+
+
+@st.composite
+def two_level_cases(draw):
+    """A Hermitian [[a, b], [conj(b), d]] with entries in [-1, 1], of one
+    of five kinds, and a nonzero state on its two levels."""
+    a, d, br, bi = (draw(UNIT) for _ in range(4))
+    kind = draw(st.sampled_from(["general", "diagonal", "degenerate", "weak coupling", "equal diagonal"]))
+    if kind == "diagonal":
+        br = bi = 0.0
+    elif kind == "degenerate":
+        d, br, bi = a, 0.0, 0.0
+    elif kind == "weak coupling":
+        # |b| <= 1e-9 against |a - d| >= 0.5
+        d = a - math.copysign(draw(st.floats(0.5, 1.0)), a)
+        br, bi = br * 1e-9, bi * 1e-9
+    elif kind == "equal diagonal":
+        d = a
+    psi = draw(st.tuples(st.builds(complex, UNIT, UNIT), st.builds(complex, UNIT, UNIT)).filter(lambda p: abs(p[0]) + abs(p[1]) > 1e-3))
+    return [[a, complex(br, bi)], [complex(br, -bi), d]], psi
+
+
+def masses(evals, probs, gap):
+    """The probability mass of each eigenvalue, eigenvalues closer than
+    ``gap`` counted as one."""
+    out = [[evals[0], probs[0]]]
+    for e, p in zip(evals[1:], probs[1:]):
+        if e - out[-1][0] <= gap:
+            out[-1][1] += p
+        else:
+            out.append([e, p])
+    return [p for _, p in out]
+
+
+@settings(max_examples=500, deadline=None)
+@given(two_level_cases())
+@example(([[1.0, 0j], [0j, -0.5]], (0.6 + 0.2j, -0.3j)))  # diagonal, descending
+@example(([[0.25, 0j], [0j, 0.25]], (0.6, 0.8j)))  # degenerate
+@example(([[1.0, 1e-12 + 1e-12j], [1e-12 - 1e-12j, -1.0]], (0.6, 0.8j)))  # |b| << |a - d|
+@example(([[-1e-9, 1e-9j], [-1e-9j, 1e-9]], (1.0, -1.0)))  # small |b| and |a - d| alike
+@example(([[0.0, 1.0], [1.0, 0.0]], (1.0, 1j)))  # the single-photon readout
+def test_two_level_eigensystem_equals_lapack(case):
+    rows, psi = case
+    m = np.array(rows, dtype=complex)
+    evals, weights = fock._two_level(m, psi)
+    ref_evals, vecs = np.linalg.eigh(m)
+    ref = np.abs(vecs.conj().T @ np.array(psi)) ** 2
+    assert evals[0] <= evals[1]
+    assert np.max(np.abs(evals - ref_evals)) <= 1e-12
+    # below a gap of 1e-3 LAPACK's own eigenvectors are not fixed to
+    # 1e-12, so such eigenvalues are weighed together
+    ours = masses(evals, weights / weights.sum(), 1e-3)
+    assert np.max(np.abs(np.subtract(ours, masses(ref_evals, ref / ref.sum(), 1e-3)))) <= 1e-12
+
+
+def test_eigensystem_solves_small_restrictions_in_closed_form_and_larger_ones_by_eigh(monkeypatch):
+    sp = single_mode_space(n_max=2)
+    zero, one, two = (fock_level(sp, n) for n in range(3))
+    calls = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda m: calls.append(m.shape) or eigh(m))
+    # one state: the restriction is the entry itself
+    evals, probs = Observable(sp, {(one, one): 0.7}).eigensystem(basis_vector(sp, {path(0): 1}))
+    assert evals.tolist() == [0.7] and probs.tolist() == [1.0]
+    # two states, as the single-photon readout gives
+    _, a = susskind_glogower(single_mode_space(n_max=1))
+    evals, probs = a.eigensystem(qubit_state(a.space, math.pi / 3))
+    assert evals.tolist() == [-1.0, 1.0]
+    assert np.max(np.abs(probs - [0.25, 0.75])) < 1e-15
+    assert calls == []
+    # three states go through LAPACK
+    ladder = Observable(sp, {(zero, one): 1.0, (one, zero): 1.0, (one, two): 1.0, (two, one): 1.0})
+    evals, probs = ladder.eigensystem(StateVector(sp, {one: 1.0}))
+    assert calls == [(3, 3)]
+    assert np.max(np.abs(evals - [-math.sqrt(2), 0.0, math.sqrt(2)])) < 1e-12
+    assert np.max(np.abs(probs - [0.5, 0.0, 0.5])) < 1e-12
+
+
+# ---------------------------------------------------------------------------
 # compiled programs against the generic plan, item for item by repr (so
 # signed zeros count)
 

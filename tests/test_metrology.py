@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from photonlab.elements import apply_beam_splitter, apply_element, dove_prism, mirror, phase_shift
 from photonlab.fock import (
@@ -316,6 +318,38 @@ def test_fit_needs_four_points():
 def test_fit_rejects_nonpositive():
     with pytest.raises(DegenerateGridError):
         fit_loglog([(1, 1.0), (2, 0.5), (4, 0.0), (8, 0.1)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.integers(1, 4096), min_size=4, max_size=9, unique=True),
+    st.floats(-1.5, 0.5),
+    st.lists(st.floats(-0.5, 0.5), min_size=9, max_size=9),
+)
+@example([1, 2, 3, 4], -1.0, [0.0] * 9)  # on the line: no residual
+@example([16, 64, 256, 1024], -0.5, [0.1, -0.1, 0.05, 0.0, 0, 0, 0, 0, 0])
+def test_fit_equals_polyfit_with_its_covariance(grid, slope, noise):
+    points = [(n, n ** slope * math.exp(e)) for n, e in zip(grid, noise)]
+    fit = fit_loglog(points)
+    coeffs, cov = np.polyfit(np.log(grid), np.log([d for _, d in points]), 1, cov=True)
+    assert math.isclose(fit.slope, coeffs[0], rel_tol=1e-12, abs_tol=1e-12)
+    assert math.isclose(fit.slope_stderr, math.sqrt(cov[0, 0]), rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_two_level_sampling_and_fits_make_no_lapack_call(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("LAPACK reached")
+
+    for owner, name in ((np.linalg, "eigh"), (np.linalg, "lstsq"), (np, "polyfit")):
+        monkeypatch.setattr(owner, name, refuse)
+    run_monte_carlo(SinglePhotonPhaseProtocol(), 1.0, trials=500, seed=3)
+    for n in range(1, 6):
+        run_monte_carlo(NoonPhaseProtocol(n), 1.0 / n, trials=256, seed=n, repetitions=3)
+    scaling_experiment("independent-photons", [16, 64, 256, 1024], repetitions=50, seed=7)
+    scaling_experiment("noon", [1, 2, 3, 4, 5], repetitions=50, seed=7)
+    # the angular readout's four-state restriction still takes eigh
+    with pytest.raises(AssertionError, match="LAPACK reached"):
+        run_monte_carlo(AngularDisplacementProtocol(2), 0.1, trials=100, seed=8)
 
 
 def test_sql_family_slope():
