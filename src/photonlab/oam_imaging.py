@@ -27,12 +27,21 @@ run on a (charges x r) array, and reads each for +l and -l.  Each
 element keeps the float operations of a single mode's formula, and a
 single mode is the same pass over one charge, so both paths give the
 same bits.
+
+Those radial profiles and the quadrature weights depend on the grid,
+the beam and the truncation (l_max, p_max), not on the object.  The
+last such basis is kept, read-only, so that projecting many objects at
+one geometry (digital spiral imaging's use, and a correlated or rotated
+projection) costs one angular DFT plus the radial sums per object.  The
+process holds at most that one basis: (l_max + 1)(p_max + 1) n_r
+complex numbers, the memory one projection allocates anyway.
 """
 
 from __future__ import annotations
 
 import cmath
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
@@ -143,11 +152,17 @@ def _laguerre_family(n_max: int, alpha: int | np.ndarray, x: np.ndarray) -> Iter
 
 
 def _radial_families(
-    w0: float, wavelength: float, z: float, r: np.ndarray, charges: Iterable[int], p_max: int
+    w0: float,
+    wavelength: float,
+    z: float,
+    r: np.ndarray,
+    charges: Iterable[int],
+    p_max: int,
+    p_min: int = 0,
 ) -> list[np.ndarray]:
     """R_{lp}(r), the mode without its azimuthal factor (u = R e^{-i l theta}),
-    for each |l| in ``charges`` and p = 0 .. p_max: ``families[p][i]`` is
-    R_{lp} of the i-th charge, on r of any shape.
+    for each |l| in ``charges`` and p = p_min .. p_max: ``families[p - p_min][i]``
+    is R_{lp} of the i-th charge, on r of any shape.
 
     R holds the radial envelope, the wavefront curvature and the Gouy
     phase, none of which depends on theta, and it depends on l through
@@ -158,10 +173,19 @@ def _radial_families(
     a mode reads the same bits whichever charges it is built with.  The
     Gouy phase depends on (p, |l|) through 2p + |l| + 1 alone, so its
     phasor is evaluated once per value of that sum.
+
+    The recurrence starts at p = 0 whatever ``p_min`` is, but it runs to
+    its end, and drops its working arrays, before any product is formed,
+    and only the orders from ``p_min`` on are multiplied out.  A single
+    mode on a large mesh then holds one order's product, not p + 1 of them.
     """
     zr = LGModeSpec(0, 0, w0, wavelength, z).rayleigh_range
     w = w0 * math.sqrt(1.0 + (z / zr) ** 2)
+    charges = list(charges)
+    to_column = (-1,) + (1,) * np.ndim(r)
+    column = np.reshape(charges, to_column)
     x = 2.0 * r ** 2 / w ** 2
+    laguerres = list(itertools.islice(_laguerre_family(p_max, column, x), p_min, None))
     gaussian = np.exp(-(r ** 2) / w ** 2)
     gouy_angle = math.atan2(z, zr)
     if z == 0.0:
@@ -169,19 +193,16 @@ def _radial_families(
     else:
         k = 2.0 * math.pi / wavelength
         curvature = -k * r ** 2 * z / (2.0 * (z ** 2 + zr ** 2))
-    charges = list(charges)
-    to_column = (-1,) + (1,) * np.ndim(r)
-    column = np.reshape(charges, to_column)
     # one ** per charge, as a single mode takes it: ``** 2`` squares where
     # a broadcast power with an exponent array would call pow
     base = np.sqrt(2.0) * r / w
     power = np.stack([base ** la for la in charges])
     # the phasor of each order 2p + |l| + 1 some mode takes, in order;
     # np.unique without a return flag would import numpy.ma
-    orders = np.array(sorted({2 * p + 1 + la for p in range(p_max + 1) for la in charges}))
+    orders = np.array(sorted({2 * p + 1 + la for p in range(p_min, p_max + 1) for la in charges}))
     phasors = np.exp(1j * (curvature + orders.reshape(to_column) * gouy_angle))
     families = []
-    for p, laguerre in enumerate(_laguerre_family(p_max, column, x)):
+    for p, laguerre in enumerate(laguerres, start=p_min):
         normalization = np.reshape([_normalization(p, la) for la in charges], column.shape) / w
         radial = normalization * power * gaussian * laguerre
         families.append(radial * phasors[np.searchsorted(orders, column.ravel() + (2 * p + 1))])
@@ -190,7 +211,7 @@ def _radial_families(
 
 def _lg_radial(spec: LGModeSpec, r: np.ndarray) -> np.ndarray:
     """R_{lp}(r) of one mode: u = R e^{-i l theta}."""
-    return _radial_families(spec.w0, spec.wavelength, spec.z, r, [abs(spec.l)], spec.p)[spec.p][0]
+    return _radial_families(spec.w0, spec.wavelength, spec.z, r, [abs(spec.l)], spec.p, spec.p)[0][0]
 
 
 def lg_amplitude(spec: LGModeSpec, r, theta) -> np.ndarray:
@@ -257,8 +278,9 @@ class ObjectProfile:
         samples = np.asarray(samples, dtype=complex)
         if samples.shape != (grid.n_r, grid.n_theta):
             raise ValueError(f"samples must have shape ({grid.n_r}, {grid.n_theta})")
-        if np.max(np.abs(samples)) > 1.0 + 1e-9:
-            raise ValueError("|f| must not exceed 1 (passive object)")
+        # written so that a NaN sample fails it too
+        if not np.max(np.abs(samples)) <= 1.0 + 1e-9:
+            raise ValueError("|f| must be finite and must not exceed 1 (passive object)")
         self.grid = grid
         self.samples = samples
         self.samples.setflags(write=False)
@@ -368,6 +390,27 @@ def _angular_harmonics(profile: ObjectProfile) -> tuple[np.ndarray, np.ndarray]:
     return np.fft.fft(profile.samples, axis=1), np.fft.fftfreq(n, d=1.0 / n)
 
 
+@functools.lru_cache(maxsize=1)
+def _radial_basis(
+    grid: PolarGrid, w0: float, wavelength: float, z: float, l_max: int, p_max: int
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The object-independent half of a projection on ``grid``: the
+    quadrature weight w_r r dtheta and ``_radial_families`` of every
+    |l| <= l_max and p <= p_max on the grid's radii.
+
+    Kept for the last geometry asked for and shared read-only, so
+    projections of many objects at one geometry build it once.  It holds
+    (l_max + 1)(p_max + 1) n_r complex numbers, which a projection
+    otherwise allocates for the length of its call.
+    """
+    r, wr, _ = grid.nodes()
+    weight = wr * r * grid.dtheta
+    families = tuple(_radial_families(w0, wavelength, z, r, range(l_max + 1), p_max))
+    for array in (weight, *families):
+        array.setflags(write=False)
+    return weight, families
+
+
 def project_object(
     profile: ObjectProfile,
     w0: float,
@@ -388,16 +431,26 @@ def project_object(
     p <= p_max come from one recurrence over p on a (charges x r) array,
     with the float operations of a single mode's R_{lp}; every
     coefficient is the per-mode radial sum, bit for bit.  Requires
-    n_theta >= 4 l_max so the angular harmonics up to l_max are unaliased
-    on the grid.
+    l_max, p_max >= 0, and n_theta >= 4 l_max so the angular harmonics
+    up to l_max are unaliased on the grid.
+
+    The weights and radial factors do not depend on the object, so they
+    are kept for the last (grid, w0, wavelength, z, l_max, p_max) and
+    shared read-only (``_radial_basis``): a repeated projection at one
+    geometry costs the angular DFT and the radial sums.  The kept basis
+    is at most (l_max + 1)(p_max + 1) n_r complex numbers, 258 KB at
+    l_max 20, p_max 5 and n_r 128.  Refused arguments are refused before
+    the basis is built or looked up.
     """
+    if l_max < 0:
+        raise ValueError(f"l_max must be >= 0, got {l_max}")
+    if p_max < 0:
+        raise ValueError(f"p_max must be >= 0, got {p_max}")
     n_theta = profile.grid.n_theta
     if n_theta < 4 * l_max:
         raise ResolutionError(f"n_theta = {n_theta} < 4 l_max = {4 * l_max}")
-    r, wr, _ = profile.grid.nodes()
-    weight = wr * r * profile.grid.dtheta
+    weight, families = _radial_basis(profile.grid, w0, wavelength, z, l_max, p_max)
     harmonics, _ = _angular_harmonics(profile)
-    families = _radial_families(w0, wavelength, z, r, range(l_max + 1), p_max)
     coeffs = {}
     charges = range(-l_max, l_max + 1)
     weighted = harmonics.T[[(-l) % n_theta for l in charges]] * weight
@@ -427,6 +480,8 @@ def rotate_object(profile: ObjectProfile, theta0: float) -> ObjectProfile:
     letter mask at theta0 = 0.3 (peak |f| 1.112) every |a_{lp}| stays
     within 1.2e-2 of the largest unrotated |a_{lp}|.
     """
+    if not math.isfinite(theta0):
+        raise ValueError(f"rotation angle theta0 must be finite, got {theta0!r}")
     if theta0 == 0.0:
         return profile
     harmonics, m = _angular_harmonics(profile)

@@ -14,6 +14,8 @@ from photonlab.oam_imaging import (
     _legendre,
     _lg_radial,
     _phasors,
+    _radial_basis,
+    _radial_families,
     BeatMeasurement,
     LGModeSpec,
     ObjectProfile,
@@ -184,6 +186,14 @@ def test_nyquist_guard():
         project_object(obj, W0, l_max=5, p_max=0)
 
 
+@pytest.mark.parametrize("l_max, p_max, name", [(-1, 2, "l_max"), (3, -1, "p_max"), (-2, -1, "l_max")])
+def test_negative_sizes_are_refused_by_name(l_max, p_max, name):
+    obj = disk_object(PolarGrid(32, 64, 6.0), 2.0)
+    for project in (project_object, correlated_phases):
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            project(obj, W0, l_max, p_max)
+
+
 def _full_grid_projection(profile, w0, l_max, p_max, z):
     """The direct quadrature: every mode tabulated on the whole polar grid."""
     r, wr, theta = profile.grid.nodes()
@@ -281,6 +291,87 @@ def test_projection_memory_stays_per_radius():
     assert peak < 16 * 2 ** 20
 
 
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_kept_basis_is_fresh(grid, w0, wavelength, z, l_max, p_max):
+    # the kept weights and families equal ones built afresh, bit for bit
+    weight, families = _radial_basis(grid, w0, wavelength, z, l_max, p_max)
+    r, wr, _ = grid.nodes()
+    assert _same_bits(weight, wr * r * grid.dtheta)
+    fresh = _radial_families(w0, wavelength, z, r, range(l_max + 1), p_max)
+    assert len(families) == len(fresh) == p_max + 1
+    for kept, want in zip(families, fresh):
+        assert _same_bits(kept, want)
+
+
+def _coefficient_bits(spectrum):
+    return [(key, a.real.hex(), a.imag.hex()) for key, a in spectrum.coefficients.items()]
+
+
+def test_kept_basis_follows_interleaved_geometries():
+    # A, B, A: each geometry replaces the one kept, and a projection that
+    # reuses the kept basis gives the bits of the one that built it
+    a = (PolarGrid(64, 128, 6.0), 1.0, 1.0, 0.0, 6, 2)
+    b = (PolarGrid(48, 96, 5.0), 0.8, 1.3, -0.4, 8, 3)
+    _radial_basis.cache_clear()
+    for key in (a, b, a):
+        grid, w0, wavelength, z, l_max, p_max = key
+        obj = letter_mask_object(grid, w0)
+        built = project_object(obj, w0, l_max, p_max, wavelength, z)
+        reused = project_object(obj, w0, l_max, p_max, wavelength, z)
+        assert _coefficient_bits(reused) == _coefficient_bits(built)
+        assert reused.residual.hex() == built.residual.hex()
+        _assert_kept_basis_is_fresh(*key)
+        assert _radial_basis.cache_info().currsize <= 1
+    info = _radial_basis.cache_info()
+    assert (info.misses, info.hits) == (3, 6)
+
+
+@pytest.mark.parametrize("first, second", [({"z": 0.0}, {"z": -0.0}), ({"w0": 1}, {"w0": 1.0}), ({"w0": 1.0}, {"w0": 1})])
+def test_equal_keys_give_equal_bits(first, second):
+    # the cache takes 0.0 == -0.0 and 1 == 1.0 as one key, so the basis
+    # built for the first must carry the bits a fresh build gives the second
+    grid = PolarGrid(64, 128, 6.0)
+    obj = letter_mask_object(grid, W0)
+    _radial_basis.cache_clear()
+    args = {"w0": W0, "z": 0.37}
+    project_object(obj, l_max=6, p_max=3, **{**args, **first})
+    before = _radial_basis.cache_info()
+    second_args = {**args, **second}
+    project_object(obj, l_max=6, p_max=3, **second_args)
+    after = _radial_basis.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    _assert_kept_basis_is_fresh(grid, second_args["w0"], 1.0, second_args["z"], 6, 3)
+
+
+def test_kept_basis_is_read_only():
+    grid = PolarGrid(32, 64, 6.0)
+    project_object(disk_object(grid, 2.0), W0, 3, 2)
+    weight, families = _radial_basis(grid, W0, 1.0, 0.0, 3, 2)
+    with pytest.raises(ValueError):
+        weight[0] = 0.0
+    for family in families:
+        with pytest.raises(ValueError):
+            family[0, 0] = 0.0
+    assert _radial_basis.cache_info().currsize <= 1
+
+
+def test_refused_arguments_leave_the_kept_basis_untouched():
+    grid = PolarGrid(32, 64, 6.0)
+    obj = disk_object(grid, 2.0)
+    project_object(obj, W0, 4, 2)
+    kept = _radial_basis(grid, W0, 1.0, 0.0, 4, 2)
+    info = _radial_basis.cache_info()
+    for l_max, p_max, error in [(-1, 2, ValueError), (4, -1, ValueError), (17, 2, ResolutionError)]:
+        for project in (project_object, correlated_phases):
+            with pytest.raises(error):
+                project(obj, W0, l_max, p_max)
+            assert _radial_basis.cache_info() == info
+    assert _radial_basis(grid, W0, 1.0, 0.0, 4, 2) is kept
+
+
 @pytest.mark.parametrize("w0, wavelength, z", [(0.8, 1.0, -1.1), (1.3, 0.7, -0.3)])
 @pytest.mark.parametrize("l_max, p_max", [(0, 0), (0, 10), (40, 1), (40, 10)])
 def test_array_pass_equals_the_per_mode_sum_bit_for_bit(w0, wavelength, z, l_max, p_max):
@@ -318,6 +409,25 @@ def test_mode_on_a_mesh_equals_the_per_mode_formula_bit_for_bit():
             assert np.array_equal(got, want), (l, p)
 
 
+@pytest.mark.parametrize("z", [0.0, 0.4])
+def test_mode_on_a_mesh_holds_one_radial_order(z):
+    # a high radial order costs its recurrence steps, not one mesh-sized
+    # product per lower order
+    r, _, theta = PolarGrid(128, 256, 6.0 * W0).nodes()
+    rr, tt = np.meshgrid(r, theta, indexing="ij")
+    peaks = {}
+    for p in (0, 10):
+        spec = LGModeSpec(3, p, 1, 1, z)
+        lg_amplitude(spec, rr, tt)
+        tracemalloc.start()
+        try:
+            lg_amplitude(spec, rr, tt)
+            peaks[p] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[10] - peaks[0] <= 0.5e6, peaks
+
+
 # ---------------------------------------------------------------------------
 # rotation
 
@@ -327,6 +437,13 @@ def test_full_turn_is_identity():
     obj = letter_mask_object(grid, W0)
     back = rotate_object(obj, 2 * math.pi)
     assert np.max(np.abs(back.samples - obj.samples)) < 1e-12
+
+
+@pytest.mark.parametrize("theta0", [math.nan, math.inf, -math.inf])
+def test_rotation_refuses_a_non_finite_angle(theta0):
+    obj = letter_mask_object(default_grid(W0, n_r=16, n_theta=32), W0)
+    with pytest.raises(ValueError, match="must be finite"):
+        rotate_object(obj, theta0)
 
 
 def test_rotation_preserves_spectrum_magnitudes():
@@ -538,3 +655,12 @@ def test_profile_rejects_active_object():
     grid = PolarGrid(8, 8, 2.0)
     with pytest.raises(ValueError):
         ObjectProfile.from_function(grid, lambda r, t: 1.5 * np.ones_like(r))
+
+
+@pytest.mark.parametrize("bad", [math.nan, complex(0.0, math.nan)])
+def test_profile_rejects_non_finite_samples(bad):
+    grid = PolarGrid(8, 8, 2.0)
+    samples = np.full((8, 8), 0.5, dtype=complex)
+    samples[3, 5] = bad
+    with pytest.raises(ValueError, match="passive object"):
+        ObjectProfile(grid, samples)
