@@ -5,17 +5,17 @@ and writes one CSV per result table plus a JSON summary.  Configs are
 strict: unknown keys, top-level values of the wrong type (an
 ``experiment`` or ``out`` that is not a string, ``params`` that is not
 a mapping, a ``schema_version`` that is not the integer 1), values
-outside a parameter's declared domain (``photonlab list`` prints each
-one), non-finite floats, missing or negative seeds, and an empty
-``out`` or ``--out`` are config errors (exit 2), found before anything
-is computed.  A config path that cannot be read, an output directory
-that cannot be created and an output file name taken by something
-other than a regular file are config errors too; numerical failures
-exit 3, and so, as a last resort, does a run that runs out of memory.
-Identical (config, seed) pairs reproduce the CSV tables and the summary
-byte for byte.  Outputs are staged under temporary names and renamed
-only after every file has been written, so failures leave no partial
-runs.
+outside a parameter's domain (declared once, in ``domains.py``, and
+read by the library too; ``photonlab list`` prints each), non-finite
+floats, missing or negative seeds, and an empty ``out`` or ``--out``
+are config errors (exit 2), found before anything is computed.  A
+config path that cannot be read, an output directory that cannot be
+created and an output file name taken by something other than a regular
+file are config errors too; numerical failures exit 3, and so, as a
+last resort, does a run that runs out of memory.  Identical (config,
+seed) pairs reproduce the CSV tables and the summary byte for byte.
+Outputs are staged under temporary names and renamed only after every
+file has been written, so failures leave no partial runs.
 
     photonlab run config.yaml [--seed N] [--out DIR] [--quiet]
     photonlab list
@@ -41,6 +41,7 @@ import numpy as np
 import yaml
 
 from . import __version__
+from .domains import DOMAINS, MODE_ORDER, Domain, one_of
 from .fock import FockError, expectation
 from .sources import BiphotonSpectrum
 
@@ -77,38 +78,15 @@ class ResultBundle:
 
 
 @dataclass(frozen=True)
-class Domain:
-    """Where a parameter is defined: ``text`` names it in messages and the
-    catalog, ``test`` checks the value (each entry, for a list), and a
-    list's length lies in ``length``.  A float must also be finite."""
-
-    text: str = ""
-    test: Callable[[object], bool] = lambda v: True
-    length: tuple[int, int | None] = (1, None)
-
-
-def _above(lo, **kw) -> Domain:
-    return Domain(f"> {lo}", lambda v: v > lo, **kw)
-
-
-def _at_least(lo, **kw) -> Domain:
-    return Domain(f">= {lo}", lambda v: v >= lo, **kw)
-
-
-def _one_of(choices) -> Domain:
-    return Domain(f"one of {', '.join(choices)}", choices.__contains__)
-
-
-_NONZERO = Domain("!= 0", lambda v: v != 0)
-_PRINCIPAL = Domain("in (0, pi)", lambda v: 0.0 < v < math.pi)
-
-
-@dataclass(frozen=True)
 class Param:
     name: str
     default: object    # its type is the kind: int, float, str, or a list of ints or floats
     help: str = ""
-    domain: Domain = Domain()
+    domain: Domain | None = None  # None: the declaration in ``domains.DOMAINS``
+
+    def __post_init__(self):
+        if self.domain is None:
+            object.__setattr__(self, "domain", DOMAINS[self.name])
 
     @property
     def kind(self) -> str:
@@ -117,19 +95,10 @@ class Param:
         return type(self.default).__name__
 
     def describe(self) -> str:
-        """The declared domain in words, finiteness and list length included."""
-        words = ", ".join(filter(None, ["finite" if "float" in self.kind else "", self.domain.text]))
-        if isinstance(self.default, list):
-            lo, hi = self.domain.length
-            return f"{'' if lo == hi else '>= '}{lo} entries" + (f", each {words}" if words else "")
-        return words or "any"
+        return self.domain.describe(self.default)
 
     def admits(self, value) -> bool:
-        lo, hi = self.domain.length
-        if isinstance(value, list) and not lo <= len(value) <= (hi or len(value)):
-            return False
-        entries = value if isinstance(value, list) else [value]
-        return all((not isinstance(v, float) or math.isfinite(v)) and self.domain.test(v) for v in entries)
+        return self.domain.admits(value)
 
 
 @dataclass(frozen=True)
@@ -140,7 +109,7 @@ class Experiment:
     params: tuple[Param, ...]
     runner: Callable[[dict, int | None], ResultBundle]
     stochastic: bool | tuple[str, str]  # always, never, or when (param, value) is set
-    # cross-parameter rules that no kernel checks: (text, test on params)
+    # cross-parameter rules, checked before any compute: (text, test on params)
     rules: tuple[tuple[str, Callable[[dict], bool]], ...] = ()
 
     def needs_seed(self, params: dict) -> bool:
@@ -453,10 +422,9 @@ EXPERIMENTS: dict[str, Experiment] = {
             "Monte Carlo phase estimation with independent single photons",
             "shot-noise 1/sqrt(N) scaling of the interferometric phase uncertainty",
             (
-                # the log-log fit needs four grid points, a sample spread two repetitions
-                Param("trial_grid", [16, 64, 256, 1024, 4096], "trial counts per estimate", _at_least(1, length=(4, None))),
-                Param("repetitions", 400, "independent estimates per grid point", _at_least(2)),
-                Param("working_point", math.pi / 2, "true phase", _PRINCIPAL),
+                Param("trial_grid", [16, 64, 256, 1024, 4096], "trial counts per estimate"),
+                Param("repetitions", 400, "independent estimates per grid point"),
+                Param("working_point", math.pi / 2, "true phase"),
             ),
             _run_sql_scaling,
             stochastic=True,
@@ -466,10 +434,10 @@ EXPERIMENTS: dict[str, Experiment] = {
             "Monte Carlo phase estimation with N-photon entangled probes",
             "entangled 1/N scaling and the N-fold fringe compression",
             (
-                Param("photon_grid", [1, 2, 3, 4, 5], "entangled photon numbers", _at_least(1, length=(4, None))),
-                Param("repetitions", 500, "independent estimates per grid point", _at_least(2)),
-                Param("shots_per_estimate", 256, "readout shots per estimate", _at_least(1)),
-                Param("working_point", 0.4, "true phase", _PRINCIPAL),
+                Param("photon_grid", [1, 2, 3, 4, 5], "entangled photon numbers"),
+                Param("repetitions", 500, "independent estimates per grid point"),
+                Param("shots_per_estimate", 256, "readout shots per estimate"),
+                Param("working_point", 0.4, "true phase"),
             ),
             _run_heisenberg_scaling,
             stochastic=True,
@@ -479,8 +447,8 @@ EXPERIMENTS: dict[str, Experiment] = {
             "entangled-pair angular displacement fringe through the prism interferometer",
             "super-resolved cos^2(2 l theta) coincidence fringe and 1/(2Nl) sensitivity",
             (
-                Param("l", 2, "topological charge of the pair", _NONZERO),
-                Param("theta_points", 101, "prism angles over one turn", _at_least(2)),
+                Param("l", 2, "topological charge of the pair"),
+                Param("theta_points", 101, "prism angles over one turn"),
             ),
             _run_angular,
             stochastic=False,
@@ -490,31 +458,30 @@ EXPERIMENTS: dict[str, Experiment] = {
             "digital spiral decomposition of a synthetic object",
             "object identification and rotational-symmetry readout from the charge spectrum",
             (
-                Param("object", "harmonic", "synthetic object", _one_of(_OBJECTS)),
+                Param("object", "harmonic", "synthetic object", one_of(_OBJECTS)),
                 Param("q", 3, "angular harmonic order (harmonic object)"),
-                Param("radius", 2.0, "disk radius in waists (disk object)", _at_least(0.0)),
-                Param("w0", 1.0, "probe beam waist", _above(0.0)),
-                Param("l_max", 6, "charge cutoff", _at_least(0)),
-                Param("p_max", 2, "radial cutoff", _at_least(0)),
+                Param("radius", 2.0, "disk radius in waists (disk object)"),
+                Param("w0", 1.0, "probe beam waist"),
+                Param("l_max", 6, "charge cutoff"),
+                Param("p_max", 2, "radial cutoff"),
                 Param("rotation", 0.0, "rigid rotation applied to the object"),
-                Param("n_radial", 128, "radial quadrature nodes", _at_least(2)),
-                Param("n_angular", 256, "angular samples", _at_least(4)),
+                Param("n_radial", 128, "radial quadrature nodes"),
+                Param("n_angular", 256, "angular samples"),
             ),
             _run_spiral,
             stochastic=False,
-            # the mode normalization holds (p + |l|)!, and 171! overflows a float
-            rules=(("l_max + p_max <= 170", lambda p: p["l_max"] + p["p_max"] <= 170),),
+            rules=((f"l_max + p_max {MODE_ORDER.text}", lambda p: MODE_ORDER.admits(p["l_max"] + p["p_max"])),),
         ),
         Experiment(
             "doppler",
             "rotational Doppler beat of counter-wound reflected beams",
             "beat frequency 2 l Omega, linear in both charge and rotation rate",
             (
-                Param("l_values", [5, 10, 20], "topological charges", _NONZERO),
+                Param("l_values", [5, 10, 20], "topological charges"),
                 Param("rotation_rates", [0.3, 0.5, 0.8], "body rotation rates, rad/s"),
                 Param("omega", 1000.0, "optical carrier, rad/s"),
-                Param("duration", 200.0, "record length, s", _above(0.0)),
-                Param("sample_rate", 100.0, "intensity sampling rate, Hz", _above(0.0)),
+                Param("duration", 200.0, "record length, s"),
+                Param("sample_rate", 100.0, "intensity sampling rate, Hz"),
             ),
             _run_doppler,
             stochastic=False,
@@ -524,15 +491,14 @@ EXPERIMENTS: dict[str, Experiment] = {
             "biphoton coincidence interferogram through dispersive media",
             "even-order dispersion cancellation against the classically broadened baseline",
             (
-                Param("configuration", "hom", "interferometer", _one_of(_INTERFEROGRAMS)),
-                Param("sigma", 0.3, "marginal spectral std, rad/fs", _above(0.0)),
+                Param("configuration", "hom", "interferometer", one_of(_INTERFEROGRAMS)),
+                Param("sigma", 0.3, "marginal spectral std, rad/fs"),
                 Param("omega0", 2.35, "center frequency, rad/fs"),
-                Param("beta", [0.0, 0.0, 22.0, 0.0], "Taylor coefficients beta_n, fs^n per unit length", Domain(length=(4, 4))),
-                Param("length", 1.0, "medium length", _at_least(0.0)),
-                Param("tau_span", 12.0, "delay scan half-range, fs", _above(0.0)),
-                Param("tau_points", 241, "delay samples", _at_least(2)),
-                # even, so the detuning grid is symmetric about zero
-                Param("n_bins", 512, "detuning bins", Domain("even, >= 2", lambda v: v >= 2 and v % 2 == 0)),
+                Param("beta", [0.0, 0.0, 22.0, 0.0], "Taylor coefficients beta_n, fs^n per unit length"),
+                Param("length", 1.0, "medium length"),
+                Param("tau_span", 12.0, "delay scan half-range, fs"),
+                Param("tau_points", 241, "delay samples"),
+                Param("n_bins", 512, "detuning bins"),
             ),
             _run_dispersion,
             stochastic=False,
@@ -543,13 +509,13 @@ EXPERIMENTS: dict[str, Experiment] = {
             "the interferometric fringe cos(omega t) and 1/(N t) frequency uncertainty",
             (
                 Param("omega", 1.0, "transition frequency, rad/s"),
-                Param("t_min", 0.1, "fringe scan start, s", _above(0.0)),
-                Param("t_max", 6.0, "fringe scan end, s", _above(0.0)),
-                Param("t_points", 60, "fringe samples", _at_least(1)),
-                Param("t_probe", math.pi / 3, "interrogation time for the estimate, s", _above(0.0)),
-                Param("atoms", 1, "entangled atoms per probe", _at_least(1)),
-                Param("trials", 1000, "ensemble repetitions", _at_least(1)),
-                Param("method", "analytic", "uncertainty estimate", _one_of(("analytic", "monte-carlo"))),
+                Param("t_min", 0.1, "fringe scan start, s"),
+                Param("t_max", 6.0, "fringe scan end, s"),
+                Param("t_points", 60, "fringe samples"),
+                Param("t_probe", math.pi / 3, "interrogation time for the estimate, s"),
+                Param("atoms", 1, "entangled atoms per probe"),
+                Param("trials", 1000, "ensemble repetitions"),
+                Param("method", "analytic", "uncertainty estimate"),
             ),
             _run_ramsey,
             stochastic=("method", "monte-carlo"),

@@ -26,6 +26,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .domains import require
 from .fock import FockError, ResolutionError
 from .sources import BiphotonSpectrum, _require_squarable_width
 
@@ -52,10 +53,8 @@ class DispersionProfile:
     length: float = 0.0
 
     def __post_init__(self):
-        if len(self.beta) != 4 or not all(math.isfinite(b) for b in self.beta):
-            raise ValueError("beta must be four finite coefficients")
-        if not math.isfinite(self.length) or self.length < 0:
-            raise ValueError("length must be finite and >= 0")
+        require("beta", tuple(self.beta))  # an array counts as its entries
+        require("length", self.length)
 
     def phase(self, detuning: np.ndarray) -> np.ndarray:
         d = np.asarray(detuning, dtype=float)

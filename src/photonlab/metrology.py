@@ -41,6 +41,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import elements, sources
+from .domains import require
 from .fock import (
     FockError,
     FockSpace,
@@ -91,8 +92,7 @@ class EstimationResult:
             raise ValueError("uncertainty must be nonnegative")
         if self.resources < 1:
             raise ValueError("resources must be >= 1")
-        if self.method not in ("analytic", "monte-carlo"):
-            raise ValueError(f"unknown method {self.method!r}")
+        require("method", self.method)
 
 
 @dataclass(frozen=True)
@@ -118,8 +118,8 @@ def fit_loglog(points: Sequence[tuple[float, float]]) -> ScalingFit:
     pts = tuple((float(n), float(d)) for n, d in points)
     if len(pts) < 4:
         raise DegenerateGridError("need at least 4 grid points")
-    if any(d <= 0 for _, d in pts) or any(n <= 0 for n, _ in pts):
-        raise DegenerateGridError("all points must be positive")
+    if not all(math.isfinite(v) and v > 0 for pt in pts for v in pt):
+        raise DegenerateGridError("all points must be finite and positive")
     x = [math.log(n) for n, _ in pts]
     y = [math.log(d) for _, d in pts]
     if min(x) == max(x):
@@ -177,8 +177,7 @@ def observable_R(space: FockSpace, l: int) -> Observable:
     and -l at the other.  It is a projector, so its second moment equals
     its mean on any state.
     """
-    if l == 0:
-        raise ValueError("need l != 0")
+    require("l", l)
     ch_a, ch_b = sources.SIGNAL_CHANNEL, sources.IDLER_CHANNEL
     ev1 = space.basis_state({oam(l, ch_a): 1, oam(-l, ch_b): 1})
     ev2 = space.basis_state({oam(-l, ch_a): 1, oam(l, ch_b): 1})
@@ -296,8 +295,7 @@ class Protocol:
 
     def analytic_uncertainty(self, x: float, trials: int = 1) -> float:
         """Error-propagated Delta x after ``trials`` ensemble repetitions."""
-        if trials < 1:
-            raise ValueError("need trials >= 1")
+        require("trials", trials)
         root = math.sqrt(trials)
         return propagate_uncertainty(self.dmean(x), self.spread(x) / root, x)
 
@@ -379,8 +377,7 @@ class AngularDisplacementProtocol(Protocol):
     offset, amplitude = 0.5, 0.5
 
     def __init__(self, l: int, n_photons: int = 2):
-        if l == 0:
-            raise ValueError("need l != 0")
+        require("l", l)
         if n_photons < 1:
             raise ValueError("need n_photons >= 1")
         self.l = abs(l)
@@ -473,8 +470,7 @@ def run_monte_carlo(
     Out-of-domain sample means are clamped and flagged.  All repetitions
     draw from one generator seeded with ``seed``.
     """
-    if trials < 1:
-        raise ValueError("need trials >= 1")
+    require("trials", trials)
     if repetitions < 1:
         raise ValueError("need repetitions >= 1")
     if trials == 1 and repetitions == 1:
@@ -539,6 +535,8 @@ def scaling_experiment(
     leaves the principal branch (0, pi) for any grid entry raises
     ValueError, since the estimator cannot tell the branches apart.
     """
+    require("repetitions", repetitions)
+    require("shots_per_estimate", shots_per_estimate)
     grid = [int(n) for n in n_grid]
     if any(n < 1 for n in grid):
         raise DegenerateGridError("resource counts must be >= 1")
@@ -576,8 +574,7 @@ def ramsey_fringe(omega: float, t: float) -> float:
     interferometer with phi = omega t, so the fringe is read out from
     the same occupation qubit, here on an atomic-level mode.
     """
-    if t <= 0:
-        raise ValueError("free-evolution time must be positive")
+    require("t", t)
     return expectation(_RAMSEY.state(omega * t), _RAMSEY_OBS)
 
 
@@ -595,10 +592,9 @@ def ramsey_frequency_estimate(
     phase uncertainty by t: one entangled bunch of N atoms reaches
     Delta omega = 1/(N t), and doubling t halves Delta omega at fixed N.
     """
-    if t <= 0:
-        raise ValueError("free-evolution time must be positive")
-    if atoms < 1:
-        raise ValueError("need atoms >= 1")
+    require("t", t)
+    require("atoms", atoms)
+    require("method", method)
     proto: Protocol
     proto = NoonPhaseProtocol(atoms) if atoms > 1 else SinglePhotonPhaseProtocol(level(0))
     phi = omega * t
@@ -610,16 +606,14 @@ def ramsey_frequency_estimate(
             resources=atoms * trials,
             method="analytic",
         )
-    if method == "monte-carlo":
-        if seed is None:
-            raise ValueError("stochastic estimation needs an explicit seed")
-        res = run_monte_carlo(proto, phi, trials, seed)
-        return EstimationResult(
-            estimate=res.estimate / t,
-            uncertainty=res.uncertainty / t,
-            resources=res.resources,
-            method="monte-carlo",
-            seed=seed,
-            clamped=res.clamped,
-        )
-    raise ValueError(f"unknown method {method!r}")
+    if seed is None:
+        raise ValueError("stochastic estimation needs an explicit seed")
+    res = run_monte_carlo(proto, phi, trials, seed)
+    return EstimationResult(
+        estimate=res.estimate / t,
+        uncertainty=res.uncertainty / t,
+        resources=res.resources,
+        method="monte-carlo",
+        seed=seed,
+        clamped=res.clamped,
+    )

@@ -48,6 +48,7 @@ from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
+from .domains import require
 from .fock import ResolutionError
 
 DEFAULT_N_RADIAL = 128
@@ -74,10 +75,10 @@ class LGModeSpec:
     z: float = 0.0
 
     def __post_init__(self):
-        if self.p < 0:
-            raise ValueError("radial index p must be >= 0")
-        if self.w0 <= 0 or self.wavelength <= 0:
-            raise ValueError("w0 and wavelength must be positive")
+        require("p", self.p)
+        require("p + |l|", self.p + abs(self.l))
+        require("w0", self.w0)
+        require("wavelength", self.wavelength)
         try:
             zr = self.rayleigh_range
         except OverflowError:
@@ -94,8 +95,7 @@ class LGModeSpec:
 
 
 def _normalization(p: int, la: int) -> float:
-    """C = sqrt(2 p! / (pi (p + |l|)!)); (p + |l|)! must fit a float, so
-    p + |l| <= 170."""
+    """C = sqrt(2 p! / (pi (p + |l|)!)), for p + |l| <= 170 (``MODE_ORDER``)."""
     return math.sqrt(2 * math.factorial(p) / (math.pi * math.factorial(p + la)))
 
 
@@ -249,8 +249,8 @@ class PolarGrid:
     r_max: float
 
     def __post_init__(self):
-        if self.n_r < 2 or self.n_theta < 4:
-            raise ValueError("grid too small")
+        require("n_r", self.n_r)
+        require("n_theta", self.n_theta)
         if self.r_max <= 0:
             raise ValueError("r_max must be positive")
 
@@ -271,16 +271,19 @@ class ObjectProfile:
     """Complex transmission f(r, theta) sampled on a polar grid.
 
     A passive object: |f| <= 1 everywhere.  Samples are stored
-    row-major, radius first.
+    row-major, radius first, and read-only, so the power is formed once.
     """
 
     def __init__(self, grid: PolarGrid, samples: np.ndarray):
         samples = np.asarray(samples, dtype=complex)
         if samples.shape != (grid.n_r, grid.n_theta):
             raise ValueError(f"samples must have shape ({grid.n_r}, {grid.n_theta})")
+        magnitude = np.abs(samples)
         # written so that a NaN sample fails it too
-        if not np.max(np.abs(samples)) <= 1.0 + 1e-9:
+        if not np.max(magnitude) <= 1.0 + 1e-9:
             raise ValueError("|f| must be finite and must not exceed 1 (passive object)")
+        r, wr, _ = grid.nodes()
+        self._power = float(np.sum(magnitude ** 2 * (wr * r)[:, None]) * grid.dtheta)
         self.grid = grid
         self.samples = samples
         self.samples.setflags(write=False)
@@ -293,10 +296,7 @@ class ObjectProfile:
 
     def power(self) -> float:
         """Quadrature norm integral of |f|^2 r dr dtheta."""
-        r, wr, _ = self.grid.nodes()
-        return float(
-            np.sum(np.abs(self.samples) ** 2 * (wr * r)[:, None]) * self.grid.dtheta
-        )
+        return self._power
 
 
 def default_grid(w0: float, n_r: int = DEFAULT_N_RADIAL, n_theta: int = DEFAULT_N_ANGULAR) -> PolarGrid:
@@ -442,10 +442,9 @@ def project_object(
     l_max 20, p_max 5 and n_r 128.  Refused arguments are refused before
     the basis is built or looked up.
     """
-    if l_max < 0:
-        raise ValueError(f"l_max must be >= 0, got {l_max}")
-    if p_max < 0:
-        raise ValueError(f"p_max must be >= 0, got {p_max}")
+    require("l_max", l_max)
+    require("p_max", p_max)
+    require("l_max + p_max", l_max + p_max)
     n_theta = profile.grid.n_theta
     if n_theta < 4 * l_max:
         raise ResolutionError(f"n_theta = {n_theta} < 4 l_max = {4 * l_max}")
@@ -638,10 +637,9 @@ def rotational_doppler_beat(
     """
     if not (math.isfinite(omega) and math.isfinite(rotation_rate)):
         raise ValueError(f"omega ({omega!r}) and rotation_rate ({rotation_rate!r}) must be finite")
-    if l == 0:
-        raise ValueError("need l != 0")
-    if duration <= 0 or sample_rate <= 0:
-        raise ValueError("duration and sample_rate must be positive")
+    require("l", l)
+    require("duration", duration)
+    require("sample_rate", sample_rate)
     beat_true = 2.0 * abs(l) * abs(rotation_rate)
     if rotation_rate != 0.0:
         if sample_rate <= 2.0 * beat_true / (2.0 * math.pi):

@@ -16,6 +16,7 @@ from typing import Mapping
 
 import numpy as np
 
+from .domains import require
 from .fock import (
     FockError,
     FockSpace,
@@ -143,8 +144,7 @@ class SpdcOamSpectrum:
     @staticmethod
     def filtered_pair(l: int, relative_phase: float = 0.0) -> "SpdcOamSpectrum":
         """Only the +/-l terms survive the filters: (|l,-l> + e^{i phi}|-l,l>)/sqrt(2)."""
-        if l == 0:
-            raise ValueError("filtered pair needs l != 0")
+        require("l", l)
         inv = 1 / math.sqrt(2)
         return SpdcOamSpectrum(
             {l: inv, -l: inv * complex(math.cos(relative_phase), math.sin(relative_phase))},
@@ -244,10 +244,7 @@ class BiphotonSpectrum:
         Bin centers avoid the exact zero detuning (even ``n_bins``), so
         signal and idler frequencies never coincide on the grid.
         """
-        if n_bins < 1:
-            raise ValueError(f"n_bins must be >= 1, got {n_bins}")
-        if n_bins % 2:
-            raise ValueError("n_bins must be even to keep the grid symmetric")
+        require("n_bins", n_bins)
         edge = 4.0 * sigma
         _require_squarable_width(sigma, edge)
         step = 2 * edge / n_bins
@@ -268,7 +265,7 @@ class BiphotonSpectrum:
 
 
 def _require_squarable_width(sigma: float, edge: float) -> None:
-    """Refuse a Gaussian width that is not > 0, or whose grid, out to
+    """Refuse a Gaussian width outside its domain, or whose grid, out to
     |d| = edge, float64 cannot square.
 
     The Gaussian constructors divide d^2 by a multiple of sigma^2.  A
@@ -279,8 +276,7 @@ def _require_squarable_width(sigma: float, edge: float) -> None:
     again be 0/0.  Each width is refused before any grid is built, so no
     RuntimeWarning is printed first.
     """
-    if not sigma > 0:
-        raise ValueError(f"a spectrum of width {sigma!r} (sigma) is not > 0")
+    require("sigma", sigma)
     if not math.isfinite(edge * edge) or sigma * sigma == 0.0:
         raise ValueError(f"a spectrum of width {sigma!r} (sigma) is outside the range float64 can hold")
 

@@ -293,6 +293,25 @@ def test_scaling_samples_the_simulated_state(monkeypatch):
         scaling_experiment("noon", [1, 2, 3, 4, 5], repetitions=50, seed=7)
 
 
+@pytest.mark.parametrize(
+    "family, kw, named",
+    [
+        ("independent-photons", dict(repetitions=1), "repetitions = 1"),
+        ("noon", dict(repetitions=1), "repetitions = 1"),
+        ("noon", dict(repetitions=50, shots_per_estimate=0), "shots_per_estimate = 0"),
+    ],
+)
+def test_scaling_refuses_a_sample_without_a_spread_before_sampling(monkeypatch, family, kw, named):
+    # one estimate per grid point, or an estimate from no shots, has no
+    # sample spread: the slope would be NaN
+    def sampled(*args, **kwargs):
+        raise AssertionError("sampled a sweep outside its declared domain")
+
+    monkeypatch.setattr("photonlab.metrology._sample_estimates", sampled)
+    with pytest.raises(ValueError, match=f"{named} is outside its domain: >= "):
+        scaling_experiment(family, [1, 2, 3, 4], seed=7, **kw)
+
+
 def test_angular_monte_carlo():
     proto = AngularDisplacementProtocol(2)
     theta = 0.1
@@ -318,6 +337,17 @@ def test_fit_needs_four_points():
 def test_fit_rejects_nonpositive():
     with pytest.raises(DegenerateGridError):
         fit_loglog([(1, 1.0), (2, 0.5), (4, 0.0), (8, 0.1)])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("column", [0, 1])
+def test_fit_rejects_a_non_finite_point(bad, column):
+    # a NaN passed the positivity test and came out as slope nan; an inf
+    # failed inside fsum with a message naming no point
+    points = [[1.0, 1.0], [2.0, 0.7], [4.0, 0.5], [8.0, 0.35]]
+    points[2][column] = bad
+    with pytest.raises(DegenerateGridError, match="finite and positive"):
+        fit_loglog(points)
 
 
 @settings(max_examples=300, deadline=None)
@@ -546,7 +576,7 @@ def test_analytic_only_protocol_has_no_state():
 
 @pytest.mark.parametrize("trials", [0, -3])
 def test_analytic_uncertainty_needs_a_trial(trials):
-    with pytest.raises(ValueError, match="need trials >= 1"):
+    with pytest.raises(ValueError, match=f"trials = {trials} is outside its domain: >= 1"):
         SinglePhotonPhaseProtocol().analytic_uncertainty(1.0, trials=trials)
-    with pytest.raises(ValueError, match="need trials >= 1"):
+    with pytest.raises(ValueError, match=f"trials = {trials} is outside its domain: >= 1"):
         ramsey_frequency_estimate(1.0, 1.0, trials=trials)

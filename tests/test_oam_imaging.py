@@ -190,8 +190,35 @@ def test_nyquist_guard():
 def test_negative_sizes_are_refused_by_name(l_max, p_max, name):
     obj = disk_object(PolarGrid(32, 64, 6.0), 2.0)
     for project in (project_object, correlated_phases):
-        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+        with pytest.raises(ValueError, match=f"{name} = -[12] is outside its domain: >= 0"):
             project(obj, W0, l_max, p_max)
+
+
+@pytest.mark.parametrize("l_max, p_max", [(171, 0), (100, 71), (-171, 0)])
+def test_mode_order_past_the_factorial_range_is_refused_by_name(monkeypatch, l_max, p_max):
+    # the normalization holds (p + |l|)!, and 171! overflows a float: the
+    # order is refused before any basis is built or looked up
+    def built(*args, **kwargs):
+        raise AssertionError("built a basis past the factorial range")
+
+    monkeypatch.setattr("photonlab.oam_imaging._radial_basis", built)
+    with pytest.raises(ValueError, match=re.escape("p + |l| = 171 is outside its domain: <= 170")):
+        LGModeSpec(l_max, p_max, W0, 1.0)
+    if l_max > 0:
+        obj = disk_object(PolarGrid(16, 32, 6.0), 2.0)
+        with pytest.raises(ValueError, match=re.escape("l_max + p_max = 171 is outside its domain: <= 170")):
+            project_object(obj, W0, l_max, p_max)
+
+
+def test_correlated_phases_forms_the_object_power_once(monkeypatch):
+    obj = letter_mask_object(PolarGrid(32, 64, 6.0), W0)
+    project_object(obj, W0, 4, 1)  # the basis is now kept
+    calls = []
+    nodes = PolarGrid.nodes
+    monkeypatch.setattr(PolarGrid, "nodes", lambda grid: calls.append(grid) or nodes(grid))
+    spectrum, _ = correlated_phases(obj, W0, 4, 1)
+    assert calls == []
+    assert spectrum.residual == project_object(obj, W0, 4, 1).residual
 
 
 def _full_grid_projection(profile, w0, l_max, p_max, z):
