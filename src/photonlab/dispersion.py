@@ -17,10 +17,20 @@ change (beta_3).
 Units are the caller's as long as beta_n L d^n is dimensionless: with
 detunings in rad/fs, beta_n L carries fs^n.  Delay scans use the same
 time unit.
+
+What depends only on the grids is built once per grid and shared
+read-only: the detuning powers d^n behind every medium phase
+(``_detuning_power``) and the weight-independent half of each chirp-z
+sum (``_fourier_plan``).  Both caches are keyed on the bytes of every
+value they read, so a repeated interferogram on one grid pays only for
+its weights and returns the same bits as a cold call.  Together they
+hold at most 16 powers and 8 plans; each plan is O(n + m) complex
+numbers for n bins and m delays.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, replace
 
@@ -37,6 +47,23 @@ class FitError(FockError):
 
 # half the float64 range: two arm phases within it always add to a finite one
 _PHASE_LIMIT = np.finfo(float).max / 2
+
+
+@functools.lru_cache(maxsize=16)
+def _detuning_power(grid: bytes, n: int) -> np.ndarray:
+    """d^n on the detunings whose float64 bytes are ``grid``, flat and
+    read-only.
+
+    ``**`` is numpy's general pow here, the slowest step of a medium
+    phase, and its bits depend on the CPU: (-d)^3 is not -(d^3) bit for
+    bit, so a grid and its negation are keyed apart.  Sixteen entries
+    hold orders 0..3 on a grid and its negation for two grids; they
+    retain at most 16 n float64 for the powers and as much again for
+    their keys.
+    """
+    power = np.frombuffer(grid) ** n
+    power.setflags(write=False)
+    return power
 
 
 @dataclass(frozen=True)
@@ -57,12 +84,21 @@ class DispersionProfile:
         require("length", self.length)
 
     def phase(self, detuning: np.ndarray) -> np.ndarray:
+        """The accumulated phase at each detuning, shaped like ``detuning``.
+
+        The powers d^n come from ``_detuning_power``, keyed on the
+        detunings' contents, so a grid's powers are formed once and a
+        0-d input or a Python float reads them as a one-bin grid: the
+        phase has the bits a cold call gives.  The range check runs on
+        every call.
+        """
         d = np.asarray(detuning, dtype=float)
+        grid = d.tobytes()
         acc = np.zeros_like(d)
         with np.errstate(over="ignore", invalid="ignore"):
             for n, b in enumerate(self.beta):
                 if b != 0.0:
-                    acc = acc + b * d ** n / math.factorial(n)
+                    acc = acc + b * _detuning_power(grid, n).reshape(d.shape) / math.factorial(n)
             phase = self.length * acc
         # NaN fails the comparison too
         if not np.all(np.abs(phase) <= _PHASE_LIMIT):
@@ -131,6 +167,45 @@ class Interferogram:
         object.__setattr__(self, "kernel", np.asarray(self.kernel, dtype=complex))
 
 
+@functools.lru_cache(maxsize=8)
+def _fourier_plan(
+    ends: bytes, n: int, delays: bytes, scale: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The weight-independent half of ``_fourier_sum``: the half-chirp,
+    the tile shifts, the chirp spectrum and the post-chirp, read-only.
+
+    ``ends`` holds the float64 bytes of the first and last of the n
+    detunings, the only detunings the plan reads; ``delays`` holds the
+    bytes of every delay, since the post-chirp reads them all (the
+    uniformity rule lets them sit 4 ulp off the line through the grid
+    ends).  With side t = min(n, m) one tile count is 1, so a plan holds
+    t + (m + t) + 4t + (n + t) < 5 (n + m) complex numbers.  Eight plans
+    keep the three scales of the interferograms on two grids.
+    """
+    d0, d1 = np.frombuffer(ends)
+    delays = np.frombuffer(delays)
+    m = delays.size
+    side = min(n, m)
+    h = (d1 - d0) / (n - 1)
+    dtau = (delays[-1] - delays[0]) / (m - 1)
+    alpha = scale * h * dtau
+    rows, cols = -(-m // side), -(-n // side)
+    centred = np.arange(side) - 0.5 * (side - 1)
+    half_chirp = np.exp(0.5j * alpha * centred ** 2)
+    tau_centres = delays[0] + dtau * (side * np.arange(rows) + 0.5 * (side - 1))
+    d_centres = d0 + h * (side * np.arange(cols) + 0.5 * (side - 1))
+    shift = np.exp(1j * scale * h * np.outer(tau_centres, centred))
+    length = 1 << (2 * side - 2).bit_length()
+    lags = np.fft.fftfreq(length, 1.0 / length)
+    chirp = np.fft.fft(np.exp(-0.5j * alpha * lags ** 2))
+    taus = np.zeros(rows * side)
+    taus[:m] = delays
+    post = np.exp(1j * scale * np.outer(d_centres, taus)).reshape(cols, rows, side)
+    for array in (half_chirp, shift, chirp, post):
+        array.setflags(write=False)
+    return half_chirp, shift, chirp, post
+
+
 def _fourier_sum(delays: np.ndarray, detunings: np.ndarray, weights: np.ndarray, scale: float) -> np.ndarray:
     """sum_k w_k e^{i scale d_k tau_j} for every delay tau_j, as a tiled
     chirp-z transform.
@@ -155,28 +230,21 @@ def _fourier_sum(delays: np.ndarray, detunings: np.ndarray, weights: np.ndarray,
     about |alpha| t^2 / 2 <= |scale| n h max|tau|; one tile over the whole
     plane would reach alpha (n + m)^2 / 8 and lose accuracy on long,
     narrow planes.
+
+    Everything but the weights comes from ``_fourier_plan``, built once
+    per detuning grid, delay grid and scale and kept for the last eight
+    (each under 5 (n + m) complex numbers); a call pays for the padding,
+    the pre-chirp, the batched FFT convolution and the tile sums, and
+    returns the bits a cold call gives.
     """
     n, m = detunings.size, delays.size
-    side = min(n, m)
-    h = (detunings[-1] - detunings[0]) / (n - 1)
-    dtau = (delays[-1] - delays[0]) / (m - 1)
-    alpha = scale * h * dtau
-    rows, cols = -(-m // side), -(-n // side)
-    centred = np.arange(side) - 0.5 * (side - 1)
-    half_chirp = np.exp(0.5j * alpha * centred ** 2)
-    tau_centres = delays[0] + dtau * (side * np.arange(rows) + 0.5 * (side - 1))
-    d_centres = detunings[0] + h * (side * np.arange(cols) + 0.5 * (side - 1))
+    half_chirp, shift, chirp, post = _fourier_plan(detunings[[0, -1]].tobytes(), n, delays.tobytes(), scale)
+    rows, side = shift.shape
+    cols = post.shape[0]
     padded = np.zeros(cols * side, dtype=complex)
     padded[:n] = weights
-    shift = np.exp(1j * scale * h * np.outer(tau_centres, centred))
     pre = (padded.reshape(cols, side) * half_chirp)[None, :, :] * shift[:, None, :]
-    length = 1 << (2 * side - 2).bit_length()
-    lags = np.fft.fftfreq(length, 1.0 / length)
-    chirp = np.fft.fft(np.exp(-0.5j * alpha * lags ** 2))
-    tiles = np.fft.ifft(np.fft.fft(pre, length) * chirp)[..., :side]
-    taus = np.zeros(rows * side)
-    taus[:m] = delays
-    post = np.exp(1j * scale * np.outer(d_centres, taus)).reshape(cols, rows, side)
+    tiles = np.fft.ifft(np.fft.fft(pre, chirp.size) * chirp)[..., :side]
     return (np.einsum("crj,rcj->rj", post, tiles) * half_chirp).reshape(-1)[:m]
 
 

@@ -1,11 +1,13 @@
 """Parameter domains, declared once: ``DOMAINS`` holds one entry per CLI
-parameter.  A library argument that a CLI parameter reaches under another
-name (``PolarGrid.n_r`` for ``n_radial``, the Ramsey time ``t`` for
-``t_probe``) is keyed to the same ``Domain``, so the CLI's ``Param`` and
-the library's ``require`` read one declaration.  Standard library only.
+parameter, and ``n_photons`` for the library alone.  A library argument
+that a CLI parameter reaches under another name (``PolarGrid.n_r`` for
+``n_radial``, the Ramsey time ``t`` for ``t_probe``) is keyed to the same
+``Domain``, so the CLI's ``Param`` and the library's ``require`` read one
+declaration.  Standard library only.
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable
 
@@ -14,7 +16,7 @@ from typing import Callable
 class Domain:
     """Where a parameter is defined: ``text`` names it in messages and the
     catalog, ``test`` checks the value (each entry, for a list), and a
-    list's length lies in ``length``.  A float must also be finite."""
+    list's length lies in ``length``.  A number must also be finite."""
 
     text: str = ""
     test: Callable[[object], bool] = lambda v: True
@@ -25,17 +27,26 @@ class Domain:
         lo, hi = self.length
         if many and not lo <= len(value) <= (hi or len(value)):
             return False
-        return all((not isinstance(v, float) or math.isfinite(v)) and self.test(v) for v in (value if many else [value]))
+        return all(_finite(v) and self.test(v) for v in (value if many else [value]))
 
     def describe(self, like) -> str:
         """In words, for values like ``like``: finite for a float, and for a list its length."""
         many = isinstance(like, (list, tuple))
-        floats = any(isinstance(v, float) for v in (like if many else [like]))
+        floats = any(isinstance(v, float) or not _finite(v) for v in (like if many else [like]))
         words = ", ".join(filter(None, ["finite" if floats else "", self.text]))
         if many:
             lo, hi = self.length
             return f"{'' if lo == hi else '>= '}{lo} entries" + (f", each {words}" if words else "")
         return words or "any"
+
+
+def _finite(value) -> bool:
+    """False for a NaN or an infinity, as a float, a numpy scalar or a 0-d
+    array; an integer, however large, and a value that is no number pass."""
+    try:
+        return isinstance(value, numbers.Integral) or math.isfinite(value)
+    except TypeError:
+        return True
 
 
 def _at_least(lo, **kw) -> Domain:
@@ -70,6 +81,8 @@ DOMAINS: dict[str, Domain] = {
     # ramsey; the library's time is t
     "t_min": _POSITIVE, "t_max": _POSITIVE, "t_probe": _POSITIVE, "t": _POSITIVE,
     "t_points": _COUNT, "atoms": _COUNT, "trials": _COUNT, "method": one_of(("analytic", "monte-carlo")),
+    # library only: the photon number N of a NOON state or an N-photon probe
+    "n_photons": _COUNT,
 }
 
 

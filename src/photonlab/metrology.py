@@ -162,8 +162,7 @@ def observable_B(space: FockSpace, mode_a: ModeLabel, mode_b: ModeLabel, n: int)
     onto that subspace, so the expectation on a phased NOON state is
     cos(N phi) with second moment 1.
     """
-    if n < 1:
-        raise ValueError("need N >= 1")
+    require("n_photons", n)
     n0 = space.basis_state({mode_a: n})
     on = space.basis_state({mode_b: n})
     return dyad_sum(space, [(n0, on, 1.0), (on, n0, 1.0)])
@@ -258,6 +257,9 @@ class Protocol:
         step = self._step
         if step is None:
             raise NotImplementedError(f"{self.name}: no element-level circuit; the fringe is analytic")
+        # checked inline, not through domains.require: state runs once per
+        # fringe point (2528 times a protocol_sweep pass), and require's
+        # lookup and call cost more than the check itself
         if not isfinite(x):
             raise ValueError(f"protocol parameter must be finite, got {x}")
         st = step.apply(self._coeffs(x))
@@ -341,8 +343,7 @@ class NoonPhaseProtocol(Protocol):
     offset, amplitude = 0.0, 1.0
 
     def __init__(self, n: int, mode_a: ModeLabel | None = None, mode_b: ModeLabel | None = None):
-        if n < 1:
-            raise ValueError("need N >= 1")
+        require("n_photons", n)
         self.n = n
         self.photons_per_trial = n
         self.rate = n
@@ -378,8 +379,7 @@ class AngularDisplacementProtocol(Protocol):
 
     def __init__(self, l: int, n_photons: int = 2):
         require("l", l)
-        if n_photons < 1:
-            raise ValueError("need n_photons >= 1")
+        require("n_photons", n_photons)
         self.l = abs(l)
         self.n_photons = n_photons
         self.photons_per_trial = n_photons

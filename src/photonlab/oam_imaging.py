@@ -479,8 +479,7 @@ def rotate_object(profile: ObjectProfile, theta0: float) -> ObjectProfile:
     letter mask at theta0 = 0.3 (peak |f| 1.112) every |a_{lp}| stays
     within 1.2e-2 of the largest unrotated |a_{lp}|.
     """
-    if not math.isfinite(theta0):
-        raise ValueError(f"rotation angle theta0 must be finite, got {theta0!r}")
+    require("rotation", theta0)
     if theta0 == 0.0:
         return profile
     harmonics, m = _angular_harmonics(profile)
@@ -635,8 +634,8 @@ def rotational_doppler_beat(
     beat survives any finite carrier; in the lab frame omega +/- l Omega
     rounds to omega once omega is large.
     """
-    if not (math.isfinite(omega) and math.isfinite(rotation_rate)):
-        raise ValueError(f"omega ({omega!r}) and rotation_rate ({rotation_rate!r}) must be finite")
+    require("omega", omega)
+    require("rotation_rates", rotation_rate)
     require("l", l)
     require("duration", duration)
     require("sample_rate", sample_rate)

@@ -93,8 +93,7 @@ def noon_state(space: FockSpace, mode_a: ModeLabel, mode_b: ModeLabel, n: int) -
 
     Schmidt rank 2 across the two modes for every N >= 1.
     """
-    if n < 1:
-        raise ValueError("NOON state needs N >= 1")
+    require("n_photons", n)
     space.require(mode_a)
     space.require(mode_b)
     inv = 1 / math.sqrt(2)

@@ -551,6 +551,139 @@ def test_interferogram_kernels_hold_no_phase_matrix(kernel):
 
 
 # ---------------------------------------------------------------------------
+# per-grid caches: a warm call returns the bits of a cold one
+
+
+def _clear_grid_caches():
+    dispersion._fourier_plan.cache_clear()
+    dispersion._detuning_power.cache_clear()
+
+
+_USUAL_DELAYS = (np.linspace(-12.0, 12.0, 601), np.linspace(-3.0, 11.0, 300))
+
+
+# the tile shapes of test_fourier_sum_matches_direct_product
+@pytest.mark.parametrize(
+    "spectrum, delay_grids",
+    [
+        pytest.param(gaussian_pair(512), _USUAL_DELAYS, id="512"),
+        pytest.param(gaussian_pair(4096), _USUAL_DELAYS, id="4096"),
+        pytest.param(gaussian_pair(510), _USUAL_DELAYS, id="510-padded"),
+        pytest.param(BiphotonSpectrum.two_bin(OMEGA0, 0.2), _USUAL_DELAYS, id="two-bin"),
+        pytest.param(BiphotonSpectrum.two_bin(OMEGA0, 0.2), (np.linspace(-12.0, 12.0, 2001),), id="two-bin-2001-delays"),
+        pytest.param(
+            gaussian_pair(4096),
+            tuple(np.linspace(-12.0, 12.0, m) for m in (2, 3, 4097)),
+            id="4096-2-3-4097-delays",
+        ),
+        pytest.param(gaussian_pair(512), (_moved_delay_grid(ADMITTED_SHIFT),), id="512-one-delay-moved"),
+    ],
+)
+@pytest.mark.parametrize("scale", [-2.0, 2.0, -1.0])
+def test_fourier_sum_warm_equals_cold_bit_for_bit(spectrum, delay_grids, scale):
+    rng = np.random.default_rng(11)
+    d = spectrum.detunings
+    for delays in delay_grids:
+        weights = spectrum.amplitude * np.exp(1j * rng.uniform(0.0, 2 * math.pi, d.size))
+        _clear_grid_caches()
+        cold = _fourier_sum(delays, d, weights, scale)
+        warm = _fourier_sum(delays, d, weights, scale)
+        assert dispersion._fourier_plan.cache_info().hits == 1
+        assert np.array_equal(warm, cold)
+
+
+def test_delay_grid_moved_by_four_ulp_builds_its_own_plan():
+    spec = gaussian_pair(512)
+    d, weights = spec.detunings, spec.amplitude * spec.step
+    exact, moved = np.linspace(-12.0, 12.0, 601), _moved_delay_grid(ADMITTED_SHIFT)
+    _clear_grid_caches()
+    cold_moved = _fourier_sum(moved, d, weights, -2.0)
+    _clear_grid_caches()
+    _fourier_sum(exact, d, weights, -2.0)
+    warm_moved = _fourier_sum(moved, d, weights, -2.0)
+    assert dispersion._fourier_plan.cache_info().misses == 2
+    assert np.array_equal(warm_moved, cold_moved)
+
+
+@pytest.mark.parametrize(
+    "detuning",
+    [
+        pytest.param(gaussian_pair(512).detunings, id="grid"),
+        pytest.param(-gaussian_pair(512).detunings, id="negated-grid"),
+        pytest.param(gaussian_pair(8).detunings[5], id="0-d"),
+        pytest.param(0.37, id="python-float"),
+        pytest.param([-0.5, 0.1, 0.25], id="list"),
+    ],
+)
+def test_medium_phase_warm_equals_cold_bit_for_bit(detuning):
+    medium = beta(0.8, 5.0, 4.0)
+    _clear_grid_caches()
+    cold = medium.phase(detuning)
+    warm = medium.phase(detuning)
+    assert dispersion._detuning_power.cache_info().hits == 3
+    assert type(warm) is type(cold) and np.shape(warm) == np.shape(detuning)
+    assert np.array_equal(warm, cold)
+
+
+def test_grid_caches_hand_out_read_only_arrays():
+    spec, taus = gaussian_pair(512), np.linspace(-12.0, 12.0, 601)
+    d = spec.detunings
+    plan = dispersion._fourier_plan(d[[0, -1]].tobytes(), d.size, taus.tobytes(), -2.0)
+    power = dispersion._detuning_power(d.tobytes(), 3)
+    for array in (*plan, power):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_a_grid_changed_in_place_reads_its_new_values():
+    spec, medium = gaussian_pair(512), beta(0.8, 5.0, 4.0)
+    d, weights = spec.detunings.copy(), spec.amplitude * spec.step
+    taus = np.linspace(-12.0, 12.0, 601)
+    medium.phase(d)
+    _fourier_sum(taus, d, weights, -2.0)
+    d *= 1.25
+    taus += 0.5
+    warm_phase, warm_sum = medium.phase(d), _fourier_sum(taus, d, weights, -2.0)
+    _clear_grid_caches()
+    assert np.array_equal(warm_phase, medium.phase(d.copy()))
+    assert np.array_equal(warm_sum, _fourier_sum(taus.copy(), d.copy(), weights, -2.0))
+
+
+def test_grid_caches_retain_a_bounded_footprint():
+    """What the caches keep after the HOM, SKC and Franson kernels on
+    n = 512 and 4096 bins over m = 2001 delays: three plans and six
+    powers per grid.  A plan holds fewer than 5 (n + m) complex numbers
+    and keys on its m delays; a power holds n float64 and shares its key,
+    the n detunings, with the other orders of one phase.  So the caches
+    retain under sum_n [3 (80 (n + m) + 8 m) + 6 (8 n + 8 n)] bytes, and
+    no more than 8 plans and 16 powers whatever is asked."""
+    assert dispersion._fourier_plan.cache_info().maxsize == 8
+    assert dispersion._detuning_power.cache_info().maxsize == 16
+    medium, taus = beta(3.0, 22.0, 4.0), np.linspace(-12.0, 12.0, 2001)
+    bins, m = (512, 4096), taus.size
+    spectra = [gaussian_pair(n) for n in bins]
+    _clear_grid_caches()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for spec in spectra:
+            hom_interferogram(spec, taus, signal=medium)
+            skc_interferogram(spec, medium, taus)
+            franson_interferogram(spec, medium, taus)
+        retained = tracemalloc.get_traced_memory()[0] - before
+        _clear_grid_caches()
+        after_clear = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert dispersion._fourier_plan.cache_info().currsize == 0
+    ceiling = sum(3 * (80 * (n + m) + 8 * m) + 6 * 16 * n for n in bins)
+    assert retained < ceiling
+    # what stays is the caches' own
+    assert after_clear < 0.05 * retained
+
+
+# ---------------------------------------------------------------------------
 # guards
 
 

@@ -12,15 +12,18 @@ import pytest
 from photonlab.cli import EXPERIMENTS, ConfigError, _validate_params, list_experiments
 from photonlab.dispersion import DispersionProfile, PulseSpectrum
 from photonlab.domains import DOMAINS, require
+from photonlab.fock import FockSpace, path
 from photonlab.metrology import (
     AngularDisplacementProtocol,
+    NoonPhaseProtocol,
     SinglePhotonPhaseProtocol,
+    observable_B,
     ramsey_fringe,
     ramsey_frequency_estimate,
     scaling_experiment,
 )
 from photonlab.oam_imaging import LGModeSpec, PolarGrid, disk_object, project_object, rotational_doppler_beat
-from photonlab.sources import BiphotonSpectrum
+from photonlab.sources import BiphotonSpectrum, noon_state
 
 # the choice sets that select a CLI runner's object or interferometer
 LOCAL = {"object", "configuration"}
@@ -110,3 +113,23 @@ def test_require_admits_exactly_what_the_declaration_admits(name):
         else:
             with pytest.raises(ValueError, match=f"{re.escape(name)} = .* is outside its domain: "):
                 require(name, value)
+
+
+def test_every_photon_number_reads_one_declaration():
+    space = FockSpace([path(0), path(1)], n_max=2)
+    for call in (
+        lambda n: noon_state(space, path(0), path(1), n),
+        lambda n: observable_B(space, path(0), path(1), n),
+        NoonPhaseProtocol,
+        lambda n: AngularDisplacementProtocol(1, n_photons=n),
+    ):
+        call(1)
+        with pytest.raises(ValueError, match=r"n_photons = 0 is outside its domain: >= 1"):
+            call(0)
+
+
+@pytest.mark.parametrize("value", [np.float32(math.nan), np.float32(math.inf), np.float64(-math.inf), np.asarray(math.nan)])
+def test_a_numpy_number_must_be_finite_too(value):
+    for call in (lambda v: require("rotation", v), lambda v: rotational_doppler_beat(5, v, 1000.0, 200.0, 100.0)):
+        with pytest.raises(ValueError, match=r" = .* is outside its domain: finite"):
+            call(value)
