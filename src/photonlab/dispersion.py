@@ -26,6 +26,13 @@ value they read, so a repeated interferogram on one grid pays only for
 its weights and returns the same bits as a cold call.  Together they
 hold at most 16 powers and 8 plans; each plan is O(n + m) complex
 numbers for n bins and m delays.
+
+The classical baseline keeps two more, on the same rule: the sample
+times of the zero-padded pulse (``_pulse_times``, keyed on the bin count
+and the step, at most 2 grids of 16 n float64) and the transform-limited
+width, which reads the pulse and never the medium (``_transform_limit``,
+keyed on the bytes of the complex amplitude and the step, at most 8
+widths, each keyed on 16 n bytes).
 """
 
 from __future__ import annotations
@@ -33,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -412,14 +420,16 @@ def franson_interferogram(
 
 @dataclass(frozen=True)
 class PulseSpectrum:
-    """Classical (or single-photon) spectral amplitude over detuning."""
+    """Classical (or single-photon) spectral amplitude over detuning.
+
+    The pulse keeps read-only copies of both arrays."""
 
     detunings: np.ndarray
     amplitude: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.detunings, dtype=float)
-        a = np.asarray(self.amplitude, dtype=complex)
+        d = np.array(self.detunings, dtype=float)
+        a = np.array(self.amplitude, dtype=complex)
         if d.ndim != 1 or a.shape != d.shape or d.size < 8:
             raise ValueError("need matching 1-D arrays with >= 8 bins")
         if not np.allclose(np.diff(d), d[1] - d[0], rtol=1e-9):
@@ -434,8 +444,9 @@ class PulseSpectrum:
                 f"pulse moments are not finite: a spectrum of width {float(d[-1] - d[0])!r} "
                 "(detuning span) is outside the range float64 can hold"
             )
-        object.__setattr__(self, "detunings", d)
-        object.__setattr__(self, "amplitude", a)
+        for name, array in (("detunings", d), ("amplitude", a)):
+            array.setflags(write=False)
+            object.__setattr__(self, name, array)
 
     @staticmethod
     def gaussian(sigma_omega: float) -> "PulseSpectrum":
@@ -459,16 +470,36 @@ class PulseWidths:
         return self.width / self.transform_limit
 
 
-def _temporal_rms_width(detunings: np.ndarray, amplitude: np.ndarray) -> float:
-    # zero-padded sixteenfold, to sample the pulse finely in time
-    n = detunings.size * 16
-    step = detunings[1] - detunings[0]
-    field_t = np.fft.fftshift(np.fft.fft(amplitude, n=n))
+@functools.lru_cache(maxsize=2)
+def _pulse_times(bins: int, step: float) -> np.ndarray:
+    """The sample times of a pulse of ``bins`` detunings spaced ``step``,
+    zero-padded to 16 ``bins`` points, in fftshift order, read-only.  Two
+    entries retain at most 2 x 16 bins float64: 512 KB at the 2048 bins
+    of ``PulseSpectrum.gaussian``."""
+    n = bins * 16
     t = np.fft.fftshift(np.fft.fftfreq(n, d=step / (2 * math.pi)))
-    intensity = np.abs(field_t) ** 2
+    t.setflags(write=False)
+    return t
+
+
+def _temporal_rms_width(amplitude: np.ndarray, step: float) -> float:
+    # zero-padded sixteenfold, to sample the pulse finely in time; the
+    # square is elementwise, so shifting the intensity instead of the
+    # field gives the same bits
+    intensity = np.fft.fftshift(np.abs(np.fft.fft(amplitude, n=amplitude.size * 16)) ** 2)
+    t = _pulse_times(amplitude.size, step)
     total = intensity.sum()
     mean = float((t * intensity).sum() / total)
     return math.sqrt(float(((t - mean) ** 2 * intensity).sum() / total))
+
+
+@functools.lru_cache(maxsize=8)
+def _transform_limit(amplitude: bytes, step: float) -> float:
+    """The RMS width of the unchirped pulse, |a| with every phase
+    removed, for the complex amplitude whose bytes are ``amplitude`` (they
+    fix the bin count) on detunings spaced ``step``.  It reads nothing of
+    a medium.  Eight entries retain at most 8 x 16 bins bytes of keys."""
+    return _temporal_rms_width(np.abs(np.frombuffer(amplitude, dtype=complex)).astype(complex), step)
 
 
 def classical_baseline(
@@ -480,11 +511,14 @@ def classical_baseline(
     This is the broadening the coincidence schemes avoid: a quadratic
     spectral phase chirps the pulse, and for a Gaussian of amplitude std
     sigma the width grows by sqrt(1 + (beta_2 L sigma^2)^2).  Computed
-    by Fourier synthesis on a zero-padded grid.
+    by Fourier synthesis on a zero-padded grid.  The transform limit
+    depends on the pulse alone and is kept per pulse
+    (``_transform_limit``); the dispersed width is formed on every call.
     """
+    step = float(pulse.detunings[1] - pulse.detunings[0])
     phase = medium.phase(pulse.detunings)
-    width = _temporal_rms_width(pulse.detunings, pulse.amplitude * np.exp(1j * phase))
-    limit = _temporal_rms_width(pulse.detunings, np.abs(pulse.amplitude).astype(complex))
+    width = _temporal_rms_width(pulse.amplitude * np.exp(1j * phase), step)
+    limit = _transform_limit(pulse.amplitude.tobytes(), step)
     return PulseWidths(width=width, transform_limit=limit)
 
 
@@ -557,59 +591,137 @@ _FIT_TOL = 1e-12
 _FIT_MAX_EVALS = 2000
 
 
-def _dip_terms(tau: np.ndarray, y: np.ndarray, params: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals and Jacobian of b - v exp(-(tau - c)^2 / (2 w^2)) - y."""
-    center, width, depth, base = params
-    with np.errstate(all="ignore"):
-        u = (tau - center) / width
-        g = np.exp(-0.5 * u * u)
-        residual = base - depth * g - y
-        jac = np.empty((tau.size, 4))
-        jac[:, 0] = -depth * g * u / width
-        jac[:, 1] = jac[:, 0] * u
-        jac[:, 2] = -g
-        jac[:, 3] = 1.0
-    return residual, jac
+class _DipPoint(NamedTuple):
+    """The dip model at one (center, width), with its depth and base in
+    closed form."""
+
+    center: float
+    width: float
+    u: np.ndarray         # (tau - center) / width
+    g: np.ndarray         # exp(-u^2 / 2)
+    sg: float             # sum g
+    sgg: float            # sum g^2
+    det: float            # m sgg - sg^2
+    depth: float
+    base: float
+    residual: np.ndarray  # base - depth g - y
+    cost: float           # sum residual^2
 
 
-def _fit_dip(tau: np.ndarray, y: np.ndarray, p0: tuple[float, float, float, float]) -> tuple[np.ndarray, float]:
-    """Levenberg-Marquardt least squares of the Gaussian dip model.
-
-    Each step solves (J^T J + lam D) step = -J^T r, with D the running
-    maximum of diag(J^T J) (Marquardt's scaling).  The fit stops when a
-    step moves the scaled parameters, or lowers the residual sum of
-    squares, by less than _FIT_TOL relative.  Returns the parameters and
-    the variance of the center: the pseudo-inverse of J^T J from the
-    SVD of J, discarding singular values below eps max(m, 4) s_max,
-    times SSR / (m - 4).
+def _dip_point(tau: np.ndarray, y: np.ndarray, center: float, width: float) -> _DipPoint | None:
+    """Depth v and base b minimizing sum (b - v g - y)^2 at this (center,
+    width), from the normal equations in the four sums sum g, sum g^2,
+    sum y and sum g y.  None where that 2 x 2 system is singular: its
+    determinant m sum (g - mean g)^2 vanishes for a g that is flat on
+    the scan or underflows on all of it, and below m eps (m sum g^2),
+    the bound on the rounding of m sum g^2 - (sum g)^2, it is noise.  A
+    NaN anywhere fails the same test.  The caller holds numpy's floating
+    point errors off.
     """
-    params = np.array(p0, dtype=float)
-    residual, jac = _dip_terms(tau, y, params)
-    cost = float(residual @ residual)
-    if not math.isfinite(cost):
-        raise FitError("delay fit failed: non-finite model at the starting point")
-    normal = jac.T @ jac
-    scale = np.where(np.diag(normal) > 0, np.diag(normal), 1.0)
-    lam = 1e-3
-    for _ in range(_FIT_MAX_EVALS):
-        step = np.linalg.solve(normal + lam * np.diag(scale), -(jac.T @ residual))
-        trial = params + step
-        tiny = np.linalg.norm(np.sqrt(scale) * step) <= _FIT_TOL * (np.linalg.norm(np.sqrt(scale) * params) + _FIT_TOL)
-        trial_residual, trial_jac = _dip_terms(tau, y, trial)
-        trial_cost = float(trial_residual @ trial_residual)
-        if trial_cost <= cost:
-            converged = tiny or cost - trial_cost <= _FIT_TOL * cost
-            params, residual, jac, cost = trial, trial_residual, trial_jac, trial_cost
-            normal = jac.T @ jac
-            scale = np.maximum(scale, np.diag(normal))
-            lam *= 0.1
+    m = tau.size
+    u = tau - center
+    u /= width
+    g = u * u
+    g *= -0.5
+    np.exp(g, out=g)
+    sg, sgg, sy, sgy = float(g.sum()), float(g @ g), float(y.sum()), float(g @ y)
+    det = m * sgg - sg * sg
+    if not det > m * np.finfo(float).eps * m * sgg:
+        return None
+    depth = (sg * sy - m * sgy) / det
+    base = (sgg * sy - sg * sgy) / det
+    residual = g * -depth
+    residual += base
+    residual -= y
+    return _DipPoint(center, width, u, g, sg, sgg, det, depth, base, residual, float(residual @ residual))
+
+
+def _dip_derivatives(point: _DipPoint) -> tuple[np.ndarray, np.ndarray]:
+    """d residual / d center and d residual / d width at fixed depth and base."""
+    by_center = point.g * point.u
+    by_center *= -point.depth / point.width
+    return by_center, by_center * point.u
+
+
+def _projected_normal(point: _DipPoint) -> tuple[float, float, float, float, float]:
+    """J^T J (its entries 00, 01, 11) and J^T r for the projected residual
+    in (center, width), as Python floats.
+
+    J holds Kaufman's columns: the derivatives x_i at fixed depth and
+    base, less their part in span{g, 1}.  Their products are formed from
+    sums, x_i . x_j - p_i^T M^-1 p_j with p_i = (g . x_i, sum x_i) and
+    M = [[sum g^2, sum g], [sum g, m]]; r is orthogonal to g and 1, so
+    J^T r is x_i . r.
+    """
+    m, g, r, sg, sgg, det = point.g.size, point.g, point.residual, point.sg, point.sgg, point.det
+    x0, x1 = _dip_derivatives(point)
+    p0, q0, p1, q1 = float(g @ x0), float(x0.sum()), float(g @ x1), float(x1.sum())
+
+    def projected(pa, qa, pb, qb):
+        return (m * pa * pb - sg * (pa * qb + qa * pb) + sgg * qa * qb) / det
+
+    return (
+        float(x0 @ x0) - projected(p0, q0, p0, q0),
+        float(x0 @ x1) - projected(p0, q0, p1, q1),
+        float(x1 @ x1) - projected(p1, q1, p1, q1),
+        float(x0 @ r),
+        float(x1 @ r),
+    )
+
+
+def _fit_dip(tau: np.ndarray, y: np.ndarray, p0: tuple[float, float]) -> tuple[np.ndarray, float]:
+    """Least squares of the Gaussian dip b - v exp(-(tau - c)^2 / (2 w^2))
+    by variable projection (Golub and Pereyra).
+
+    At each (c, w) the linear depth v and base b come in closed form
+    (``_dip_point``), so Levenberg-Marquardt runs on (c, w) alone, from
+    ``p0``.  Each step solves the 2 x 2 system (J^T J + lam D) step =
+    -J^T r by Cramer's rule in Python floats, on Kaufman's projected
+    columns (``_projected_normal``), with D the running maximum of
+    diag(J^T J) (Marquardt's scaling); the loop calls no LAPACK routine.
+    A step whose system is singular, or that lands where v and b are not
+    determined, counts as rejected.  The fit stops when a step moves the
+    scaled (c, w), or lowers the residual sum of squares, by less than
+    _FIT_TOL relative.  Returns (c, w, v, b) and the variance of c: the
+    pseudo-inverse of J^T J for the full four-column Jacobian at the
+    optimum, from its SVD, discarding singular values below
+    eps max(m, 4) s_max, times SSR / (m - 4).
+    """
+    # a trial width may be 0 or tiny: the model is judged by its cost
+    with np.errstate(all="ignore"):
+        point = _dip_point(tau, y, *p0)
+        if point is None:
+            raise FitError("delay fit failed: depth and base are not determined at the starting point")
+        if not math.isfinite(point.cost):
+            raise FitError("delay fit failed: non-finite model at the starting point")
+        n00, n01, n11, r0, r1 = _projected_normal(point)
+        s0, s1 = (n00 if n00 > 0 else 1.0), (n11 if n11 > 0 else 1.0)
+        lam = 1e-3
+        for _ in range(_FIT_MAX_EVALS):
+            a00, a11 = n00 + lam * s0, n11 + lam * s1
+            det = a00 * a11 - n01 * n01
+            if not det > 0:
+                lam *= 10.0
+                continue
+            dc, dw = (n01 * r1 - a11 * r0) / det, (n01 * r0 - a00 * r1) / det
+            q0, q1 = math.sqrt(s0), math.sqrt(s1)
+            tiny = math.hypot(q0 * dc, q1 * dw) <= _FIT_TOL * (math.hypot(q0 * point.center, q1 * point.width) + _FIT_TOL)
+            trial = _dip_point(tau, y, point.center + dc, point.width + dw)
+            if trial is not None and trial.cost <= point.cost:
+                converged = tiny or point.cost - trial.cost <= _FIT_TOL * point.cost
+                point = trial
+                n00, n01, n11, r0, r1 = _projected_normal(point)
+                s0, s1 = max(s0, n00), max(s1, n11)
+                lam *= 0.1
+            else:
+                converged = tiny
+                lam *= 10.0
+            if converged:
+                break
         else:
-            converged = tiny
-            lam *= 10.0
-        if converged:
-            break
-    else:
-        raise FitError(f"delay fit failed: no convergence in {_FIT_MAX_EVALS} evaluations")
+            raise FitError(f"delay fit failed: no convergence in {_FIT_MAX_EVALS} evaluations")
+        jac = np.column_stack((*_dip_derivatives(point), -point.g, np.ones(tau.size)))
+    params = np.array([point.center, point.width, point.depth, point.base])
     m = tau.size
     if m <= 4:
         return params, math.inf
@@ -617,14 +729,29 @@ def _fit_dip(tau: np.ndarray, y: np.ndarray, p0: tuple[float, float, float, floa
     keep = s > np.finfo(float).eps * max(jac.shape) * s[0]
     vt = vt[keep]
     cov_center = float(np.sum(vt[:, 0] ** 2 / s[keep] ** 2))
-    return params, cov_center * cost / (m - 4)
+    return params, cov_center * point.cost / (m - 4)
+
+
+def _median(values: np.ndarray) -> float:
+    """np.median of a 1-D array that holds no NaN, through np.partition:
+    the middle value, or the mean of the two middle values.  np.median
+    also checks for NaN, and that check imports numpy.ma."""
+    half = values.size // 2
+    if values.size % 2:
+        return float(np.partition(values, half)[half])
+    part = np.partition(values, (half - 1, half))
+    return float((part[half - 1] + part[half]) / 2)
 
 
 def extract_delay(gram: Interferogram) -> DelayFit:
     """Locate the envelope feature by least squares on a Gaussian model.
 
     Fits rate(tau) = b - v exp(-(tau - tau0)^2 / (2 w^2)) for dip-shaped
-    data (peaks are fitted with the sign flipped).  The reported error
+    data (peaks are fitted with the sign flipped), starting at the lowest
+    sample with w from the envelope width.  The fit is a variable
+    projection (``_fit_dip``): depth v and base b are solved in closed
+    form at each (tau0, w), and only (tau0, w) are iterated.  Dip or
+    peak is decided against the median rate.  The reported error
     is the fit standard error floored at a grid-conditioning level of
     1e-6 scan steps; a noiseless symmetric dip is limited only by that
     conditioning.
@@ -636,16 +763,16 @@ def extract_delay(gram: Interferogram) -> DelayFit:
     span = float(rates.max() - rates.min())
     if span < 1e-12:
         raise FitError("featureless interferogram: nothing to fit")
-    # the feature sits on the side farther from the median baseline
-    median = float(np.median(rates))
+    # the feature sits on the side farther from the median baseline;
+    # Interferogram refuses NaN rates
+    median = _median(rates)
     dip = median - float(rates.min()) >= float(rates.max()) - median
     sign = 1.0 if dip else -1.0
     y = sign * rates
 
     idx = int(np.argmin(y))
     guess_w = max(envelope_rms_width(gram) / math.sqrt(2), float(tau[1] - tau[0]))
-    p0 = (float(tau[idx]), guess_w, float(y.max() - y.min()), float(y.max()))
-    popt, var = _fit_dip(tau, y, p0)
+    popt, var = _fit_dip(tau, y, (float(tau[idx]), guess_w))
     floor = 1e-6 * float(tau[1] - tau[0])
     # a noiseless perfect fit leaves the residual variance at zero;
     # conditioning floor stands in for it

@@ -516,23 +516,20 @@ def correlated_phases(
     direct = project_object(profile, w0, l_max, p_max, wavelength, z)
     total = max(profile.power(), 1e-300)
     ref = complex(1.0)
-    offsets = [cmath.exp(1j * d) * ref for d in (0.0, math.pi / 2, math.pi, 3 * math.pi / 2)]
-    ref_phase = cmath.phase(ref)
-    recovered: dict[tuple[int, int], complex] = {}
-    flagged: list[tuple[int, int]] = []
-    for key, a in direct.coefficients.items():
-        intensities = [abs(a + offset) ** 2 for offset in offsets]
-        direct_intensity = abs(a) ** 2
-        if direct_intensity < 1e-12 * total:
-            recovered[key] = 0j
-            flagged.append(key)
-            continue
-        re = (intensities[0] - intensities[2]) / 4.0
-        im = (intensities[1] - intensities[3]) / 4.0
-        phase = cmath.phase(complex(re, im)) + ref_phase
-        recovered[key] = math.sqrt(direct_intensity) * cmath.exp(1j * phase)
+    offsets = np.exp(1j * np.array([0.0, math.pi / 2, math.pi, 3 * math.pi / 2])) * ref
+    keys = list(direct.coefficients)
+    a = np.array(list(direct.coefficients.values()), dtype=complex)
+    # one row per channel, one column per phase offset
+    intensities = np.abs(a[:, None] + offsets) ** 2
+    direct_intensity = np.abs(a) ** 2
+    flags = direct_intensity < 1e-12 * total
+    re = (intensities[:, 0] - intensities[:, 2]) / 4.0
+    im = (intensities[:, 1] - intensities[:, 3]) / 4.0
+    phase = np.arctan2(im, re) + cmath.phase(ref)
+    recovered = np.where(flags, 0j, np.sqrt(direct_intensity) * np.exp(1j * phase))
+    flagged = [key for key, flag in zip(keys, flags) if flag]
     spectrum = SpiralSpectrum(
-        coefficients=recovered,
+        coefficients=dict(zip(keys, recovered.tolist())),
         residual=direct.residual,
         l_max=l_max,
         p_max=p_max,

@@ -180,6 +180,13 @@ def spdc_oam_pair(space: FockSpace, spectrum: SpdcOamSpectrum) -> StateVector:
 # frequency-entangled biphotons
 
 
+_MATCHING_ARRAYS = "detunings and amplitude must be matching 1-D arrays"
+
+
+def _power(detunings: np.ndarray, amplitude: np.ndarray) -> float:
+    return float(np.sum(np.abs(amplitude) ** 2) * (detunings[1] - detunings[0]))
+
+
 @dataclass(frozen=True)
 class BiphotonSpectrum:
     """Joint spectral amplitude of a frequency-anticorrelated pair.
@@ -190,6 +197,9 @@ class BiphotonSpectrum:
     sum |a|^2 * step = 1 (a discrete spectral density).  Down-conversion
     sources give a symmetric amplitude: which photon is the higher one
     is not predetermined, so both assignments are superposed.
+
+    The spectrum keeps read-only copies of both arrays, so a caller that
+    edits its own arrays afterwards leaves the validated grid intact.
     """
 
     omega0: float
@@ -197,10 +207,10 @@ class BiphotonSpectrum:
     amplitude: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.detunings, dtype=float)
-        a = np.asarray(self.amplitude, dtype=complex)
+        d = np.array(self.detunings, dtype=float)
+        a = np.array(self.amplitude, dtype=complex)
         if d.ndim != 1 or d.size < 2 or a.shape != d.shape:
-            raise ValueError("detunings and amplitude must be matching 1-D arrays")
+            raise ValueError(_MATCHING_ARRAYS)
         steps = np.diff(d)
         if not np.all(steps > 0):
             raise ValueError("detuning grid must be strictly increasing")
@@ -208,9 +218,18 @@ class BiphotonSpectrum:
             raise ValueError("detuning grid must be uniform")
         if not np.allclose(d, -d[::-1], rtol=0.0, atol=1e-9 * float(d[-1] - d[0])):
             raise AsymmetricGridError("detuning grid must be symmetric about zero")
+        d.setflags(write=False)
         object.__setattr__(self, "detunings", d)
-        object.__setattr__(self, "amplitude", a)
-        total = self.power()
+        object.__setattr__(self, "amplitude", self._admitted(a))
+
+    def _admitted(self, a: np.ndarray) -> np.ndarray:
+        """``a``, an array this spectrum owns, checked against the grid
+        and made read-only: its shape, a finite power and the
+        normalization."""
+        d = self.detunings
+        if a.shape != d.shape:
+            raise ValueError(_MATCHING_ARRAYS)
+        total = _power(d, a)
         if not math.isfinite(total):
             # a width whose square under- or overflows float64 makes the
             # Gaussian envelope 0/0 or inf/inf
@@ -220,20 +239,32 @@ class BiphotonSpectrum:
             )
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"spectrum power {total} != 1; normalize first")
+        a.setflags(write=False)
+        return a
 
     @property
     def step(self) -> float:
         return float(self.detunings[1] - self.detunings[0])
 
     def power(self) -> float:
-        return float(np.sum(np.abs(self.amplitude) ** 2) * (self.detunings[1] - self.detunings[0]))
+        return _power(self.detunings, self.amplitude)
 
     def is_symmetric(self) -> bool:
         """Whether the amplitude is even in detuning, to 1e-9."""
         return bool(np.allclose(self.amplitude, self.amplitude[::-1], rtol=0.0, atol=1e-9))
 
     def with_amplitude(self, amplitude: np.ndarray) -> "BiphotonSpectrum":
-        return BiphotonSpectrum(self.omega0, self.detunings, amplitude)
+        """The same pair on the same grid with a new amplitude.
+
+        The grid was validated when this spectrum was built and cannot
+        have changed since, so only the amplitude is checked, with the
+        constructor's checks and messages.
+        """
+        spectrum = object.__new__(BiphotonSpectrum)
+        object.__setattr__(spectrum, "omega0", self.omega0)
+        object.__setattr__(spectrum, "detunings", self.detunings)
+        object.__setattr__(spectrum, "amplitude", self._admitted(np.array(amplitude, dtype=complex)))
+        return spectrum
 
     @staticmethod
     def gaussian(omega0: float, sigma: float, n_bins: int = 1024) -> "BiphotonSpectrum":

@@ -1,7 +1,11 @@
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -320,6 +324,55 @@ def test_quantum_beats_classical_for_same_medium():
     assert classical.broadening > 2.0
 
 
+def _unshifted_field_width(detunings, amplitude):
+    # the width as formed before the time grid and the transform limit
+    # were kept: the complex field is shifted, then squared
+    n = detunings.size * 16
+    step = detunings[1] - detunings[0]
+    field_t = np.fft.fftshift(np.fft.fft(amplitude, n=n))
+    t = np.fft.fftshift(np.fft.fftfreq(n, d=step / (2 * math.pi)))
+    intensity = np.abs(field_t) ** 2
+    total = intensity.sum()
+    mean = float((t * intensity).sum() / total)
+    return math.sqrt(float(((t - mean) ** 2 * intensity).sum() / total))
+
+
+def _clear_baseline_caches():
+    dispersion._pulse_times.cache_clear()
+    dispersion._transform_limit.cache_clear()
+
+
+@pytest.mark.parametrize("sigma", [0.05, 0.3, 1.0, 7.0])
+@pytest.mark.parametrize("beta2", [22.0, 2.0, 0.0, -5.0])
+def test_classical_baseline_warm_equals_cold_bit_for_bit(sigma, beta2):
+    medium = beta(b2=beta2)
+    _clear_baseline_caches()
+    cold = classical_baseline(PulseSpectrum.gaussian(sigma), medium)
+    warm = classical_baseline(PulseSpectrum.gaussian(sigma), medium)
+    assert dispersion._transform_limit.cache_info().hits == 1
+    assert dispersion._pulse_times.cache_info().hits == 2
+    assert warm == cold
+    pulse = PulseSpectrum.gaussian(sigma)
+    chirped = pulse.amplitude * np.exp(1j * medium.phase(pulse.detunings))
+    assert cold.width == _unshifted_field_width(pulse.detunings, chirped)
+    assert cold.transform_limit == _unshifted_field_width(pulse.detunings, np.abs(pulse.amplitude).astype(complex))
+
+
+def test_a_pulse_differing_in_one_bin_builds_its_own_transform_limit():
+    pulse = PulseSpectrum.gaussian(1.0)
+    amplitude = pulse.amplitude.copy()
+    amplitude[1024] *= 0.5
+    other = PulseSpectrum(pulse.detunings, amplitude)
+    _clear_baseline_caches()
+    cold_other = classical_baseline(other, VACUUM_PROFILE)
+    _clear_baseline_caches()
+    classical_baseline(pulse, VACUUM_PROFILE)
+    warm_other = classical_baseline(other, VACUUM_PROFILE)
+    assert dispersion._transform_limit.cache_info().misses == 2
+    assert warm_other == cold_other
+    assert warm_other.transform_limit != classical_baseline(pulse, VACUUM_PROFILE).transform_limit
+
+
 # ---------------------------------------------------------------------------
 # delay extraction
 
@@ -389,6 +442,133 @@ def test_delay_fit_finds_a_peak(b1):
     fit = extract_delay(gram)
     assert abs(fit.delay - envelope_center(gram)) <= taus[1] - taus[0]
     assert abs(fit.delay - 2.0 * b1) <= taus[1] - taus[0]
+
+
+@pytest.mark.parametrize("b1", [0.0, 3.0])
+def test_delay_fit_finds_a_peak_at_4096_bins(b1):
+    taus = np.linspace(-12.0, 12.0, 2001)
+    gram = franson_interferogram(gaussian_pair(4096), beta(b1=b1), taus)
+    fit = extract_delay(gram)
+    assert abs(fit.delay - envelope_center(gram)) <= taus[1] - taus[0]
+    assert abs(fit.delay - 2.0 * b1) <= taus[1] - taus[0]
+
+
+def _counted_fit(monkeypatch, tau, y, start):
+    """_fit_dip from ``start``, with the model evaluations and the
+    accepted points (the start included) counted."""
+    counts = {"evaluations": 0, "accepted": 0}
+    point, normal = dispersion._dip_point, dispersion._projected_normal
+
+    def evaluated(*args):
+        counts["evaluations"] += 1
+        return point(*args)
+
+    def accepted(*args):
+        counts["accepted"] += 1
+        return normal(*args)
+
+    monkeypatch.setattr(dispersion, "_dip_point", evaluated)
+    monkeypatch.setattr(dispersion, "_projected_normal", accepted)
+    params, var = dispersion._fit_dip(tau, y, start)
+    monkeypatch.undo()
+    return params, var, counts
+
+
+@pytest.mark.parametrize(
+    "configuration, sign",
+    [
+        pytest.param(lambda spec, taus: hom_interferogram(spec, taus, signal=beta(3.0, 22.0, 4.0)), 1.0, id="hom-dip"),
+        pytest.param(lambda spec, taus: franson_interferogram(spec, beta(b1=3.0), taus), -1.0, id="franson-peak"),
+    ],
+)
+def test_fit_from_two_widths_off_rejects_steps_and_finds_the_same_feature(monkeypatch, configuration, sign):
+    taus = np.linspace(-12.0, 12.0, 2001)
+    gram = configuration(gaussian_pair(4096), taus)
+    fit = extract_delay(gram)
+    y = sign * gram.rates
+    guess_w = envelope_rms_width(gram) / math.sqrt(2)
+    params, _, usual = _counted_fit(monkeypatch, taus, y, (fit.delay, guess_w))
+    moved, var, counts = _counted_fit(monkeypatch, taus, y, (fit.delay - 2.0 * params[1], guess_w))
+    assert usual["evaluations"] <= 12
+    # the start is evaluated and accepted; every other evaluation is a trial
+    assert counts["evaluations"] - counts["accepted"] >= 2
+    assert abs(moved[0] - fit.delay) <= 1e-3 * fit.stderr
+    assert math.sqrt(var) == pytest.approx(fit.stderr, rel=1e-6)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "start",
+    [(0.0, 1e300), (1e6, 1.0), (0.0, 0.0), (0.0, math.nan)],
+    ids=["flat-model", "underflowed-model", "zero-width", "nan-width"],
+)
+def test_a_singular_linear_system_raises_fit_error_without_a_warning(start):
+    # depth and base solve a 2 x 2 system with determinant
+    # m sum (g - mean g)^2: 0 when the model is flat on the scan or is 0
+    # on all of it, and NaN for a NaN width
+    gram = hom_interferogram(gaussian_pair(), TAUS)
+    with pytest.raises(FitError, match="depth and base are not determined at the starting point"):
+        dispersion._fit_dip(gram.scan, gram.rates, start)
+
+
+def test_delay_fit_loop_runs_without_lapack(monkeypatch):
+    # only the covariance at the optimum takes an SVD; every step is a
+    # 2 x 2 system solved in Python floats
+    gram = hom_interferogram(gaussian_pair(4096), np.linspace(-12.0, 12.0, 2001), signal=beta(3.0, 22.0, 4.0))
+    expected = extract_delay(gram)
+
+    def refused(*args, **kwargs):
+        raise AssertionError("the delay fit called np.linalg.solve")
+
+    monkeypatch.setattr(np.linalg, "solve", refused)
+    assert extract_delay(gram) == expected
+
+
+@pytest.mark.parametrize(
+    "rates",
+    [
+        # the mean of the two middle values decides: the lower middle value
+        # alone would flip the first, the upper one the second
+        pytest.param(np.array([0.55, 1.0, 0.0, 0.45]), id="even-dip"),
+        pytest.param(np.array([1.0, 0.3, 0.6, 0.0]), id="even-peak"),
+        pytest.param(np.array([1.0, 0.5, 0.0]), id="odd-tie"),
+        pytest.param(np.random.default_rng(3).uniform(0.0, 1.0, 2000), id="even-random"),
+        pytest.param(np.random.default_rng(3).uniform(0.0, 1.0, 2001), id="odd-random"),
+    ],
+)
+def test_dip_or_peak_median_equals_numpys(rates):
+    # equal medians make equal dip-or-peak decisions
+    assert dispersion._median(rates) == float(np.median(rates))
+
+
+@pytest.mark.parametrize("n_delays", [2000, 2001], ids=["even", "odd"])
+def test_dip_and_peak_are_told_apart_on_even_and_odd_scans(n_delays):
+    taus = np.linspace(-12.0, 12.0, n_delays)
+    step = taus[1] - taus[0]
+    spec, medium = gaussian_pair(512), beta(3.0, 22.0)
+    # the HOM dip sits at beta_1 L and the Franson peak at 2 beta_1 L
+    for gram, delay in ((hom_interferogram(spec, taus, signal=medium), 3.0), (franson_interferogram(spec, medium, taus), 6.0)):
+        fit = extract_delay(gram)
+        assert abs(fit.delay - envelope_center(gram)) <= step
+        assert abs(fit.delay - delay) <= step
+
+
+def test_delay_fit_imports_no_numpy_ma():
+    # np.median checks for NaN through numpy.ma, an import of several
+    # milliseconds on the first fit in a process
+    src = str(Path(dispersion.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from photonlab import dispersion as d\n"
+        "from photonlab.sources import BiphotonSpectrum\n"
+        "gram = d.hom_interferogram(BiphotonSpectrum.gaussian(2.35, 0.3, 512), np.linspace(-12.0, 12.0, 241))\n"
+        "d.extract_delay(gram)\n"
+        "print('numpy.ma' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.split() == ["False"]
 
 
 def test_too_few_scan_points_raise_fit_error():
@@ -557,6 +737,7 @@ def test_interferogram_kernels_hold_no_phase_matrix(kernel):
 def _clear_grid_caches():
     dispersion._fourier_plan.cache_clear()
     dispersion._detuning_power.cache_clear()
+    _clear_baseline_caches()
 
 
 _USUAL_DELAYS = (np.linspace(-12.0, 12.0, 601), np.linspace(-3.0, 11.0, 300))
@@ -657,12 +838,20 @@ def test_grid_caches_retain_a_bounded_footprint():
     and keys on its m delays; a power holds n float64 and shares its key,
     the n detunings, with the other orders of one phase.  So the caches
     retain under sum_n [3 (80 (n + m) + 8 m) + 6 (8 n + 8 n)] bytes, and
-    no more than 8 plans and 16 powers whatever is asked."""
+    no more than 8 plans and 16 powers whatever is asked.  The classical
+    baseline of the 2048-bin pulse, asked once per grid, adds one time
+    grid of 16 x 2048 float64, one key of 2048 complex numbers, and
+    three medium powers on the pulse's detunings with their shared key,
+    4 x 2048 float64: under 16 (8 + 1 + 2) 2048 bytes more, and
+    no more than 2 time grids and 8 transform limits whatever is asked."""
     assert dispersion._fourier_plan.cache_info().maxsize == 8
     assert dispersion._detuning_power.cache_info().maxsize == 16
+    assert dispersion._pulse_times.cache_info().maxsize == 2
+    assert dispersion._transform_limit.cache_info().maxsize == 8
     medium, taus = beta(3.0, 22.0, 4.0), np.linspace(-12.0, 12.0, 2001)
     bins, m = (512, 4096), taus.size
     spectra = [gaussian_pair(n) for n in bins]
+    pulse_bins = PulseSpectrum.gaussian(SIGMA).detunings.size
     _clear_grid_caches()
     tracemalloc.start()
     try:
@@ -671,13 +860,15 @@ def test_grid_caches_retain_a_bounded_footprint():
             hom_interferogram(spec, taus, signal=medium)
             skc_interferogram(spec, medium, taus)
             franson_interferogram(spec, medium, taus)
+            classical_baseline(PulseSpectrum.gaussian(SIGMA), medium)
         retained = tracemalloc.get_traced_memory()[0] - before
         _clear_grid_caches()
         after_clear = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
     assert dispersion._fourier_plan.cache_info().currsize == 0
-    ceiling = sum(3 * (80 * (n + m) + 8 * m) + 6 * 16 * n for n in bins)
+    assert dispersion._transform_limit.cache_info().currsize == 0
+    ceiling = sum(3 * (80 * (n + m) + 8 * m) + 6 * 16 * n for n in bins) + 16 * (8 + 1 + 2) * pulse_bins
     assert retained < ceiling
     # what stays is the caches' own
     assert after_clear < 0.05 * retained

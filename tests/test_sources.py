@@ -263,6 +263,44 @@ def test_spectrum_with_non_finite_power_rejected(amplitude):
         BiphotonSpectrum(0.0, np.array([-1.5, -0.5, 0.5, 1.5]), amplitude)
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda d, a: BiphotonSpectrum(2.35, d, a), id="biphoton"),
+        pytest.param(lambda d, a: PulseSpectrum(d, a), id="pulse"),
+        pytest.param(lambda d, a: BiphotonSpectrum(2.35, d, a.copy()).with_amplitude(a), id="with-amplitude"),
+    ],
+)
+def test_a_spectrum_owns_read_only_copies_of_its_arrays(build):
+    reference = BiphotonSpectrum.gaussian(2.35, 0.3, n_bins=512)
+    d, a = reference.detunings.copy(), reference.amplitude.copy()
+    spectrum = build(d, a)
+    d[100] = 7.0
+    a[3] = 9.0
+    # the caller's arrays stay theirs and writeable; the spectrum's do not move
+    assert d.flags.writeable and a.flags.writeable
+    assert np.array_equal(spectrum.detunings, reference.detunings)
+    assert np.array_equal(spectrum.amplitude, reference.amplitude)
+    for array in (spectrum.detunings, spectrum.amplitude):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0.0
+
+
+def test_with_amplitude_refuses_what_the_constructor_refuses():
+    # only the amplitude is checked again, with the constructor's messages
+    spec = BiphotonSpectrum.gaussian(2.35, 0.3, n_bins=16)
+    for bad, message in (
+        (np.ones(15), "detunings and amplitude must be matching 1-D arrays"),
+        (np.ones((16, 1)), "detunings and amplitude must be matching 1-D arrays"),
+        (np.full(16, np.nan), "spectrum power nan is not finite"),
+        (2.0 * spec.amplitude, "spectrum power 4.0000.* != 1; normalize first"),
+    ):
+        with pytest.raises(ValueError, match=message) as built:
+            BiphotonSpectrum(spec.omega0, spec.detunings, bad)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(built.value))}$"):
+            spec.with_amplitude(bad)
+
+
 def test_gaussian_width_past_float_range_rejected():
     # sigma ** 2 overflows, which raised an OverflowError naming no parameter
     with pytest.raises(ValueError, match=r"width 1e\+200 \(sigma\) is outside the range float64 can hold"):
