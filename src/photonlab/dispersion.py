@@ -19,13 +19,11 @@ detunings in rad/fs, beta_n L carries fs^n.  Delay scans use the same
 time unit.
 
 What depends only on the grids is built once per grid and shared
-read-only: the detuning powers d^n behind every medium phase
-(``_detuning_power``) and the weight-independent half of each chirp-z
-sum (``_fourier_plan``).  Both caches are keyed on the bytes of every
-value they read, so a repeated interferogram on one grid pays only for
-its weights and returns the same bits as a cold call.  Together they
-hold at most 16 powers and 8 plans; each plan is O(n + m) complex
-numbers for n bins and m delays.
+read-only: the weight-independent half of each chirp-z sum
+(``_fourier_plan``), keyed on the bytes of every value it reads, so a
+repeated interferogram on one grid pays only for its weights and returns
+the same bits as a cold call.  It holds at most 8 plans, each O(n + m)
+complex numbers for n bins and m delays.
 
 The classical baseline keeps two more, on the same rule: the sample
 times of the zero-padded pulse (``_pulse_times``, keyed on the bin count
@@ -46,7 +44,7 @@ import numpy as np
 
 from .domains import require
 from .fock import FockError, ResolutionError
-from .sources import BiphotonSpectrum, _require_squarable_width
+from .sources import BiphotonSpectrum, _require_squarable_width, _uniform_grid
 
 
 class FitError(FockError):
@@ -55,23 +53,6 @@ class FitError(FockError):
 
 # half the float64 range: two arm phases within it always add to a finite one
 _PHASE_LIMIT = np.finfo(float).max / 2
-
-
-@functools.lru_cache(maxsize=16)
-def _detuning_power(grid: bytes, n: int) -> np.ndarray:
-    """d^n on the detunings whose float64 bytes are ``grid``, flat and
-    read-only.
-
-    ``**`` is numpy's general pow here, the slowest step of a medium
-    phase, and its bits depend on the CPU: (-d)^3 is not -(d^3) bit for
-    bit, so a grid and its negation are keyed apart.  Sixteen entries
-    hold orders 0..3 on a grid and its negation for two grids; they
-    retain at most 16 n float64 for the powers and as much again for
-    their keys.
-    """
-    power = np.frombuffer(grid) ** n
-    power.setflags(write=False)
-    return power
 
 
 @dataclass(frozen=True)
@@ -94,19 +75,20 @@ class DispersionProfile:
     def phase(self, detuning: np.ndarray) -> np.ndarray:
         """The accumulated phase at each detuning, shaped like ``detuning``.
 
-        The powers d^n come from ``_detuning_power``, keyed on the
-        detunings' contents, so a grid's powers are formed once and a
-        0-d input or a Python float reads them as a one-bin grid: the
-        phase has the bits a cold call gives.  The range check runs on
-        every call.
+        The powers d^n are formed by repeated multiplication up to the
+        highest nonzero order, so (-d)^n is (-1)^n d^n bit for bit.  The
+        phase is refused where it passes half the float64 range.
         """
         d = np.asarray(detuning, dtype=float)
-        grid = d.tobytes()
+        top = max((n for n, b in enumerate(self.beta) if b != 0.0), default=0)
+        powers = [np.ones_like(d), d]
         acc = np.zeros_like(d)
         with np.errstate(over="ignore", invalid="ignore"):
+            while len(powers) <= top:
+                powers.append(powers[-1] * d)
             for n, b in enumerate(self.beta):
                 if b != 0.0:
-                    acc = acc + b * _detuning_power(grid, n).reshape(d.shape) / math.factorial(n)
+                    acc = acc + b * powers[n] / math.factorial(n)
             phase = self.length * acc
         # NaN fails the comparison too
         if not np.all(np.abs(phase) <= _PHASE_LIMIT):
@@ -422,31 +404,26 @@ def franson_interferogram(
 class PulseSpectrum:
     """Classical (or single-photon) spectral amplitude over detuning.
 
-    The pulse keeps read-only copies of both arrays."""
+    The detunings are a uniform, strictly increasing grid of at least 8
+    bins.  The pulse keeps read-only copies of both arrays."""
 
     detunings: np.ndarray
     amplitude: np.ndarray
 
     def __post_init__(self):
-        d = np.array(self.detunings, dtype=float)
-        a = np.array(self.amplitude, dtype=complex)
-        if d.ndim != 1 or a.shape != d.shape or d.size < 8:
-            raise ValueError("need matching 1-D arrays with >= 8 bins")
-        if not np.allclose(np.diff(d), d[1] - d[0], rtol=1e-9):
-            raise ValueError("detuning grid must be uniform")
+        d, a = _uniform_grid(self.detunings, self.amplitude, 8, "need matching 1-D arrays with >= 8 bins")
         # a medium phase squares the detunings, and classical_baseline weighs
         # squared times, up to the conjugate span 2 pi / step, by the pulse
         # intensity, which stays below (sum |a|)^2
         reach, step = float(np.max(np.abs(d))), float(d[1] - d[0])
-        moment = 2 * math.pi / abs(step) * float(np.sum(np.abs(a))) if step else math.inf
+        moment = 2 * math.pi / step * float(np.sum(np.abs(a)))
         if not (math.isfinite(reach * reach) and math.isfinite(moment * moment)):
             raise ValueError(
                 f"pulse moments are not finite: a spectrum of width {float(d[-1] - d[0])!r} "
                 "(detuning span) is outside the range float64 can hold"
             )
-        for name, array in (("detunings", d), ("amplitude", a)):
-            array.setflags(write=False)
-            object.__setattr__(self, name, array)
+        object.__setattr__(self, "detunings", d)
+        object.__setattr__(self, "amplitude", a)
 
     @staticmethod
     def gaussian(sigma_omega: float) -> "PulseSpectrum":

@@ -183,6 +183,25 @@ def spdc_oam_pair(space: FockSpace, spectrum: SpdcOamSpectrum) -> StateVector:
 _MATCHING_ARRAYS = "detunings and amplitude must be matching 1-D arrays"
 
 
+def _uniform_grid(detunings, amplitude, min_bins: int, mismatch: str) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only float and complex copies of a spectrum's detunings and
+    amplitude, once the detunings are a 1-D grid of at least ``min_bins``
+    bins that the amplitude matches (else ``mismatch``), strictly
+    increasing and with every step equal to the first to rtol 1e-9."""
+    d = np.array(detunings, dtype=float)
+    a = np.array(amplitude, dtype=complex)
+    if d.ndim != 1 or d.size < min_bins or a.shape != d.shape:
+        raise ValueError(mismatch)
+    steps = np.diff(d)
+    if not np.all(steps > 0):
+        raise ValueError("detuning grid must be strictly increasing")
+    if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+        raise ValueError("detuning grid must be uniform")
+    d.setflags(write=False)
+    a.setflags(write=False)
+    return d, a
+
+
 def _power(detunings: np.ndarray, amplitude: np.ndarray) -> float:
     return float(np.sum(np.abs(amplitude) ** 2) * (detunings[1] - detunings[0]))
 
@@ -207,18 +226,9 @@ class BiphotonSpectrum:
     amplitude: np.ndarray
 
     def __post_init__(self):
-        d = np.array(self.detunings, dtype=float)
-        a = np.array(self.amplitude, dtype=complex)
-        if d.ndim != 1 or d.size < 2 or a.shape != d.shape:
-            raise ValueError(_MATCHING_ARRAYS)
-        steps = np.diff(d)
-        if not np.all(steps > 0):
-            raise ValueError("detuning grid must be strictly increasing")
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-            raise ValueError("detuning grid must be uniform")
+        d, a = _uniform_grid(self.detunings, self.amplitude, 2, _MATCHING_ARRAYS)
         if not np.allclose(d, -d[::-1], rtol=0.0, atol=1e-9 * float(d[-1] - d[0])):
             raise AsymmetricGridError("detuning grid must be symmetric about zero")
-        d.setflags(write=False)
         object.__setattr__(self, "detunings", d)
         object.__setattr__(self, "amplitude", self._admitted(a))
 

@@ -314,6 +314,27 @@ def test_pulse_with_non_finite_amplitude_rejected():
         PulseSpectrum(d, np.full(8, np.nan))
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        pytest.param(lambda d: PulseSpectrum(d, np.ones(d.size)), id="pulse"),
+        pytest.param(lambda d: BiphotonSpectrum(OMEGA0, d, np.ones(d.size)), id="biphoton"),
+    ],
+)
+@pytest.mark.parametrize(
+    "detunings, rule",
+    [
+        pytest.param(np.cumsum(np.tile([4e-9, -1e-9], 8)), "strictly increasing", id="alternating-steps"),
+        pytest.param(np.linspace(1.0, -1.0, 16), "strictly increasing", id="decreasing"),
+        pytest.param(np.cumsum(np.tile([4e-9, 1e-9], 8)), "uniform", id="steps-4e-9-and-1e-9"),
+    ],
+)
+def test_a_spectrum_grid_must_be_uniform_and_increasing(build, detunings, rule):
+    # steps are compared relative to the first, with no absolute slack
+    with pytest.raises(ValueError, match=f"^detuning grid must be {rule}$"):
+        build(detunings)
+
+
 def test_quantum_beats_classical_for_same_medium():
     spec = gaussian_pair()
     plain = hom_interferogram(spec, TAUS)
@@ -736,7 +757,6 @@ def test_interferogram_kernels_hold_no_phase_matrix(kernel):
 
 def _clear_grid_caches():
     dispersion._fourier_plan.cache_clear()
-    dispersion._detuning_power.cache_clear()
     _clear_baseline_caches()
 
 
@@ -801,17 +821,52 @@ def test_medium_phase_warm_equals_cold_bit_for_bit(detuning):
     _clear_grid_caches()
     cold = medium.phase(detuning)
     warm = medium.phase(detuning)
-    assert dispersion._detuning_power.cache_info().hits == 3
     assert type(warm) is type(cold) and np.shape(warm) == np.shape(detuning)
     assert np.array_equal(warm, cold)
+
+
+# the detunings a medium phase meets: the CLI's and the benchmark's pair
+# grids (sigma 0.3 over 512 and 4096 bins) and the classical pulse's
+_PHASE_GRIDS = [
+    pytest.param(gaussian_pair(512).detunings, id="pair-512"),
+    pytest.param(gaussian_pair(4096).detunings, id="pair-4096"),
+    pytest.param(PulseSpectrum.gaussian(SIGMA).detunings, id="pulse-2048"),
+]
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0], ids=["grid", "negated"])
+@pytest.mark.parametrize("grid", _PHASE_GRIDS)
+@pytest.mark.parametrize(
+    "b",
+    [(0.7, 0.0, 0.0, 0.0), (0.0, 3.0, 0.0, 0.0), (0.0, 0.0, 22.0, 0.0), (0.7, -3.0, 22.0, 0.0)],
+    ids=["beta0", "beta1", "beta2", "beta0-beta1-beta2"],
+)
+def test_medium_phase_to_second_order_equals_the_pow_formula_bit_for_bit(b, grid, sign):
+    # d^0, d^1 and d^2 by multiplication have the bits of d ** n
+    d = sign * grid
+    reference = np.zeros_like(d)
+    for n, b_n in enumerate(b):
+        if b_n != 0.0:
+            reference = reference + b_n * d ** n / math.factorial(n)
+    assert np.array_equal(DispersionProfile(b, 1.3).phase(d), 1.3 * reference)
+
+
+@pytest.mark.parametrize("grid", _PHASE_GRIDS)
+@pytest.mark.parametrize(
+    "b",
+    [(0.0, 3.0, 0.0, 0.0), (0.0, 0.0, 0.0, 4.0), (0.0, 3.0, 0.0, 4.0)],
+    ids=["beta1", "beta3", "beta1-beta3"],
+)
+def test_odd_medium_phase_is_odd_bit_for_bit(b, grid):
+    medium = DispersionProfile(b, 1.3)
+    assert np.array_equal(medium.phase(-grid), -medium.phase(grid))
 
 
 def test_grid_caches_hand_out_read_only_arrays():
     spec, taus = gaussian_pair(512), np.linspace(-12.0, 12.0, 601)
     d = spec.detunings
     plan = dispersion._fourier_plan(d[[0, -1]].tobytes(), d.size, taus.tobytes(), -2.0)
-    power = dispersion._detuning_power(d.tobytes(), 3)
-    for array in (*plan, power):
+    for array in plan:
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = 0.0
@@ -833,19 +888,15 @@ def test_a_grid_changed_in_place_reads_its_new_values():
 
 def test_grid_caches_retain_a_bounded_footprint():
     """What the caches keep after the HOM, SKC and Franson kernels on
-    n = 512 and 4096 bins over m = 2001 delays: three plans and six
-    powers per grid.  A plan holds fewer than 5 (n + m) complex numbers
-    and keys on its m delays; a power holds n float64 and shares its key,
-    the n detunings, with the other orders of one phase.  So the caches
-    retain under sum_n [3 (80 (n + m) + 8 m) + 6 (8 n + 8 n)] bytes, and
-    no more than 8 plans and 16 powers whatever is asked.  The classical
-    baseline of the 2048-bin pulse, asked once per grid, adds one time
-    grid of 16 x 2048 float64, one key of 2048 complex numbers, and
-    three medium powers on the pulse's detunings with their shared key,
-    4 x 2048 float64: under 16 (8 + 1 + 2) 2048 bytes more, and
-    no more than 2 time grids and 8 transform limits whatever is asked."""
+    n = 512 and 4096 bins over m = 2001 delays: three plans per grid.  A
+    plan holds fewer than 5 (n + m) complex numbers and keys on its m
+    delays, so the plans retain under sum_n 3 (80 (n + m) + 8 m) bytes,
+    and no more than 8 plans whatever is asked.  The classical baseline
+    of the 2048-bin pulse, asked once per grid, adds one time grid of
+    16 x 2048 float64 and one key of 2048 complex numbers: under
+    16 (8 + 1) 2048 bytes more, and no more than 2 time grids and 8
+    transform limits whatever is asked.  A medium phase keeps nothing."""
     assert dispersion._fourier_plan.cache_info().maxsize == 8
-    assert dispersion._detuning_power.cache_info().maxsize == 16
     assert dispersion._pulse_times.cache_info().maxsize == 2
     assert dispersion._transform_limit.cache_info().maxsize == 8
     medium, taus = beta(3.0, 22.0, 4.0), np.linspace(-12.0, 12.0, 2001)
@@ -868,7 +919,7 @@ def test_grid_caches_retain_a_bounded_footprint():
         tracemalloc.stop()
     assert dispersion._fourier_plan.cache_info().currsize == 0
     assert dispersion._transform_limit.cache_info().currsize == 0
-    ceiling = sum(3 * (80 * (n + m) + 8 * m) + 6 * 16 * n for n in bins) + 16 * (8 + 1 + 2) * pulse_bins
+    ceiling = sum(3 * (80 * (n + m) + 8 * m) for n in bins) + 16 * (8 + 1) * pulse_bins
     assert retained < ceiling
     # what stays is the caches' own
     assert after_clear < 0.05 * retained
